@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import CliConfig, _PARSERS, apply_values, parse_config_text, parse_rect
+from .config import FUSE_FLAGS, CliConfig, _PARSERS, apply_values, parse_config_text, parse_rect
 from .fusion import decompose, fuse
 from .image import Image
 from .metrics import MetricsReport, psnr, report
@@ -21,9 +21,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 
-# Flag destinations merged into CliConfig when present on the namespace.
-_FLAG_KEYS = [key for key in _PARSERS if key != "dump_intermediates"]
-
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -33,6 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--dump-intermediates",
         action="store_true",
+        default=None,
         help="also write per-source base/detail/saliency/weight images",
     )
 
@@ -44,17 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fuse = sub.add_parser("fuse", parents=[common], help="fuse source images")
     p_fuse.add_argument("inputs", nargs="+", help="source images (PGM/PPM, equal dimensions)")
-    p_fuse.add_argument("--avg-filter-size", type=int)
-    p_fuse.add_argument("--saliency-radius", type=int)
-    p_fuse.add_argument("--saliency-sigma", type=float)
-    p_fuse.add_argument("--base-radius", type=int)
-    p_fuse.add_argument("--base-alpha", type=float)
-    p_fuse.add_argument("--base-beta", type=float)
-    p_fuse.add_argument("--detail-radius", type=int)
-    p_fuse.add_argument("--detail-alpha", type=float)
-    p_fuse.add_argument("--detail-beta", type=float)
-    p_fuse.add_argument("--weight-floor", type=float)
-    p_fuse.add_argument("--refine-filter", choices=["lep", "guided"])
+    for key, options in FUSE_FLAGS.items():
+        p_fuse.add_argument("--" + key.replace("_", "-"), type=_PARSERS[key], **options)
     p_fuse.set_defaults(handler=_cmd_fuse)
 
     p_zoom = sub.add_parser("zoom", parents=[common], help="crop and magnify a region")
@@ -81,12 +70,11 @@ def _effective_config(args) -> CliConfig:
     cfg = CliConfig()
     if getattr(args, "config", None):
         apply_values(cfg, parse_config_text(Path(args.config).read_text()))
-    for key in _FLAG_KEYS:
+    # Flags that were given override the file; absent flags parse as None.
+    for key in _PARSERS:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    if getattr(args, "dump_intermediates", False):
-        cfg.dump_intermediates = True
     return cfg
 
 

@@ -2,14 +2,17 @@
 
 The file format is deliberately primitive so any tooling can emit it: one
 ``key = value`` pair per line, blank lines and ``#`` comment lines ignored.
-Command-line flags override file values, which override the defaults here.
+Command-line flags override file values, which override the defaults.
+Every default is read from the library dataclasses (FusionConfig,
+FilterParams, NaturalnessPriors), and the ``CliConfig`` field list is the
+one table that the file parser and the ``fuse`` flags are derived from.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .filters import FilterParams
-from .fusion import FusionConfig
+from .fusion import REFINE_FILTERS, FusionConfig
 from .metrics import NaturalnessPriors
 from .image import Rect
 from .zoom import ZoomSpec
@@ -24,7 +27,10 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def parse_rect(raw: str) -> tuple[int, int, int, int]:
+RectTuple = tuple[int, int, int, int]
+
+
+def parse_rect(raw: str) -> RectTuple:
     """Parse "x,y,width,height" into a tuple of four integers."""
     parts = raw.split(",")
     if len(parts) != 4:
@@ -36,72 +42,55 @@ def parse_rect(raw: str) -> tuple[int, int, int, int]:
     return x, y, w, h
 
 
-_PARSERS = {
-    "avg_filter_size": int,
-    "saliency_radius": int,
-    "saliency_sigma": float,
-    "base_radius": int,
-    "base_alpha": float,
-    "base_beta": float,
-    "detail_radius": int,
-    "detail_alpha": float,
-    "detail_beta": float,
-    "weight_floor": float,
-    "refine_filter": str,
-    "rect": parse_rect,
-    "scale": float,
-    "output_dir": str,
-    "dump_intermediates": _parse_bool,
-    "nat_mean_prior": float,
-    "nat_mean_tol": float,
-    "nat_std_prior": float,
-    "nat_std_tol": float,
-}
+_FUSION = FusionConfig()
+_PRIORS = NaturalnessPriors()
+
+
+def _fuse_flag(default, **argparse_options):
+    """A CliConfig field that ``lepfuse fuse`` also accepts as a --flag."""
+    return field(default=default, metadata={"fuse_flag": argparse_options})
 
 
 @dataclass
 class CliConfig:
     """Every tunable the CLI accepts, with library defaults filled in."""
 
-    avg_filter_size: int = 31
-    saliency_radius: int = 5
-    saliency_sigma: float = 5.0
-    base_radius: int = 15
-    base_alpha: float = 0.3
-    base_beta: float = 1.0
-    detail_radius: int = 3
-    detail_alpha: float = 1e-4
-    detail_beta: float = 1.0
-    weight_floor: float = 1e-12
-    refine_filter: str = "lep"
-    rect: Optional[tuple[int, int, int, int]] = None
+    avg_filter_size: int = _fuse_flag(_FUSION.avg_filter_size)
+    saliency_radius: int = _fuse_flag(_FUSION.saliency_radius)
+    saliency_sigma: float = _fuse_flag(_FUSION.saliency_sigma)
+    base_radius: int = _fuse_flag(_FUSION.base_params.radius)
+    base_alpha: float = _fuse_flag(_FUSION.base_params.alpha)
+    base_beta: float = _fuse_flag(_FUSION.base_params.beta)
+    detail_radius: int = _fuse_flag(_FUSION.detail_params.radius)
+    detail_alpha: float = _fuse_flag(_FUSION.detail_params.alpha)
+    detail_beta: float = _fuse_flag(_FUSION.detail_params.beta)
+    weight_floor: float = _fuse_flag(_FUSION.weight_floor)
+    refine_filter: str = _fuse_flag(_FUSION.refine_filter, choices=REFINE_FILTERS)
+    rect: Optional[RectTuple] = None
     scale: float = 1.0
     output_dir: Optional[str] = None
     dump_intermediates: bool = False
-    nat_mean_prior: float = 115.0
-    nat_mean_tol: float = 40.0
-    nat_std_prior: float = 28.0
-    nat_std_tol: float = 15.0
+    nat_mean_prior: float = _PRIORS.mean_prior
+    nat_mean_tol: float = _PRIORS.mean_tol
+    nat_std_prior: float = _PRIORS.std_prior
+    nat_std_tol: float = _PRIORS.std_tol
+
+    def _build(self, cls, prefix: str = "", **given):
+        # Instance of a library dataclass whose remaining fields are read
+        # from this config's fields named <prefix><field name>.
+        read = {f.name: getattr(self, prefix + f.name) for f in fields(cls) if f.name not in given}
+        return cls(**given, **read)
 
     def fusion_config(self) -> FusionConfig:
         """Materialize (and thereby validate) the fusion pipeline settings."""
-        return FusionConfig(
-            avg_filter_size=self.avg_filter_size,
-            saliency_radius=self.saliency_radius,
-            saliency_sigma=self.saliency_sigma,
-            base_params=FilterParams(self.base_radius, self.base_alpha, self.base_beta),
-            detail_params=FilterParams(self.detail_radius, self.detail_alpha, self.detail_beta),
-            weight_floor=self.weight_floor,
-            refine_filter=self.refine_filter,
+        return self._build(
+            FusionConfig,
+            base_params=self._build(FilterParams, "base_"),
+            detail_params=self._build(FilterParams, "detail_"),
         )
 
     def naturalness_priors(self) -> NaturalnessPriors:
-        return NaturalnessPriors(
-            mean_prior=self.nat_mean_prior,
-            mean_tol=self.nat_mean_tol,
-            std_prior=self.nat_std_prior,
-            std_tol=self.nat_std_tol,
-        )
+        return self._build(NaturalnessPriors, "nat_")
 
     def zoom_spec(self) -> ZoomSpec:
         if self.rect is None:
@@ -112,6 +101,13 @@ class CliConfig:
     def items(self) -> list[tuple[str, object]]:
         """(key, value) pairs in declaration order, for --verbose output."""
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
+
+
+# int, float and str fields parse with their own type.
+_PARSE_AS = {bool: _parse_bool, Optional[str]: str, Optional[RectTuple]: parse_rect}
+_PARSERS = {f.name: _PARSE_AS.get(f.type, f.type) for f in fields(CliConfig)}
+# Field name -> extra argparse options, for every field that is a fuse flag.
+FUSE_FLAGS = {f.name: f.metadata["fuse_flag"] for f in fields(CliConfig) if "fuse_flag" in f.metadata}
 
 
 def parse_config_text(text: str) -> dict:

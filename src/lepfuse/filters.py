@@ -1,8 +1,8 @@
 """Windowed filter kernels.
 
-All window sums run through an integral-image box filter, so every filter
-here costs O(n) in the pixel count regardless of the window radius.  Border
-handling is replicate padding throughout.
+Box-window sums run through an integral image, so they cost O(n) in the
+pixel count regardless of the window radius.  Borders are replicate-padded;
+the valid-mode kernels shared with the metrics leave padding to callers.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,9 @@ class FilterParams:
     ``alpha`` scales the gradient-adaptive regularizer; ``beta`` in [0, 2]
     shapes it (the local gradient magnitude is raised to the power
     ``2 - beta``).  Small values of either keep more gradients as salient
-    edges; large values smooth more aggressively.
+    edges; large values smooth more aggressively.  At ``beta = 2`` the
+    regularizer is the constant ``alpha``, which is the guided filter's
+    epsilon.
     """
 
     radius: int
@@ -51,24 +53,17 @@ class CoeffMaps:
     intercept_mean: Image
 
 
-def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
-    """Sum over (2r+1)^2 replicate-padded windows via an integral image."""
-    k = 2 * radius + 1
-    spatial = [(radius, radius), (radius, radius)] + [(0, 0)] * (arr.ndim - 2)
-    padded = np.pad(arr, spatial, mode="edge")
-    s = padded.cumsum(axis=0).cumsum(axis=1)
-    lead = [(1, 0), (1, 0)] + [(0, 0)] * (arr.ndim - 2)
-    s = np.pad(s, lead)
-    h, w = arr.shape[:2]
-    return s[k:k + h, k:k + w] - s[:h, k:k + w] - s[k:k + h, :w] + s[:h, :w]
-
-
 def _box_mean(arr: np.ndarray, radius: int) -> np.ndarray:
+    # Mean over (2r+1)^2 replicate-padded windows via an integral image.
     # Anchoring on the corner sample keeps constant regions exact: a flat
     # input yields all-zero window sums instead of cancellation residue.
     anchor = arr[0:1, 0:1]
     k = 2 * radius + 1
-    return _box_sum(arr - anchor, radius) / (k * k) + anchor
+    spatial = [(radius, radius), (radius, radius)] + [(0, 0)] * (arr.ndim - 2)
+    lead = [(1, 0), (1, 0)] + [(0, 0)] * (arr.ndim - 2)
+    s = np.pad(np.pad(arr - anchor, spatial, mode="edge").cumsum(axis=0).cumsum(axis=1), lead)
+    h, w = arr.shape[:2]
+    return (s[k:k + h, k:k + w] - s[:h, k:k + w] - s[k:k + h, :w] + s[:h, :w]) / (k * k) + anchor
 
 
 def _single_plane(img: Image, op: str) -> np.ndarray:
@@ -93,16 +88,17 @@ def _gaussian_kernel_1d(radius: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _correlate_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+def _valid_correlate_sep(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    # Separable valid-mode correlation over the two spatial axes; the output
+    # shrinks by 2*radius per axis.
     radius = len(kernel) // 2
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (radius, radius)
-    padded = np.pad(arr, pad, mode="edge")
-    out = np.zeros_like(arr)
-    index = [slice(None)] * arr.ndim
+    h, w = arr.shape[:2]
+    rows = np.zeros((h - 2 * radius,) + arr.shape[1:])
     for t, weight in enumerate(kernel):
-        index[axis] = slice(t, t + arr.shape[axis])
-        out += weight * padded[tuple(index)]
+        rows += weight * arr[t:t + h - 2 * radius]
+    out = np.zeros((h - 2 * radius, w - 2 * radius) + arr.shape[2:])
+    for t, weight in enumerate(kernel):
+        out += weight * rows[:, t:t + w - 2 * radius]
     return out
 
 
@@ -117,8 +113,8 @@ def gaussian_filter(img: Image, radius: int = 5, sigma: float = 5.0) -> Image:
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     kernel = _gaussian_kernel_1d(radius, sigma)
-    out = _correlate_axis(_correlate_axis(img.data, kernel, 0), kernel, 1)
-    return Image(out, img.max_val)
+    padded = np.pad(img.data, [(radius, radius), (radius, radius), (0, 0)], mode="edge")
+    return Image(_valid_correlate_sep(padded, kernel), img.max_val)
 
 
 def laplacian_filter(img: Image) -> Image:
@@ -130,24 +126,42 @@ def laplacian_filter(img: Image) -> Image:
 
 
 def _gradient_magnitude(plane: np.ndarray) -> np.ndarray:
-    p = np.pad(plane, 1, mode="edge")
-    dx = (p[1:-1, 2:] - p[1:-1, :-2]) * 0.5
-    dy = (p[2:, 1:-1] - p[:-2, 1:-1]) * 0.5
+    # Central differences at interior pixels; the output loses a border pixel.
+    dx = (plane[1:-1, 2:] - plane[1:-1, :-2]) * 0.5
+    dy = (plane[2:, 1:-1] - plane[:-2, 1:-1]) * 0.5
     return np.sqrt(dx * dx + dy * dy)
 
 
 def gradient_magnitude(img: Image) -> Image:
     """Per-pixel sqrt(dx^2 + dy^2) with central differences, replicated borders."""
-    return Image(_gradient_magnitude(_single_plane(img, "gradient_magnitude")), img.max_val)
+    plane = _single_plane(img, "gradient_magnitude")
+    return Image(_gradient_magnitude(np.pad(plane, 1, mode="edge")), img.max_val)
 
 
 def _edge_regularizer(guide_plane: np.ndarray, params: FilterParams) -> np.ndarray:
     # alpha * window mean of |grad|^(2 - beta).  Clamped so rounding residue
     # in the box filter can never push the slope denominator below the
     # variance term.
-    grad = _gradient_magnitude(guide_plane)
+    grad = _gradient_magnitude(np.pad(guide_plane, 1, mode="edge"))
     powgrad = grad ** (2.0 - params.beta)
     return np.maximum(params.alpha * _box_mean(powgrad, params.radius), 0.0)
+
+
+def _linear_fit(pp: np.ndarray, gg: np.ndarray, params: FilterParams) -> tuple[np.ndarray, np.ndarray]:
+    # Per-window a = cov(gg, pp) / (var(gg) + edge regularizer of gg), or 0
+    # where the denominator is 0, and b = mean(pp) - a * mean(gg).  Passing
+    # one array as both arguments reuses the variance as the covariance.
+    r = params.radius
+    mean_g = _box_mean(gg, r)
+    var_g = np.maximum(_box_mean(gg * gg, r) - mean_g * mean_g, 0.0)
+    if pp is gg:
+        mean_p, cov = mean_g, var_g
+    else:
+        mean_p = _box_mean(pp, r)
+        cov = _box_mean(gg * pp, r) - mean_g * mean_p
+    denom = var_g + _edge_regularizer(gg, params)
+    slope = np.divide(cov, denom, out=np.zeros_like(cov), where=denom > 0.0)
+    return slope, mean_p - slope * mean_g
 
 
 def lep_filter(img: Image, params: FilterParams) -> tuple[Image, CoeffMaps]:
@@ -169,14 +183,9 @@ def lep_filter(img: Image, params: FilterParams) -> tuple[Image, CoeffMaps]:
     lies in [0, 1].
     """
     plane = _single_plane(img, "lep_filter")
-    r = params.radius
-    mean_i = _box_mean(plane, r)
-    var_i = np.maximum(_box_mean(plane * plane, r) - mean_i * mean_i, 0.0)
-    denom = var_i + _edge_regularizer(plane, params)
-    slope = np.divide(var_i, denom, out=np.zeros_like(var_i), where=denom > 0.0)
-    intercept = mean_i - slope * mean_i
-    slope_mean = _box_mean(slope, r)
-    intercept_mean = _box_mean(intercept, r)
+    slope, intercept = _linear_fit(plane, plane, params)
+    slope_mean = _box_mean(slope, params.radius)
+    intercept_mean = _box_mean(intercept, params.radius)
     out = slope_mean * plane + intercept_mean
     coeffs = CoeffMaps(
         slope=Image(slope, 1.0),
@@ -201,39 +210,20 @@ def lep_filter_guided(p: Image, guide: Image, params: FilterParams) -> Image:
         raise ValueError(
             f"input and guide dimensions differ: {pp.shape} vs {gg.shape}"
         )
-    r = params.radius
-    mean_g = _box_mean(gg, r)
-    mean_p = _box_mean(pp, r)
-    var_g = np.maximum(_box_mean(gg * gg, r) - mean_g * mean_g, 0.0)
-    cov_gp = _box_mean(gg * pp, r) - mean_g * mean_p
-    denom = var_g + _edge_regularizer(gg, params)
-    slope = np.divide(cov_gp, denom, out=np.zeros_like(cov_gp), where=denom > 0.0)
-    intercept = mean_p - slope * mean_g
-    out = _box_mean(slope, r) * gg + _box_mean(intercept, r)
+    slope, intercept = _linear_fit(pp, gg, params)
+    out = _box_mean(slope, params.radius) * gg + _box_mean(intercept, params.radius)
     return Image(out, p.max_val)
 
 
 def guided_filter(p: Image, guide: Image, radius: int, epsilon: float) -> Image:
     """Classic guided filter: a = cov(guide, p) / (var(guide) + epsilon).
 
-    Kept alongside lep_filter_guided as the constant-regularizer baseline;
-    it smooths edges that the gradient-adaptive variant preserves.
+    This is lep_filter_guided at beta = 2, where the gradient regularizer
+    is the constant alpha = epsilon.  Kept as the constant-regularizer
+    baseline; it smooths edges that the gradient-adaptive variant preserves.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    pp = _single_plane(p, "guided_filter")
-    gg = _single_plane(guide, "guided_filter")
-    if pp.shape != gg.shape:
-        raise ValueError(
-            f"input and guide dimensions differ: {pp.shape} vs {gg.shape}"
-        )
-    mean_g = _box_mean(gg, radius)
-    mean_p = _box_mean(pp, radius)
-    var_g = np.maximum(_box_mean(gg * gg, radius) - mean_g * mean_g, 0.0)
-    cov_gp = _box_mean(gg * pp, radius) - mean_g * mean_p
-    slope = cov_gp / (var_g + epsilon)
-    intercept = mean_p - slope * mean_g
-    out = _box_mean(slope, radius) * gg + _box_mean(intercept, radius)
-    return Image(out, p.max_val)
+    return lep_filter_guided(p, guide, FilterParams(radius, epsilon, beta=2.0))

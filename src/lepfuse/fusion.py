@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import FilterParams, box_mean, gaussian_filter, guided_filter, laplacian_filter, lep_filter_guided
-from .image import Image, rgb_to_luma
+from .image import Image, _luma
 
 REFINE_FILTERS = ("lep", "guided")
 
@@ -32,7 +32,8 @@ class FusionConfig:
 
     ``refine_filter`` selects the weight-refinement filter: ``"lep"`` for the
     gradient-adaptive filter, ``"guided"`` for the constant-regularizer
-    baseline (which then reads each FilterParams.alpha as its epsilon).
+    baseline: the same fit at beta = 2, where each FilterParams.alpha is the
+    constant regularizer epsilon.
     """
 
     avg_filter_size: int = 31
@@ -211,10 +212,6 @@ def normalize_weights(stack: WeightStack, weight_floor: float = 1e-12) -> Weight
     total = np.sum(shifted, axis=0)
     maps = tuple(Image(s / total, 1.0) for s in shifted)
     return WeightStack(maps=maps, kind="normalized")
-
-
-def _luma(img: Image) -> Image:
-    return rgb_to_luma(img) if img.channels == 3 else img
 
 
 def fuse(sources, config: FusionConfig = FusionConfig()) -> FusionResult:

@@ -1,4 +1,4 @@
-"""Image value type and basic geometry: padding, cropping, luminance.
+"""Image value type and basic geometry: cropping, luminance.
 
 Every public operation is pure: inputs are never mutated and pixel data of
 returned images is read-only.  Samples are stored as float64 regardless of
@@ -78,18 +78,6 @@ class Rect:
             raise ValueError(f"rect dimensions must be positive, got {self.width}x{self.height}")
 
 
-def constant_image(height: int, width: int, channels: int, value: float,
-                   max_val: float = 255.0) -> Image:
-    """Image of the given shape with every sample equal to ``value``."""
-    if height < 1 or width < 1:
-        raise ValueError(f"dimensions must be positive, got {height}x{width}")
-    if channels not in (1, 3):
-        raise ValueError(f"channel count must be 1 or 3, got {channels}")
-    if not np.isfinite(value):
-        raise ValueError("value must be finite")
-    return Image(np.full((height, width, channels), float(value)), max_val)
-
-
 def crop(img: Image, region: Rect) -> Image:
     """Extract ``region`` from ``img``, bit-exact.
 
@@ -119,11 +107,6 @@ def rgb_to_luma(img: Image) -> Image:
     return Image(luma, img.max_val)
 
 
-def pad_replicate(img: Image, margin: int) -> Image:
-    """Extend the image by ``margin`` pixels on every side, repeating edge pixels."""
-    if margin < 0:
-        raise ValueError(f"margin must be non-negative, got {margin}")
-    if margin == 0:
-        return Image(img.data, img.max_val)
-    padded = np.pad(img.data, ((margin, margin), (margin, margin), (0, 0)), mode="edge")
-    return Image(padded, img.max_val)
+def _luma(img: Image) -> Image:
+    # Luminance of a color image; single-channel images pass through.
+    return rgb_to_luma(img) if img.channels == 3 else img

@@ -12,7 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .image import Image, rgb_to_luma
+from .filters import _gaussian_kernel_1d, _gradient_magnitude, _single_plane, _valid_correlate_sep
+from .image import Image, _luma
 
 SSIM_WINDOW_RADIUS = 5
 SSIM_SIGMA = 1.5
@@ -99,25 +100,6 @@ def psnr(a: Image, b: Image, max_val: float = None) -> float:
     return 10.0 * math.log10(max_val * max_val / mse)
 
 
-def _gaussian_kernel_1d(radius: int, sigma: float) -> np.ndarray:
-    t = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(t * t) / (2.0 * sigma * sigma))
-    return k / k.sum()
-
-
-def _valid_correlate_sep(plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # Separable valid-mode correlation; output shrinks by 2*radius per axis.
-    radius = len(kernel) // 2
-    h, w = plane.shape
-    rows = np.zeros((h - 2 * radius, w))
-    for t, weight in enumerate(kernel):
-        rows += weight * plane[t:t + h - 2 * radius, :]
-    out = np.zeros((h - 2 * radius, w - 2 * radius))
-    for t, weight in enumerate(kernel):
-        out += weight * rows[:, t:t + w - 2 * radius]
-    return out
-
-
 def ssim(a: Image, b: Image, max_val: float = None) -> float:
     """Mean structural similarity over 11x11 Gaussian-weighted windows.
 
@@ -158,14 +140,10 @@ def sharpness(img: Image) -> float:
 
     Images without interior pixels (either dimension < 3) score 0.
     """
-    if img.channels != 1:
-        raise ValueError(f"sharpness requires a single-channel image, got {img.channels} channels")
-    plane = img.plane()
+    plane = _single_plane(img, "sharpness")
     if plane.shape[0] < 3 or plane.shape[1] < 3:
         return 0.0
-    dx = (plane[1:-1, 2:] - plane[1:-1, :-2]) * 0.5
-    dy = (plane[2:, 1:-1] - plane[:-2, 1:-1]) * 0.5
-    return float(np.mean(np.sqrt(dx * dx + dy * dy)))
+    return float(np.mean(_gradient_magnitude(plane)))
 
 
 def naturalness(img: Image, priors: NaturalnessPriors = NaturalnessPriors()) -> float:
@@ -180,10 +158,6 @@ def naturalness(img: Image, priors: NaturalnessPriors = NaturalnessPriors()) -> 
     p_mean = math.exp(-((mu - priors.mean_prior) ** 2) / (2.0 * priors.mean_tol ** 2))
     p_std = math.exp(-((sd - priors.std_prior) ** 2) / (2.0 * priors.std_tol ** 2))
     return p_mean * p_std
-
-
-def _luma(img: Image) -> Image:
-    return rgb_to_luma(img) if img.channels == 3 else img
 
 
 def report(

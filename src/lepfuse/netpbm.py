@@ -103,7 +103,9 @@ def read_image(path) -> Image:
     count = width * height * channels
 
     if magic in _PLAIN_MAGICS:
-        samples = np.empty(count, dtype=np.float64)
+        # A sample takes at least one byte, so never allocate more samples than
+        # bytes remain; the loop reports where a too-short raster ends.
+        samples = np.empty(min(count, len(blob) - tok.pos), dtype=np.float64)
         for i in range(count):
             tok._skip_filler()
             if tok.pos >= len(blob):

@@ -1,12 +1,10 @@
-"""Bilinear sampling, resizing, and crop-then-zoom.
+"""Bilinear resizing and crop-then-zoom.
 
 Coordinates use the pixel-center convention: sample (x, y) = (j, i) is the
 center of pixel (i, j), so the valid domain is [0, width-1] x [0, height-1].
 Resizing maps output corners onto input corners, which keeps corner samples
 exact and makes small hand-checkable cases (1x2 -> 1x3) come out in closed
-form.  Sampling outside the domain raises rather than extrapolating: the
-interpolation kernel has no support out there, and silent clamping would
-hide caller bugs.
+form.
 """
 
 from dataclasses import dataclass
@@ -26,46 +24,6 @@ class ZoomSpec:
     def __post_init__(self):
         if not (np.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError(f"scale must be positive, got {self.scale}")
-
-
-def bilinear_kernel(s: float) -> float:
-    """Triangle kernel: 1 - |s| inside the unit cell, 0 at and beyond |s| = 1."""
-    if not np.isfinite(s):
-        raise ValueError(f"kernel argument must be finite, got {s}")
-    return max(0.0, 1.0 - abs(s))
-
-
-def _cell(coord: float, size: int) -> tuple[int, float]:
-    # Left grid index and fractional offset; the last cell absorbs coord == size-1
-    # so the offset stays in [0, 1] and grid points reproduce exactly.
-    if size == 1:
-        return 0, 0.0
-    lo = min(int(np.floor(coord)), size - 2)
-    return lo, coord - lo
-
-
-def sample_bilinear(img: Image, x: float, y: float) -> np.ndarray:
-    """Interpolated sample at (x, y), one value per channel.
-
-    The value is the convex combination of the four surrounding grid
-    samples with triangle-kernel weights, evaluated as two horizontal
-    interpolations followed by one vertical.  Integer coordinates return
-    stored samples exactly.
-    """
-    if not (np.isfinite(x) and np.isfinite(y)):
-        raise ValueError(f"sample coordinates must be finite, got ({x}, {y})")
-    if not (0.0 <= x <= img.width - 1 and 0.0 <= y <= img.height - 1):
-        raise IndexError(
-            f"sample point ({x}, {y}) outside domain "
-            f"[0, {img.width - 1}] x [0, {img.height - 1}]"
-        )
-    x0, fx = _cell(x, img.width)
-    y0, fy = _cell(y, img.height)
-    x1 = min(x0 + 1, img.width - 1)
-    y1 = min(y0 + 1, img.height - 1)
-    top = (1.0 - fx) * img.data[y0, x0] + fx * img.data[y0, x1]
-    bottom = (1.0 - fx) * img.data[y1, x0] + fx * img.data[y1, x1]
-    return (1.0 - fy) * top + fy * bottom
 
 
 def _axis_coords(out_size: int, in_size: int) -> np.ndarray:

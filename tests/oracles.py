@@ -2,10 +2,14 @@
 
 Everything here trades speed for obviousness: explicit window loops,
 normal equations solved per window, no integral images, no separability
-tricks.  The fast library kernels are validated against these.
+tricks.  The fast library kernels are validated against these.  The
+image helpers at the end (constant images, replicate padding, single-point
+bilinear sampling) serve only the tests.
 """
 
 import numpy as np
+
+from lepfuse import Image
 
 
 def naive_box_mean(plane: np.ndarray, radius: int) -> np.ndarray:
@@ -162,3 +166,65 @@ def tensor_bilinear(data: np.ndarray, x: float, y: float) -> np.ndarray:
             if 0 <= xk < w and 0 <= yk < h:
                 total = total + data[yk, xk] * u(x - xk) * u(y - yk)
     return total
+
+
+def constant_image(height: int, width: int, channels: int, value: float,
+                   max_val: float = 255.0) -> Image:
+    """Image of the given shape with every sample equal to ``value``."""
+    if height < 1 or width < 1:
+        raise ValueError(f"dimensions must be positive, got {height}x{width}")
+    if channels not in (1, 3):
+        raise ValueError(f"channel count must be 1 or 3, got {channels}")
+    if not np.isfinite(value):
+        raise ValueError("value must be finite")
+    return Image(np.full((height, width, channels), float(value)), max_val)
+
+
+def pad_replicate(img: Image, margin: int) -> Image:
+    """Extend the image by ``margin`` pixels on every side, repeating edge pixels."""
+    if margin < 0:
+        raise ValueError(f"margin must be non-negative, got {margin}")
+    if margin == 0:
+        return Image(img.data, img.max_val)
+    padded = np.pad(img.data, ((margin, margin), (margin, margin), (0, 0)), mode="edge")
+    return Image(padded, img.max_val)
+
+
+def bilinear_kernel(s: float) -> float:
+    """Triangle kernel: 1 - |s| inside the unit cell, 0 at and beyond |s| = 1."""
+    if not np.isfinite(s):
+        raise ValueError(f"kernel argument must be finite, got {s}")
+    return max(0.0, 1.0 - abs(s))
+
+
+def _cell(coord: float, size: int) -> tuple[int, float]:
+    # Left grid index and fractional offset; the last cell absorbs coord == size-1
+    # so the offset stays in [0, 1] and grid points reproduce exactly.
+    if size == 1:
+        return 0, 0.0
+    lo = min(int(np.floor(coord)), size - 2)
+    return lo, coord - lo
+
+
+def sample_bilinear(img: Image, x: float, y: float) -> np.ndarray:
+    """Interpolated sample at (x, y), one value per channel.
+
+    The value is the convex combination of the four surrounding grid
+    samples with triangle-kernel weights, evaluated as two horizontal
+    interpolations followed by one vertical.  Integer coordinates return
+    stored samples exactly.
+    """
+    if not (np.isfinite(x) and np.isfinite(y)):
+        raise ValueError(f"sample coordinates must be finite, got ({x}, {y})")
+    if not (0.0 <= x <= img.width - 1 and 0.0 <= y <= img.height - 1):
+        raise IndexError(
+            f"sample point ({x}, {y}) outside domain "
+            f"[0, {img.width - 1}] x [0, {img.height - 1}]"
+        )
+    x0, fx = _cell(x, img.width)
+    y0, fy = _cell(y, img.height)
+    x1 = min(x0 + 1, img.width - 1)
+    y1 = min(y0 + 1, img.height - 1)
+    top = (1.0 - fx) * img.data[y0, x0] + fx * img.data[y0, x1]
+    bottom = (1.0 - fx) * img.data[y1, x0] + fx * img.data[y1, x1]
+    return (1.0 - fy) * top + fy * bottom

@@ -25,7 +25,6 @@ from lepfuse import (
     psnr,
     read_image,
     resize_bilinear,
-    sample_bilinear,
     sharpness,
     ssim,
     write_image,
@@ -40,6 +39,7 @@ from oracles import (
     guide_gradient_power,
     lep_oracle,
     naive_box_mean,
+    sample_bilinear,
     window_has_gradient,
 )
 

@@ -8,7 +8,9 @@ no output files behind.
 import numpy as np
 import pytest
 
-from lepfuse import Image, read_image, write_image
+from dataclasses import fields
+
+from lepfuse import FilterParams, FusionConfig, Image, NaturalnessPriors, read_image, write_image
 from lepfuse.cli import main
 from lepfuse.config import CliConfig, apply_values, parse_config_text
 from lepfuse.synthetic import multifocus_pair
@@ -62,6 +64,51 @@ def test_config_materializers_validate():
         cfg.fusion_config()
     with pytest.raises(ValueError):
         CliConfig(rect=None).zoom_spec()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    assert CliConfig().fusion_config() == FusionConfig()
+    assert CliConfig().naturalness_priors() == NaturalnessPriors()
+
+
+def test_every_config_field_parses_from_a_file():
+    defaults = CliConfig()
+    unset = {"rect": "1,2,3,4", "output_dir": "out", "dump_intermediates": "true"}
+    text = "\n".join(
+        f"{f.name} = {unset.get(f.name, getattr(defaults, f.name))}" for f in fields(CliConfig)
+    )
+    values = parse_config_text(text)
+    assert set(values) == {f.name for f in fields(CliConfig)}
+    cfg = apply_values(CliConfig(), values)
+    assert cfg.fusion_config() == FusionConfig()
+    assert cfg.naturalness_priors() == NaturalnessPriors()
+    assert (cfg.rect, cfg.output_dir, cfg.dump_intermediates) == ((1, 2, 3, 4), "out", True)
+
+
+def test_every_fusion_field_is_a_fuse_flag(workdir, capsys):
+    # FusionConfig fields flatten to CLI keys; FilterParams fields become
+    # <layer>_<name>, e.g. base_params.alpha -> base_alpha.
+    defaults = FusionConfig()
+    expected = {}
+    for f in fields(FusionConfig):
+        value = getattr(defaults, f.name)
+        if isinstance(value, FilterParams):
+            layer = f.name.removesuffix("_params")
+            expected.update((f"{layer}_{p.name}", getattr(value, p.name)) for p in fields(FilterParams))
+        else:
+            expected[f.name] = value
+    # Valid non-default values: odd ints stay odd, betas stay within [0, 2].
+    changed = {
+        key: "guided" if isinstance(value, str) else value + 2 if isinstance(value, int) else value * 2
+        for key, value in expected.items()
+    }
+    argv = ["fuse", str(workdir / "a.pgm"), str(workdir / "b.pgm"), "-o", str(workdir / "flags.pgm"), "--verbose"]
+    for key, value in changed.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    assert main(argv) == 0
+    printed = set(capsys.readouterr().err.splitlines())
+    for key, value in changed.items():
+        assert f"{key}={value}" in printed
 
 
 # --- fuse --------------------------------------------------------------------
@@ -218,6 +265,15 @@ def test_decompose_validation_and_io_paths(workdir):
     assert main(["decompose", str(workdir / "a.pgm"), "-o", str(workdir / "d.pgm"), "--avg-filter-size", "4"]) == 2
     assert main(["decompose", str(workdir / "ghost.pgm"), "-o", str(workdir / "d.pgm")]) == 1
     assert main(["decompose", str(workdir / "a.pgm")]) == 2  # no output path
+
+
+def test_decompose_oversized_plain_header_exit_1_no_output(workdir, capsys):
+    huge = workdir / "huge.pgm"
+    huge.write_text("P2\n1000000 1000000\n255\n1 2 3 4 5 6 7 8\n")
+    assert main(["decompose", str(huge), "-o", str(workdir / "h.pgm")]) == 1
+    assert "expected 1000000000000 samples, got 8" in capsys.readouterr().err
+    assert not (workdir / "h_base.pgm").exists()
+    assert not (workdir / "h_detail.pgm").exists()
 
 
 # --- metrics -----------------------------------------------------------------

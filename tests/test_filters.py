@@ -7,13 +7,12 @@ from lepfuse import (
     FilterParams,
     Image,
     box_mean,
-    constant_image,
     gaussian_filter,
     gradient_magnitude,
     laplacian_filter,
 )
 
-from oracles import naive_box_mean, naive_gaussian, naive_laplacian
+from oracles import constant_image, naive_box_mean, naive_gaussian, naive_laplacian
 
 
 @pytest.mark.parametrize("radius", [1, 2, 5, 15])

@@ -11,7 +11,6 @@ from lepfuse import (
     WeightStack,
     binary_weight_maps,
     box_mean,
-    constant_image,
     crop,
     decompose,
     fuse,
@@ -23,7 +22,7 @@ from lepfuse import (
 )
 from lepfuse.synthetic import multifocus_pair
 
-from oracles import naive_box_mean, naive_gaussian, naive_laplacian
+from oracles import constant_image, naive_box_mean, naive_gaussian, naive_laplacian
 
 
 def _random_image(seed, shape=(16, 16)):

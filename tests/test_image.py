@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from lepfuse import Image, Rect, constant_image, crop, pad_replicate, rgb_to_luma
+from lepfuse import Image, Rect, crop, rgb_to_luma
+
+from oracles import constant_image, pad_replicate
 
 
 def test_image_lifts_2d_to_single_channel():

@@ -8,14 +8,13 @@ from lepfuse import (
     FilterParams,
     Image,
     box_mean,
-    constant_image,
     gradient_magnitude,
     guided_filter,
     lep_filter,
     lep_filter_guided,
 )
 
-from oracles import lep_oracle, window_has_gradient
+from oracles import constant_image, lep_oracle, window_has_gradient
 
 
 def _random_image(seed, shape=(8, 8), lo=0.0, hi=255.0):
@@ -165,6 +164,18 @@ def test_guided_filter_baseline_against_oracle():
     # keeps the term constant anyway.
     expected, _, _ = lep_oracle(p.plane(), guide.plane(), 2, 0.4, 2.0)
     assert np.abs(out.plane() - expected).max() < 1e-9
+
+
+def test_guided_filter_is_lep_filter_guided_at_beta_2():
+    # At beta = 2 the gradient regularizer is the constant alpha, so the
+    # baseline and the gradient-adaptive filter agree bit for bit.
+    rng = np.random.default_rng(56)
+    p = Image(rng.uniform(0, 255, (16, 16)))
+    guide = Image(rng.uniform(0, 255, (16, 16)))
+    for radius, epsilon in ((1, 1e-4), (3, 0.4), (5, 250.0)):
+        got = guided_filter(p, guide, radius, epsilon)
+        want = lep_filter_guided(p, guide, FilterParams(radius, epsilon, beta=2.0))
+        assert np.array_equal(got.data, want.data)
 
 
 def test_guided_filter_smooths_more_with_larger_epsilon():

@@ -9,7 +9,6 @@ from lepfuse import (
     Image,
     MetricsReport,
     NaturalnessPriors,
-    constant_image,
     gaussian_filter,
     naturalness,
     psnr,
@@ -18,7 +17,7 @@ from lepfuse import (
     ssim,
 )
 
-from oracles import direct_ssim
+from oracles import constant_image, direct_ssim
 
 
 def test_psnr_identical_is_infinite():

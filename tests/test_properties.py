@@ -16,11 +16,10 @@ from lepfuse import (
     psnr,
     quantize,
     read_image,
-    sample_bilinear,
     ssim,
     write_image,
 )
-from oracles import naive_box_mean
+from oracles import naive_box_mean, sample_bilinear
 
 finite = st.floats(0.0, 255.0, allow_nan=False, allow_infinity=False, width=64)
 

@@ -1,0 +1,26 @@
+"""Smoke tests: the example scripts run against the public API."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_multifocus_demo_runs(tmp_path, capsys):
+    assert _load("multifocus_demo").main(["--size", "64", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "fused_lep.pgm").exists()
+    assert (tmp_path / "fused_guided.pgm").exists()
+    assert "lep" in capsys.readouterr().out
+
+
+def test_box_filter_timing_runs(capsys):
+    assert _load("box_filter_timing").main(["--side", "64", "--repeats", "1", "--radii", "1", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[2:]] == ["1", "2"]

@@ -7,15 +7,12 @@ from lepfuse import (
     Image,
     Rect,
     ZoomSpec,
-    bilinear_kernel,
-    constant_image,
     crop,
     resize_bilinear,
-    sample_bilinear,
     zoom_region,
 )
 
-from oracles import tensor_bilinear
+from oracles import bilinear_kernel, constant_image, sample_bilinear, tensor_bilinear
 
 
 def test_kernel_shape():
