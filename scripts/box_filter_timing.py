@@ -1,24 +1,27 @@
 #!/usr/bin/env python3
-"""Box filter timing across window radii.
+"""Window kernel timing: box filter across radii, plus the Gaussian filter.
 
-The integral-image formulation should make runtime flat in the radius.
-Prints median wall time per radius on a fixed random image.
+The integral-image formulation should make box filter runtime flat in the
+radius.  Prints the median wall time of the saliency-sized Gaussian filter
+(radius 5, sigma 5) and of the box filter per radius on a fixed random
+image, with the numpy version and CPU count in the header.
 """
 
 import argparse
+import os
 import sys
 import time
 
 import numpy as np
 
-from lepfuse import Image, box_mean
+from lepfuse import Image, box_mean, gaussian_filter
 
 
-def median_ms(img: Image, radius: int, repeats: int) -> float:
+def median_ms(run, repeats: int) -> float:
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        box_mean(img, radius)
+        run()
         times.append(time.perf_counter() - t0)
     return float(np.median(times)) * 1e3
 
@@ -35,11 +38,14 @@ def main(argv=None) -> int:
     img = Image(rng.uniform(0, 255, (args.side, args.side)))
     box_mean(img, 1)  # warm up
 
-    print(f"image {args.side}x{args.side}, median of {args.repeats} runs")
+    print(f"image {args.side}x{args.side}, median of {args.repeats} runs, "
+          f"numpy {np.__version__}, {os.cpu_count()} CPUs")
+    ms = median_ms(lambda: gaussian_filter(img, 5, 5.0), args.repeats)
+    print(f"gaussian_filter radius 5 sigma 5.0: {ms:.2f} ms")
     print(f"{'radius':>6} {'ms':>8}")
     baseline = None
     for radius in args.radii:
-        ms = median_ms(img, radius, args.repeats)
+        ms = median_ms(lambda: box_mean(img, radius), args.repeats)
         if baseline is None:
             baseline = ms
         print(f"{radius:>6} {ms:>8.2f}  (x{ms / baseline:.2f})")

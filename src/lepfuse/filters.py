@@ -57,13 +57,32 @@ def _box_mean(arr: np.ndarray, radius: int) -> np.ndarray:
     # Mean over (2r+1)^2 replicate-padded windows via an integral image.
     # Anchoring on the corner sample keeps constant regions exact: a flat
     # input yields all-zero window sums instead of cancellation residue.
+    # One zeroed buffer holds the integral image: its lead row and column
+    # stay zero, the body takes the anchored input plus a replicate border,
+    # and both prefix sums and the corner combination run in place.
     anchor = arr[0:1, 0:1]
     k = 2 * radius + 1
-    spatial = [(radius, radius), (radius, radius)] + [(0, 0)] * (arr.ndim - 2)
-    lead = [(1, 0), (1, 0)] + [(0, 0)] * (arr.ndim - 2)
-    s = np.pad(np.pad(arr - anchor, spatial, mode="edge").cumsum(axis=0).cumsum(axis=1), lead)
     h, w = arr.shape[:2]
-    return (s[k:k + h, k:k + w] - s[:h, k:k + w] - s[k:k + h, :w] + s[:h, :w]) / (k * k) + anchor
+    s = np.zeros((h + k, w + k) + arr.shape[2:])
+    body = s[1:, 1:]
+    np.subtract(arr, anchor, out=body[radius:radius + h, radius:radius + w])
+    body[radius:radius + h, :radius] = body[radius:radius + h, radius:radius + 1]
+    body[radius:radius + h, radius + w:] = body[radius:radius + h, radius + w - 1:radius + w]
+    body[:radius] = body[radius]
+    body[radius + h:] = body[radius + h - 1]
+    # Vertical prefix sum as a sweep over whole rows.  numpy's axis-0
+    # accumulate walks each column with a stride of one full row; the sweep
+    # adds contiguous rows instead.  It performs the same sequential
+    # additions, so it is bitwise cumsum(axis=0).
+    for i in range(1, body.shape[0]):
+        body[i] += body[i - 1]
+    np.cumsum(body, axis=1, out=body)
+    out = s[k:k + h, k:k + w] - s[:h, k:k + w]
+    out -= s[k:k + h, :w]
+    out += s[:h, :w]
+    out /= k * k
+    out += anchor
+    return out
 
 
 def _single_plane(img: Image, op: str) -> np.ndarray:
@@ -90,19 +109,25 @@ def _gaussian_kernel_1d(radius: int, sigma: float) -> np.ndarray:
 
 def _valid_correlate_sep(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # Separable valid-mode correlation over the two spatial axes; the output
-    # shrinks by 2*radius per axis.
+    # shrinks by 2*radius per axis.  Each pass reuses one scratch buffer for
+    # the weighted taps instead of allocating a product per tap.
     radius = len(kernel) // 2
     h, w = arr.shape[:2]
     rows = np.zeros((h - 2 * radius,) + arr.shape[1:])
+    tmp = np.empty_like(rows)
     for t, weight in enumerate(kernel):
-        rows += weight * arr[t:t + h - 2 * radius]
+        np.multiply(weight, arr[t:t + h - 2 * radius], out=tmp)
+        rows += tmp
+    del tmp
     out = np.zeros((h - 2 * radius, w - 2 * radius) + arr.shape[2:])
+    tmp = np.empty_like(out)
     for t, weight in enumerate(kernel):
-        out += weight * rows[:, t:t + w - 2 * radius]
+        np.multiply(weight, rows[:, t:t + w - 2 * radius], out=tmp)
+        out += tmp
     return out
 
 
-def gaussian_filter(img: Image, radius: int = 5, sigma: float = 5.0) -> Image:
+def gaussian_filter(img: Image, radius: int, sigma: float) -> Image:
     """Convolution with a normalized sampled Gaussian of size (2r+1)^2.
 
     The sampled 2-D kernel factors exactly into two 1-D passes, so the

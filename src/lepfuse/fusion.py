@@ -125,7 +125,7 @@ class FusionResult:
     detail_weights: WeightStack
 
 
-def decompose(src: Image, avg_filter_size: int = 31) -> LayerPair:
+def decompose(src: Image, avg_filter_size: int = FusionConfig.avg_filter_size) -> LayerPair:
     """Split into a box-mean base layer and the detail residual."""
     if avg_filter_size < 3 or avg_filter_size % 2 == 0:
         raise ValueError(f"avg_filter_size must be odd and >= 3, got {avg_filter_size}")
@@ -198,7 +198,7 @@ def refine_weights(
     return WeightStack(maps=tuple(refined), kind="refined")
 
 
-def normalize_weights(stack: WeightStack, weight_floor: float = 1e-12) -> WeightStack:
+def normalize_weights(stack: WeightStack, weight_floor: float = FusionConfig.weight_floor) -> WeightStack:
     """Scale the maps so they sum to one at every pixel.
 
     The floor keeps the denominator positive where every refined weight is

@@ -2,7 +2,10 @@
 
 Everything here trades speed for obviousness: explicit window loops,
 normal equations solved per window, no integral images, no separability
-tricks.  The fast library kernels are validated against these.  The
+tricks.  The fast library kernels are validated against these.  Two
+straightforward vectorized window kernels (a padded-copy integral image
+and a tap-by-tap separable correlation) pin the in-place library kernels
+bit for bit, since both perform the same floating-point additions.  The
 image helpers at the end (constant images, replicate padding, single-point
 bilinear sampling) serve only the tests.
 """
@@ -37,6 +40,35 @@ def naive_gaussian(plane: np.ndarray, radius: int, sigma: float) -> np.ndarray:
     for i in range(h):
         for j in range(w):
             out[i, j] = (padded[i:i + k, j:j + k] * kernel).sum()
+    return out
+
+
+def reference_box_mean(arr: np.ndarray, radius: int) -> np.ndarray:
+    """Anchored integral-image window mean written with padded copies.
+
+    Same arithmetic as the library's in-place kernel: subtract the corner
+    sample, edge-pad, cumsum down then across, prepend a zero row and
+    column, and combine the four corners as ((A - B) - C) + D.
+    """
+    anchor = arr[0:1, 0:1]
+    k = 2 * radius + 1
+    spatial = [(radius, radius), (radius, radius)] + [(0, 0)] * (arr.ndim - 2)
+    lead = [(1, 0), (1, 0)] + [(0, 0)] * (arr.ndim - 2)
+    s = np.pad(np.pad(arr - anchor, spatial, mode="edge").cumsum(axis=0).cumsum(axis=1), lead)
+    h, w = arr.shape[:2]
+    return (s[k:k + h, k:k + w] - s[:h, k:k + w] - s[k:k + h, :w] + s[:h, :w]) / (k * k) + anchor
+
+
+def reference_valid_correlate_sep(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid-mode separable correlation, one fresh weighted product per tap."""
+    radius = len(kernel) // 2
+    h, w = arr.shape[:2]
+    rows = np.zeros((h - 2 * radius,) + arr.shape[1:])
+    for t, weight in enumerate(kernel):
+        rows += weight * arr[t:t + h - 2 * radius]
+    out = np.zeros((h - 2 * radius, w - 2 * radius) + arr.shape[2:])
+    for t, weight in enumerate(kernel):
+        out += weight * rows[:, t:t + w - 2 * radius]
     return out
 
 

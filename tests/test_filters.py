@@ -12,7 +12,19 @@ from lepfuse import (
     laplacian_filter,
 )
 
-from oracles import constant_image, naive_box_mean, naive_gaussian, naive_laplacian
+from lepfuse.filters import _box_mean, _gaussian_kernel_1d, _valid_correlate_sep
+from oracles import (
+    constant_image,
+    naive_box_mean,
+    naive_gaussian,
+    naive_laplacian,
+    reference_box_mean,
+    reference_valid_correlate_sep,
+)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @pytest.mark.parametrize("radius", [1, 2, 5, 15])
@@ -39,6 +51,20 @@ def test_box_mean_multichannel_matches_per_channel():
     fused = box_mean(Image(data), 2).data
     for c in range(3):
         assert np.allclose(fused[:, :, c], naive_box_mean(data[:, :, c], 2), atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (20, 31), (20, 31, 1), (1, 1, 3), (1, 9, 3), (9, 1, 3), (20, 31, 3)])
+@pytest.mark.parametrize("radius", [1, 3, 15])
+def test_window_kernels_bitwise_equal_reference(shape, radius):
+    # The in-place kernels must reproduce the straightforward formulation
+    # bit for bit, including radii at or past the image side.
+    rng = np.random.default_rng(sum(shape) * 31 + radius)
+    arr = rng.uniform(-50.0, 300.0, shape)
+    assert _same_bits(_box_mean(arr, radius), reference_box_mean(arr, radius))
+    kernel = _gaussian_kernel_1d(radius, 0.7 * radius)
+    pad = [(radius, radius), (radius, radius)] + [(0, 0)] * (arr.ndim - 2)
+    padded = np.pad(arr, pad, mode="edge")
+    assert _same_bits(_valid_correlate_sep(padded, kernel), reference_valid_correlate_sep(padded, kernel))
 
 
 def test_box_mean_validates_radius():

@@ -1,7 +1,10 @@
 """Smoke tests: the example scripts run against the public API."""
 
 import importlib.util
+import os
 from pathlib import Path
+
+import numpy as np
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -23,4 +26,8 @@ def test_multifocus_demo_runs(tmp_path, capsys):
 def test_box_filter_timing_runs(capsys):
     assert _load("box_filter_timing").main(["--side", "64", "--repeats", "1", "--radii", "1", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines[2:]] == ["1", "2"]
+    assert f"numpy {np.__version__}" in lines[0]
+    assert f"{os.cpu_count()} CPUs" in lines[0]
+    assert lines[1].startswith("gaussian_filter radius 5 sigma 5.0: ")
+    assert lines[1].endswith(" ms")
+    assert [line.split()[0] for line in lines[3:]] == ["1", "2"]
