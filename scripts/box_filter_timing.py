@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Window kernel timing: box filter across radii, plus the Gaussian filter.
+"""Window kernel timing: box filter across radii, the Gaussian filter, and
+weight refinement.
 
 The integral-image formulation should make box filter runtime flat in the
 radius.  Prints the median wall time of the saliency-sized Gaussian filter
-(radius 5, sigma 5) and of the box filter per radius on a fixed random
-image, with the numpy version and CPU count in the header.
+(radius 5, sigma 5), of refine_weights with the default base-layer
+parameters on a seeded two-source stack, and of the box filter per radius,
+all on fixed random images, with the numpy version and CPU count in the
+header.  Every timed row follows one untimed call of the same work.
 """
 
 import argparse
@@ -14,10 +17,11 @@ import time
 
 import numpy as np
 
-from lepfuse import Image, box_mean, gaussian_filter
+from lepfuse import FusionConfig, Image, binary_weight_maps, box_mean, gaussian_filter, refine_weights
 
 
 def median_ms(run, repeats: int) -> float:
+    run()  # untimed, so first-touch costs do not land in the first row
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -36,12 +40,16 @@ def main(argv=None) -> int:
 
     rng = np.random.default_rng(0)
     img = Image(rng.uniform(0, 255, (args.side, args.side)))
-    box_mean(img, 1)  # warm up
+    guides = [Image(rng.uniform(0, 255, (args.side, args.side))) for _ in range(2)]
+    binary = binary_weight_maps([Image(rng.uniform(0, 1, (args.side, args.side))) for _ in range(2)])
+    params = FusionConfig().base_params
 
     print(f"image {args.side}x{args.side}, median of {args.repeats} runs, "
           f"numpy {np.__version__}, {os.cpu_count()} CPUs")
     ms = median_ms(lambda: gaussian_filter(img, 5, 5.0), args.repeats)
     print(f"gaussian_filter radius 5 sigma 5.0: {ms:.2f} ms")
+    ms = median_ms(lambda: refine_weights(binary, guides, params), args.repeats)
+    print(f"refine_weights 2 maps radius {params.radius} alpha {params.alpha}: {ms:.2f} ms")
     print(f"{'radius':>6} {'ms':>8}")
     baseline = None
     for radius in args.radii:

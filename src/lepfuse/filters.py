@@ -53,17 +53,21 @@ class CoeffMaps:
     intercept_mean: Image
 
 
-def _box_mean(arr: np.ndarray, radius: int) -> np.ndarray:
+def _box_mean(arr: np.ndarray, radius: int, out: np.ndarray = None, integral: np.ndarray = None) -> np.ndarray:
     # Mean over (2r+1)^2 replicate-padded windows via an integral image.
     # Anchoring on the corner sample keeps constant regions exact: a flat
     # input yields all-zero window sums instead of cancellation residue.
-    # One zeroed buffer holds the integral image: its lead row and column
-    # stay zero, the body takes the anchored input plus a replicate border,
-    # and both prefix sums and the corner combination run in place.
-    anchor = arr[0:1, 0:1]
+    # One buffer of shape (h+k, w+k[, c]) holds the integral image: its lead
+    # row and column are zero, the body takes the anchored input plus a
+    # replicate border, and both prefix sums and the corner combination run
+    # in place.  Callers may pass that buffer and the output; ``out`` may
+    # alias ``arr``, so the anchor is copied before anything is written.
+    anchor = arr[0:1, 0:1].copy()
     k = 2 * radius + 1
     h, w = arr.shape[:2]
-    s = np.zeros((h + k, w + k) + arr.shape[2:])
+    s = np.empty((h + k, w + k) + arr.shape[2:]) if integral is None else integral
+    s[0] = 0.0
+    s[:, 0] = 0.0
     body = s[1:, 1:]
     np.subtract(arr, anchor, out=body[radius:radius + h, radius:radius + w])
     body[radius:radius + h, :radius] = body[radius:radius + h, radius:radius + 1]
@@ -77,7 +81,7 @@ def _box_mean(arr: np.ndarray, radius: int) -> np.ndarray:
     for i in range(1, body.shape[0]):
         body[i] += body[i - 1]
     np.cumsum(body, axis=1, out=body)
-    out = s[k:k + h, k:k + w] - s[:h, k:k + w]
+    out = np.subtract(s[k:k + h, k:k + w], s[:h, k:k + w], out=out)
     out -= s[k:k + h, :w]
     out += s[:h, :w]
     out /= k * k
@@ -150,11 +154,17 @@ def laplacian_filter(img: Image) -> Image:
     return Image(out, img.max_val)
 
 
-def _gradient_magnitude(plane: np.ndarray) -> np.ndarray:
+def _gradient_magnitude(plane: np.ndarray, out: np.ndarray = None, tmp: np.ndarray = None) -> np.ndarray:
     # Central differences at interior pixels; the output loses a border pixel.
-    dx = (plane[1:-1, 2:] - plane[1:-1, :-2]) * 0.5
-    dy = (plane[2:, 1:-1] - plane[:-2, 1:-1]) * 0.5
-    return np.sqrt(dx * dx + dy * dy)
+    # ``out`` and ``tmp`` are optional scratch planes of the output shape.
+    dx = np.subtract(plane[1:-1, 2:], plane[1:-1, :-2], out=out)
+    dx *= 0.5
+    dy = np.subtract(plane[2:, 1:-1], plane[:-2, 1:-1], out=tmp)
+    dy *= 0.5
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def gradient_magnitude(img: Image) -> Image:
@@ -163,30 +173,70 @@ def gradient_magnitude(img: Image) -> Image:
     return Image(_gradient_magnitude(np.pad(plane, 1, mode="edge")), img.max_val)
 
 
-def _edge_regularizer(guide_plane: np.ndarray, params: FilterParams) -> np.ndarray:
-    # alpha * window mean of |grad|^(2 - beta).  Clamped so rounding residue
-    # in the box filter can never push the slope denominator below the
-    # variance term.
-    grad = _gradient_magnitude(np.pad(guide_plane, 1, mode="edge"))
-    powgrad = grad ** (2.0 - params.beta)
-    return np.maximum(params.alpha * _box_mean(powgrad, params.radius), 0.0)
+def _fit_workspace(shape: tuple, radius: int) -> tuple:
+    # Scratch for one buffered fit at a time: four planes, an integral-image
+    # buffer sized for the radius, and a mask.
+    h, w = shape
+    k = 2 * radius + 1
+    return [np.empty(shape) for _ in range(4)], np.empty((h + k, w + k)), np.empty(shape, dtype=bool)
 
 
-def _linear_fit(pp: np.ndarray, gg: np.ndarray, params: FilterParams) -> tuple[np.ndarray, np.ndarray]:
+def _edge_regularizer(guide_plane: np.ndarray, params: FilterParams, out: np.ndarray,
+                      tmp: np.ndarray, integral: np.ndarray) -> np.ndarray:
+    # alpha * window mean of |grad|^(2 - beta), written into ``out``.  The
+    # replicate-padded guide lives in the integral buffer until the gradient
+    # is taken.  Clamped so rounding residue in the box filter can never
+    # push the slope denominator below the variance term.
+    h, w = guide_plane.shape
+    padded = integral[:h + 2, :w + 2]
+    padded[1:-1, 1:-1] = guide_plane
+    padded[0, 1:-1] = guide_plane[0]
+    padded[-1, 1:-1] = guide_plane[-1]
+    padded[:, 0] = padded[:, 1]
+    padded[:, -1] = padded[:, -2]
+    grad = _gradient_magnitude(padded, out=out, tmp=tmp)
+    grad **= 2.0 - params.beta  # numpy's scalar-power fast path, as grad ** (2 - beta)
+    _box_mean(grad, params.radius, out=grad, integral=integral)
+    grad *= params.alpha
+    return np.maximum(grad, 0.0, out=grad)
+
+
+def _linear_fit(pp: np.ndarray, gg: np.ndarray, params: FilterParams, work: tuple) -> tuple[np.ndarray, np.ndarray]:
     # Per-window a = cov(gg, pp) / (var(gg) + edge regularizer of gg), or 0
     # where the denominator is 0, and b = mean(pp) - a * mean(gg).  Passing
     # one array as both arguments reuses the variance as the covariance.
+    # Every plane lives in ``work`` (from _fit_workspace); slope and
+    # intercept are returned as two of its planes.
+    (p0, p1, p2, p3), integral, mask = work
     r = params.radius
-    mean_g = _box_mean(gg, r)
-    var_g = np.maximum(_box_mean(gg * gg, r) - mean_g * mean_g, 0.0)
+    h, w = gg.shape
+    denom = _edge_regularizer(gg, params, out=p0, tmp=p1, integral=integral)
+    mean_g = _box_mean(gg, r, out=p1, integral=integral)
+    var_g = _box_mean(np.multiply(gg, gg, out=p2), r, out=p2, integral=integral)
+    var_g -= np.multiply(mean_g, mean_g, out=p3)
+    np.maximum(var_g, 0.0, out=var_g)
+    denom += var_g
     if pp is gg:
         mean_p, cov = mean_g, var_g
     else:
-        mean_p = _box_mean(pp, r)
-        cov = _box_mean(gg * pp, r) - mean_g * mean_p
-    denom = var_g + _edge_regularizer(gg, params)
-    slope = np.divide(cov, denom, out=np.zeros_like(cov), where=denom > 0.0)
-    return slope, mean_p - slope * mean_g
+        mean_p = _box_mean(pp, r, out=p3, integral=integral)
+        cov = _box_mean(np.multiply(gg, pp, out=p2), r, out=p2, integral=integral)
+        cov -= np.multiply(mean_g, mean_p, out=integral[:h, :w])
+    np.greater(denom, 0.0, out=mask)
+    slope = np.divide(cov, denom, out=cov, where=mask)
+    np.logical_not(mask, out=mask)
+    np.copyto(slope, 0.0, where=mask)
+    intercept = np.multiply(slope, mean_g, out=denom)
+    return slope, np.subtract(mean_p, intercept, out=intercept)
+
+
+def _guided_fit(out: np.ndarray, pp: np.ndarray, gg: np.ndarray, params: FilterParams, work: tuple) -> np.ndarray:
+    # box_mean(slope) * gg + box_mean(intercept), written into ``out``.
+    slope, intercept = _linear_fit(pp, gg, params, work)
+    integral = work[1]
+    np.multiply(_box_mean(slope, params.radius, out=slope, integral=integral), gg, out=out)
+    out += _box_mean(intercept, params.radius, out=intercept, integral=integral)
+    return out
 
 
 def lep_filter(img: Image, params: FilterParams) -> tuple[Image, CoeffMaps]:
@@ -208,7 +258,7 @@ def lep_filter(img: Image, params: FilterParams) -> tuple[Image, CoeffMaps]:
     lies in [0, 1].
     """
     plane = _single_plane(img, "lep_filter")
-    slope, intercept = _linear_fit(plane, plane, params)
+    slope, intercept = _linear_fit(plane, plane, params, _fit_workspace(plane.shape, params.radius))
     slope_mean = _box_mean(slope, params.radius)
     intercept_mean = _box_mean(intercept, params.radius)
     out = slope_mean * plane + intercept_mean
@@ -221,6 +271,26 @@ def lep_filter(img: Image, params: FilterParams) -> tuple[Image, CoeffMaps]:
     return Image(out, img.max_val), coeffs
 
 
+def _guided_planes(p: Image, guide: Image) -> tuple[np.ndarray, np.ndarray]:
+    # The input and guide planes of a guided fit, checked.
+    pp = _single_plane(p, "lep_filter_guided")
+    gg = _single_plane(guide, "lep_filter_guided")
+    if pp.shape != gg.shape:
+        raise ValueError(
+            f"input and guide dimensions differ: {pp.shape} vs {gg.shape}"
+        )
+    return pp, gg
+
+
+def _guided_params(radius: int, epsilon: float) -> FilterParams:
+    # The classic guided filter as the beta = 2 fit, arguments checked.
+    if radius < 1:
+        raise ValueError(f"radius must be >= 1, got {radius}")
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    return FilterParams(radius, epsilon, beta=2.0)
+
+
 def lep_filter_guided(p: Image, guide: Image, params: FilterParams) -> Image:
     """Edge-preserving filtering of ``p`` steered by a guidance image.
 
@@ -229,15 +299,9 @@ def lep_filter_guided(p: Image, guide: Image, params: FilterParams) -> Image:
     regularizer taken from the guide so edge preservation follows the
     guide's structure.  With ``guide is p`` this reduces to lep_filter.
     """
-    pp = _single_plane(p, "lep_filter_guided")
-    gg = _single_plane(guide, "lep_filter_guided")
-    if pp.shape != gg.shape:
-        raise ValueError(
-            f"input and guide dimensions differ: {pp.shape} vs {gg.shape}"
-        )
-    slope, intercept = _linear_fit(pp, gg, params)
-    out = _box_mean(slope, params.radius) * gg + _box_mean(intercept, params.radius)
-    return Image(out, p.max_val)
+    pp, gg = _guided_planes(p, guide)
+    out = np.empty(pp.shape)
+    return Image(_guided_fit(out, pp, gg, params, _fit_workspace(pp.shape, params.radius)), p.max_val)
 
 
 def guided_filter(p: Image, guide: Image, radius: int, epsilon: float) -> Image:
@@ -247,8 +311,4 @@ def guided_filter(p: Image, guide: Image, radius: int, epsilon: float) -> Image:
     is the constant alpha = epsilon.  Kept as the constant-regularizer
     baseline; it smooths edges that the gradient-adaptive variant preserves.
     """
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return lep_filter_guided(p, guide, FilterParams(radius, epsilon, beta=2.0))
+    return lep_filter_guided(p, guide, _guided_params(radius, epsilon))

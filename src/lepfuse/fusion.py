@@ -11,11 +11,21 @@ The Laplacian used by the saliency measure is the fixed 4-neighbor kernel
 from :func:`lepfuse.filters.laplacian_filter`; it is not configurable.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import FilterParams, box_mean, gaussian_filter, guided_filter, laplacian_filter, lep_filter_guided
+from .filters import (
+    FilterParams,
+    _fit_workspace,
+    _guided_fit,
+    _guided_params,
+    _guided_planes,
+    box_mean,
+    gaussian_filter,
+    laplacian_filter,
+)
 from .image import Image, _luma
 
 REFINE_FILTERS = ("lep", "guided")
@@ -169,6 +179,14 @@ def binary_weight_maps(saliencies) -> WeightStack:
     return WeightStack(maps=maps, kind="binary")
 
 
+def _usable_cpus() -> int:
+    # CPUs this process may run on, which can be fewer than the machine has.
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def refine_weights(
     binary: WeightStack,
     guides,
@@ -179,8 +197,17 @@ def refine_weights(
 
     The cross-guided linear fit relocates weight transitions onto the
     guide's edges.  It can overshoot [0, 1] slightly, so the result is
-    clamped before use.
+    clamped before use.  ``filter_kind`` "lep" applies lep_filter_guided
+    with ``params``; "guided" applies guided_filter with ``params.radius``
+    and epsilon ``params.alpha``.
+
+    The maps are refined independently on min(maps, usable CPUs) threads.
+    This thread allocates every output plane and one scratch set per
+    thread, so the threads allocate no large arrays of their own, and each
+    output is the same, bit for bit, whatever the thread count.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     guides = list(guides)
     if len(guides) != len(binary.maps):
         raise ValueError(
@@ -188,14 +215,25 @@ def refine_weights(
         )
     if filter_kind not in REFINE_FILTERS:
         raise ValueError(f"filter_kind must be one of {REFINE_FILTERS}, got {filter_kind!r}")
-    refined = []
-    for weight_map, guide in zip(binary.maps, guides):
-        if filter_kind == "lep":
-            filtered = lep_filter_guided(weight_map, guide, params)
-        else:
-            filtered = guided_filter(weight_map, guide, params.radius, params.alpha)
-        refined.append(Image(np.clip(filtered.data, 0.0, 1.0), 1.0))
-    return WeightStack(maps=tuple(refined), kind="refined")
+    if filter_kind == "guided":
+        params = _guided_params(params.radius, params.alpha)
+    pairs = [_guided_planes(m, g) for m, g in zip(binary.maps, guides)]
+    shape = pairs[0][0].shape
+    outs = [np.empty(shape) for _ in pairs]
+    workers = min(len(pairs), _usable_cpus())
+    works = [_fit_workspace(shape, params.radius) for _ in range(workers)]
+
+    def refine_share(worker):
+        for n in range(worker, len(pairs), workers):
+            _guided_fit(outs[n], *pairs[n], params, works[worker])
+            np.clip(outs[n], 0.0, 1.0, out=outs[n])
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(refine_share, worker) for worker in range(workers)]
+        for future in futures:
+            future.result()
+    del works  # the scratch is freed before Image copies the outputs
+    return WeightStack(maps=tuple(Image(out, 1.0) for out in outs), kind="refined")
 
 
 def normalize_weights(stack: WeightStack, weight_floor: float = FusionConfig.weight_floor) -> WeightStack:
@@ -217,7 +255,7 @@ def normalize_weights(stack: WeightStack, weight_floor: float = FusionConfig.wei
 def fuse(sources, config: FusionConfig = FusionConfig()) -> FusionResult:
     """Run the full two-scale fusion pipeline.
 
-    Sources must share dimensions and channel count.  Weights are computed
+    Sources must share dimensions, channel count and max_val.  Weights are computed
     on luminance and shared across color channels.  The fused image is
     clamped to [0, max_val] at the very end; everything upstream keeps its
     raw values, which the result exposes for inspection.
@@ -226,12 +264,13 @@ def fuse(sources, config: FusionConfig = FusionConfig()) -> FusionResult:
     if not sources:
         raise ValueError("need at least one source image")
     shape = sources[0].data.shape
+    max_val = sources[0].max_val
     for src in sources:
         if src.data.shape != shape:
             raise ValueError(f"source dimensions differ: {src.data.shape} vs {shape}")
-    max_val = sources[0].max_val
+        if src.max_val != max_val:
+            raise ValueError(f"source max_val differs: {src.max_val:g} vs {max_val:g}")
 
-    layers = tuple(decompose(src, config.avg_filter_size) for src in sources)
     lumas = [_luma(src) for src in sources]
     saliencies = tuple(saliency(l, config) for l in lumas)
     binary = binary_weight_maps(saliencies)
@@ -239,6 +278,8 @@ def fuse(sources, config: FusionConfig = FusionConfig()) -> FusionResult:
     refined_detail = refine_weights(binary, lumas, config.detail_params, config.refine_filter)
     base_weights = normalize_weights(refined_base, config.weight_floor)
     detail_weights = normalize_weights(refined_detail, config.weight_floor)
+    # Decomposed last, so the layers are not held while the weights are refined.
+    layers = tuple(decompose(src, config.avg_filter_size) for src in sources)
 
     fused_base = np.zeros(shape, dtype=np.float64)
     fused_detail = np.zeros(shape, dtype=np.float64)

@@ -4,8 +4,9 @@ Everything here trades speed for obviousness: explicit window loops,
 normal equations solved per window, no integral images, no separability
 tricks.  The fast library kernels are validated against these.  Two
 straightforward vectorized window kernels (a padded-copy integral image
-and a tap-by-tap separable correlation) pin the in-place library kernels
-bit for bit, since both perform the same floating-point additions.  The
+and a tap-by-tap separable correlation) and the local linear fit written
+with one fresh array per step pin the in-place library kernels bit for
+bit, since both perform the same floating-point operations.  The
 image helpers at the end (constant images, replicate padding, single-point
 bilinear sampling) serve only the tests.
 """
@@ -70,6 +71,39 @@ def reference_valid_correlate_sep(arr: np.ndarray, kernel: np.ndarray) -> np.nda
     for t, weight in enumerate(kernel):
         out += weight * rows[:, t:t + w - 2 * radius]
     return out
+
+
+def reference_edge_regularizer(guide: np.ndarray, radius: int, alpha: float, beta: float) -> np.ndarray:
+    """alpha * window mean of |grad|^(2 - beta), one fresh array per step."""
+    padded = np.pad(guide, 1, mode="edge")
+    dx = (padded[1:-1, 2:] - padded[1:-1, :-2]) * 0.5
+    dy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) * 0.5
+    grad = np.sqrt(dx * dx + dy * dy)
+    return np.maximum(alpha * reference_box_mean(grad ** (2.0 - beta), radius), 0.0)
+
+
+def reference_linear_fit(pp: np.ndarray, gg: np.ndarray, radius: int, alpha: float, beta: float):
+    """Slope and intercept of the local linear fit, one fresh array per step.
+
+    Same arithmetic as the library's buffered fit core, so the two agree
+    bit for bit.  ``pp is gg`` reuses the variance as the covariance.
+    """
+    mean_g = reference_box_mean(gg, radius)
+    var_g = np.maximum(reference_box_mean(gg * gg, radius) - mean_g * mean_g, 0.0)
+    if pp is gg:
+        mean_p, cov = mean_g, var_g
+    else:
+        mean_p = reference_box_mean(pp, radius)
+        cov = reference_box_mean(gg * pp, radius) - mean_g * mean_p
+    denom = var_g + reference_edge_regularizer(gg, radius, alpha, beta)
+    slope = np.divide(cov, denom, out=np.zeros_like(cov), where=denom > 0.0)
+    return slope, mean_p - slope * mean_g
+
+
+def reference_lep_filter_guided(pp: np.ndarray, gg: np.ndarray, radius: int, alpha: float, beta: float):
+    """Guided fit output box_mean(slope) * gg + box_mean(intercept)."""
+    slope, intercept = reference_linear_fit(pp, gg, radius, alpha, beta)
+    return reference_box_mean(slope, radius) * gg + reference_box_mean(intercept, radius)
 
 
 def naive_laplacian(plane: np.ndarray) -> np.ndarray:

@@ -157,6 +157,17 @@ def test_fuse_mismatched_dimensions_exit_2_no_output(workdir, tmp_path, capsys):
     assert "48x48" in err and "48x24" in err  # both sizes named
 
 
+def test_fuse_mixed_max_val_exit_2_no_output(workdir, tmp_path, capsys):
+    dim = tmp_path / "dim.pgm"
+    write_image(Image(np.full((48, 48), 7.0), 15.0), dim)
+    out = workdir / "never.pgm"
+    code = main(["fuse", str(workdir / "a.pgm"), str(dim), "-o", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "15" in err and "255" in err  # both max values named
+
+
 def test_fuse_missing_input_exit_1(workdir):
     code = main(["fuse", str(workdir / "ghost.pgm"), "-o", str(workdir / "x.pgm")])
     assert code == 1

@@ -1,8 +1,15 @@
 """Fusion pipeline stages and the end-to-end contracts."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lepfuse.fusion
 from lepfuse import (
     FilterParams,
     FusionConfig,
@@ -14,8 +21,11 @@ from lepfuse import (
     crop,
     decompose,
     fuse,
+    guided_filter,
+    lep_filter_guided,
     normalize_weights,
     refine_weights,
+    rgb_to_luma,
     saliency,
     sharpness,
     ssim,
@@ -288,6 +298,11 @@ def test_fuse_validation():
         fuse([constant_image(8, 8, 1, 0.0), constant_image(8, 9, 1, 0.0)])
 
 
+def test_fuse_rejects_mixed_max_val():
+    with pytest.raises(ValueError, match="15.*255|255.*15"):
+        fuse([constant_image(8, 8, 1, 3.0, max_val=15.0), constant_image(8, 8, 1, 3.0)])
+
+
 def test_fuse_multifocus_recovers_sharp_halves():
     """The constructed ground-truth experiment: each half of the fused
     image should match the source that is sharp there, and overall
@@ -319,3 +334,107 @@ def test_fusion_config_validation():
         FusionConfig(weight_floor=0.0)
     with pytest.raises(ValueError):
         FusionConfig(refine_filter="median")
+
+# --- threaded refinement -----------------------------------------------------
+
+def _serial_fuse(sources, config):
+    """The pipeline composed stage by stage, refining one map at a time with
+    the public filters, then blending as fuse documents."""
+    layers = tuple(decompose(src, config.avg_filter_size) for src in sources)
+    lumas = [rgb_to_luma(src) if src.channels == 3 else src for src in sources]
+    saliencies = tuple(saliency(luma, config) for luma in lumas)
+    binary = binary_weight_maps(saliencies)
+
+    def refine(params):
+        maps = []
+        for weight_map, guide in zip(binary.maps, lumas):
+            if config.refine_filter == "lep":
+                filtered = lep_filter_guided(weight_map, guide, params)
+            else:
+                filtered = guided_filter(weight_map, guide, params.radius, params.alpha)
+            maps.append(Image(np.clip(filtered.data, 0.0, 1.0), 1.0))
+        return WeightStack(maps=tuple(maps), kind="refined")
+
+    refined_base = refine(config.base_params)
+    refined_detail = refine(config.detail_params)
+    base_weights = normalize_weights(refined_base, config.weight_floor)
+    detail_weights = normalize_weights(refined_detail, config.weight_floor)
+    fused_base = np.zeros(sources[0].data.shape)
+    fused_detail = np.zeros(sources[0].data.shape)
+    for pair, wb, wd in zip(layers, base_weights.maps, detail_weights.maps):
+        fused_base += wb.plane()[:, :, np.newaxis] * pair.base.data
+        fused_detail += wd.plane()[:, :, np.newaxis] * pair.detail.data
+    max_val = sources[0].max_val
+    return {
+        "fused": [Image(np.clip(fused_base + fused_detail, 0.0, max_val), max_val)],
+        "layers": [img for pair in layers for img in (pair.base, pair.detail)],
+        "saliencies": list(saliencies),
+        "binary_maps": list(binary.maps),
+        "refined_base": list(refined_base.maps),
+        "refined_detail": list(refined_detail.maps),
+        "base_weights": list(base_weights.maps),
+        "detail_weights": list(detail_weights.maps),
+    }
+
+
+def _result_fields(result):
+    return {
+        "fused": [result.fused],
+        "layers": [img for pair in result.layers for img in (pair.base, pair.detail)],
+        "saliencies": list(result.saliencies),
+        "binary_maps": list(result.binary_maps.maps),
+        "refined_base": list(result.refined_base.maps),
+        "refined_detail": list(result.refined_detail.maps),
+        "base_weights": list(result.base_weights.maps),
+        "detail_weights": list(result.detail_weights.maps),
+    }
+
+
+@pytest.mark.parametrize("cpus", [1, 64])
+@pytest.mark.parametrize("refine_filter", ["lep", "guided"])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_fuse_bit_identical_for_any_thread_count(monkeypatch, cpus, refine_filter, channels, count):
+    """One refinement thread, or more threads than cores (up to one per
+    map), gives every FusionResult field bit for bit as the serial
+    composition of the public stages.  A switch interval of 1 us makes the
+    threads interleave as finely as the interpreter allows."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(count * 10 + channels)
+    sources = [Image(rng.uniform(0, 255, (61, 70, channels))) for _ in range(count)]
+    config = FusionConfig(refine_filter=refine_filter)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _result_fields(fuse(sources, config))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    want = _serial_fuse(sources, config)
+    assert got.keys() == want.keys()
+    for name, images in want.items():
+        assert len(got[name]) == len(images), name
+        for a, b in zip(got[name], images):
+            assert a.data.shape == b.data.shape, name
+            assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64)), name
+
+
+def test_threaded_refine_rejects_bad_guided_config(monkeypatch):
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    config = FusionConfig(refine_filter="guided", detail_params=FilterParams(radius=3, alpha=0.0))
+    sources = [_random_image(s, (16, 16)) for s in (1, 2, 3)]
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="epsilon"):
+        fuse(sources, config)
+    assert threading.active_count() == before
+
+
+def test_import_starts_no_thread():
+    src = Path(lepfuse.fusion.__file__).resolve().parent.parent
+    code = (
+        "import threading; before = threading.active_count(); import lepfuse; "
+        "assert threading.active_count() == before, threading.enumerate()"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -14,7 +14,14 @@ from lepfuse import (
     lep_filter_guided,
 )
 
-from oracles import constant_image, lep_oracle, window_has_gradient
+from oracles import (
+    constant_image,
+    lep_oracle,
+    reference_box_mean,
+    reference_lep_filter_guided,
+    reference_linear_fit,
+    window_has_gradient,
+)
 
 
 def _random_image(seed, shape=(8, 8), lo=0.0, hi=255.0):
@@ -196,3 +203,40 @@ def test_guided_filter_validates_arguments():
         guided_filter(img, img, 2, 0.0)
     with pytest.raises(ValueError):
         guided_filter(img, constant_image(8, 7, 1, 1.0), 2, 0.1)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (20, 31), (64, 64)])
+@pytest.mark.parametrize("radius", [1, 3, 15])
+def test_fit_core_bitwise_equal_reference(shape, radius):
+    """The buffered fit core performs the allocating reference's operations
+    in the same order, so every output bit agrees.  The inputs mix flat
+    patches (zero variance, and with alpha = 0 a zero denominator) with
+    noise; radius 15 exceeds every side but the 64x64 one; beta 0.5 takes
+    numpy's general power loop instead of a scalar-power fast path."""
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1] * 10 + radius)
+    p = rng.uniform(0, 1, shape)
+    guide = rng.uniform(0, 255, shape)
+    guide[: shape[0] // 2, : shape[1] // 2] = 77.0
+    p_img, guide_img = Image(p, 1.0), Image(guide)
+    for alpha, beta in ((0.3, 0.0), (0.3, 0.5), (0.3, 1.0), (0.3, 2.0), (0.0, 1.0)):
+        params = FilterParams(radius, alpha, beta)
+        out, coeffs = lep_filter(guide_img, params)
+        slope, intercept = reference_linear_fit(guide, guide, radius, alpha, beta)
+        assert _same_bits(coeffs.slope.plane(), slope)
+        assert _same_bits(coeffs.intercept.plane(), intercept)
+        assert _same_bits(coeffs.slope_mean.plane(), reference_box_mean(slope, radius))
+        assert _same_bits(coeffs.intercept_mean.plane(), reference_box_mean(intercept, radius))
+        assert _same_bits(out.plane(), reference_lep_filter_guided(guide, guide, radius, alpha, beta))
+        assert _same_bits(
+            lep_filter_guided(p_img, guide_img, params).plane(),
+            reference_lep_filter_guided(p, guide, radius, alpha, beta),
+        )
+        if alpha > 0.0:
+            assert _same_bits(
+                guided_filter(p_img, guide_img, radius, alpha).plane(),
+                reference_lep_filter_guided(p, guide, radius, alpha, 2.0),
+            )
