@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Window kernel timing: box filter across radii, the Gaussian filter, and
-weight refinement.
+"""Window kernel timing: box filter across radii, the Gaussian filter,
+saliency, weight normalization and weight refinement.
 
 The integral-image formulation should make box filter runtime flat in the
 radius.  Prints the median wall time of the saliency-sized Gaussian filter
-(radius 5, sigma 5), of refine_weights with the default base-layer
+(radius 5, sigma 5), of saliency with the default configuration, of
+normalize_weights and of refine_weights with the default base-layer
 parameters on a seeded two-source stack, and of the box filter per radius,
 all on fixed random images, with the numpy version and CPU count in the
 header.  Every timed row follows one untimed call of the same work.
@@ -17,7 +18,17 @@ import time
 
 import numpy as np
 
-from lepfuse import FusionConfig, Image, binary_weight_maps, box_mean, gaussian_filter, refine_weights
+from lepfuse import (
+    FusionConfig,
+    Image,
+    WeightStack,
+    binary_weight_maps,
+    box_mean,
+    gaussian_filter,
+    normalize_weights,
+    refine_weights,
+    saliency,
+)
 
 
 def median_ms(run, repeats: int) -> float:
@@ -42,12 +53,18 @@ def main(argv=None) -> int:
     img = Image(rng.uniform(0, 255, (args.side, args.side)))
     guides = [Image(rng.uniform(0, 255, (args.side, args.side))) for _ in range(2)]
     binary = binary_weight_maps([Image(rng.uniform(0, 1, (args.side, args.side))) for _ in range(2)])
+    refined = WeightStack(maps=tuple(Image(rng.uniform(0, 1, (args.side, args.side)), 1.0) for _ in range(2)),
+                          kind="refined")
     params = FusionConfig().base_params
 
     print(f"image {args.side}x{args.side}, median of {args.repeats} runs, "
           f"numpy {np.__version__}, {os.cpu_count()} CPUs")
     ms = median_ms(lambda: gaussian_filter(img, 5, 5.0), args.repeats)
     print(f"gaussian_filter radius 5 sigma 5.0: {ms:.2f} ms")
+    ms = median_ms(lambda: saliency(img), args.repeats)
+    print(f"saliency: {ms:.2f} ms")
+    ms = median_ms(lambda: normalize_weights(refined), args.repeats)
+    print(f"normalize_weights 2 maps: {ms:.2f} ms")
     ms = median_ms(lambda: refine_weights(binary, guides, params), args.repeats)
     print(f"refine_weights 2 maps radius {params.radius} alpha {params.alpha}: {ms:.2f} ms")
     print(f"{'radius':>6} {'ms':>8}")

@@ -2,11 +2,14 @@
 
 Exit codes: 0 success, 1 I/O failure (unreadable/unwritable/undecodable
 files), 2 validation failure (bad arguments, dimension mismatches).  All
-validation runs before any output file is created, so a non-zero exit
-leaves no outputs behind.
+validation runs before any output file is created, and every output is
+written under a temporary name and renamed into place only after all of a
+command's writes succeeded, so a non-zero exit leaves no outputs behind.
 """
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -113,6 +116,33 @@ def _scale_to_range(img: Image) -> Image:
     return Image(img.data * (img.max_val / peak), img.max_val)
 
 
+@contextlib.contextmanager
+def _atomic_outputs():
+    """Yields write(img, path); the files appear only if the block succeeds.
+
+    Each image goes to a hidden temporary file beside its target.  On
+    success every temporary file is renamed onto its target; on any failure
+    the temporary files, and targets already renamed, are removed.
+    """
+    pending, done = [], []
+
+    def write(img: Image, path: Path) -> None:
+        tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp{path.suffix}")
+        pending.append((tmp, path))
+        write_image(img, tmp)
+
+    try:
+        yield write
+        for tmp, path in pending:
+            os.replace(tmp, path)
+            done.append(path)
+    except BaseException:
+        for path in [tmp for tmp, _ in pending] + done:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
+
+
 def _cmd_fuse(args, cfg: CliConfig) -> int:
     sources = [read_image(p) for p in args.inputs]
     first_shape = sources[0].data.shape
@@ -128,19 +158,20 @@ def _cmd_fuse(args, cfg: CliConfig) -> int:
     _check_encodable(out_path, sources[0].channels)
 
     result = fuse(sources, fusion_config)
-    write_image(result.fused, out_path)
-    if cfg.dump_intermediates:
-        layer_ext = ".pgm" if sources[0].channels == 1 else ".ppm"
-        for n, (pair, sal, wb, wd) in enumerate(
-            zip(result.layers, result.saliencies, result.base_weights.maps, result.detail_weights.maps),
-            start=1,
-        ):
-            stem = out_path.with_suffix("")
-            write_image(pair.base, stem.with_name(f"{stem.name}_base_{n}{layer_ext}"))
-            write_image(_shift_for_encoding(pair.detail), stem.with_name(f"{stem.name}_detail_{n}{layer_ext}"))
-            write_image(_scale_to_range(sal), stem.with_name(f"{stem.name}_sal_{n}.pgm"))
-            write_image(Image(wb.data * result.fused.max_val, result.fused.max_val), stem.with_name(f"{stem.name}_wb_{n}.pgm"))
-            write_image(Image(wd.data * result.fused.max_val, result.fused.max_val), stem.with_name(f"{stem.name}_wd_{n}.pgm"))
+    with _atomic_outputs() as write:
+        write(result.fused, out_path)
+        if cfg.dump_intermediates:
+            layer_ext = ".pgm" if sources[0].channels == 1 else ".ppm"
+            for n, (pair, sal, wb, wd) in enumerate(
+                zip(result.layers, result.saliencies, result.base_weights.maps, result.detail_weights.maps),
+                start=1,
+            ):
+                stem = out_path.with_suffix("")
+                write(pair.base, stem.with_name(f"{stem.name}_base_{n}{layer_ext}"))
+                write(_shift_for_encoding(pair.detail), stem.with_name(f"{stem.name}_detail_{n}{layer_ext}"))
+                write(_scale_to_range(sal), stem.with_name(f"{stem.name}_sal_{n}.pgm"))
+                write(Image(wb.data * result.fused.max_val, result.fused.max_val), stem.with_name(f"{stem.name}_wb_{n}.pgm"))
+                write(Image(wd.data * result.fused.max_val, result.fused.max_val), stem.with_name(f"{stem.name}_wd_{n}.pgm"))
     for line in report(result.fused, None, cfg.naturalness_priors()).to_lines():
         print(line)
     return EXIT_OK
@@ -162,7 +193,8 @@ def _cmd_zoom(args, cfg: CliConfig) -> int:
                 f"result is {zoomed.width}x{zoomed.height}x{zoomed.channels}"
             )
         psnr_line = f"psnr={MetricsReport._fmt(psnr(zoomed, truth, zoomed.max_val))}"
-    write_image(zoomed, out_path)
+    with _atomic_outputs() as write:
+        write(zoomed, out_path)
     if psnr_line is not None:
         print(psnr_line)
     return EXIT_OK
@@ -175,8 +207,9 @@ def _cmd_decompose(args, cfg: CliConfig) -> int:
     pair = decompose(img, cfg.avg_filter_size)
     stem = out_path.with_suffix("")
     suffix = out_path.suffix
-    write_image(pair.base, stem.with_name(f"{stem.name}_base{suffix}"))
-    write_image(_shift_for_encoding(pair.detail), stem.with_name(f"{stem.name}_detail{suffix}"))
+    with _atomic_outputs() as write:
+        write(pair.base, stem.with_name(f"{stem.name}_base{suffix}"))
+        write(_shift_for_encoding(pair.detail), stem.with_name(f"{stem.name}_detail{suffix}"))
     return EXIT_OK
 
 

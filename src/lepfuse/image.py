@@ -27,7 +27,21 @@ class Image:
     max_val: float = 255.0
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64, copy=True, order="C")
+        self._own(np.array(self.data, dtype=np.float64, copy=True, order="C"))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, max_val: float) -> "Image":
+        # Wraps a float64, C-contiguous array that the library allocated and
+        # no longer writes, without the copy; every other check still runs.
+        if arr.dtype != np.float64 or not arr.flags.c_contiguous:
+            raise ValueError("only float64, C-contiguous arrays can be adopted")
+        img = object.__new__(cls)
+        object.__setattr__(img, "max_val", max_val)
+        img._own(arr)
+        return img
+
+    def _own(self, arr: np.ndarray) -> None:
+        # Checks ``arr``, freezes it and makes it this image's data.
         if arr.ndim == 2:
             arr = arr[:, :, np.newaxis]
         if arr.ndim != 3:

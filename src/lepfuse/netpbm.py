@@ -139,8 +139,11 @@ def read_image(path) -> Image:
 def quantize(img: Image) -> np.ndarray:
     """Clamp to [0, max_val] and round half-up to uint8."""
     maxval = int(round(img.max_val))
-    clipped = np.clip(img.data, 0.0, float(maxval))
-    return np.floor(clipped + 0.5).astype(np.uint8)
+    # One float plane, rounded in place: fresh full-size temporaries cost
+    # as much in page faults as the arithmetic does.
+    rounded = np.clip(img.data, 0.0, float(maxval))
+    rounded += 0.5
+    return np.floor(rounded, out=rounded).astype(np.uint8)
 
 
 def write_image(img: Image, path, format: str = None) -> None:

@@ -6,7 +6,9 @@ tricks.  The fast library kernels are validated against these.  Two
 straightforward vectorized window kernels (a padded-copy integral image
 and a tap-by-tap separable correlation) and the local linear fit written
 with one fresh array per step pin the in-place library kernels bit for
-bit, since both perform the same floating-point operations.  The
+bit, since both perform the same floating-point operations; so do the
+whole-plane saliency and weight normalization, which pin their
+strip-wise library forms.  The
 image helpers at the end (constant images, replicate padding, single-point
 bilinear sampling) serve only the tests.
 """
@@ -104,6 +106,25 @@ def reference_lep_filter_guided(pp: np.ndarray, gg: np.ndarray, radius: int, alp
     """Guided fit output box_mean(slope) * gg + box_mean(intercept)."""
     slope, intercept = reference_linear_fit(pp, gg, radius, alpha, beta)
     return reference_box_mean(slope, radius) * gg + reference_box_mean(intercept, radius)
+
+
+def reference_saliency(plane: np.ndarray, radius: int, sigma: float) -> np.ndarray:
+    """Whole-plane saliency: edge-padded 4-neighbor Laplacian, abs, then the
+    edge-padded Gaussian as a separable correlation, one fresh array per
+    step.  Same arithmetic as the library's strip-wise saliency."""
+    p = np.pad(plane, 1, mode="edge")
+    response = np.abs(p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * plane)
+    t = np.arange(-radius, radius + 1, dtype=np.float64)
+    kernel = np.exp(-(t * t) / (2.0 * sigma * sigma))
+    kernel /= kernel.sum()
+    return reference_valid_correlate_sep(np.pad(response, radius, mode="edge"), kernel)
+
+
+def reference_normalize_weights(planes, weight_floor: float) -> list:
+    """(map + floor) / axis-0 sum of the shifted maps, on whole planes."""
+    shifted = [m + weight_floor for m in planes]
+    total = np.sum(shifted, axis=0)
+    return [s / total for s in shifted]
 
 
 def naive_laplacian(plane: np.ndarray) -> np.ndarray:

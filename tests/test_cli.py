@@ -10,6 +10,7 @@ import pytest
 
 from dataclasses import fields
 
+import lepfuse.cli
 from lepfuse import FilterParams, FusionConfig, Image, NaturalnessPriors, read_image, write_image
 from lepfuse.cli import main
 from lepfuse.config import CliConfig, apply_values, parse_config_text
@@ -144,6 +145,31 @@ def test_fuse_dump_intermediates_file_count(workdir):
     for tag in ("base", "detail", "sal", "wb", "wd"):
         for n in (1, 2):
             assert f"dumped_{tag}_{n}.pgm" in produced
+
+
+@pytest.mark.parametrize("command, failing_write", [
+    (["fuse", "a.pgm", "b.pgm", "-o", "dumped.pgm", "--dump-intermediates"], 3),
+    (["decompose", "a.pgm", "-o", "layers.pgm"], 2),
+])
+def test_failed_write_leaves_no_output(workdir, monkeypatch, capsys, command, failing_write):
+    """A write that fails part way exits 1 and leaves neither the files
+    written before it nor any temporary file behind."""
+    real_write = lepfuse.cli.write_image
+    calls = []
+
+    def flaky_write(img, path, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == failing_write:
+            raise OSError("no space left on device")
+        real_write(img, path, *args, **kwargs)
+
+    monkeypatch.setattr(lepfuse.cli, "write_image", flaky_write)
+    monkeypatch.chdir(workdir)
+    before = sorted(p.name for p in workdir.iterdir())
+    assert main(command) == 1
+    assert len(calls) == failing_write
+    assert sorted(p.name for p in workdir.iterdir()) == before
+    assert "no space left on device" in capsys.readouterr().err
 
 
 def test_fuse_mismatched_dimensions_exit_2_no_output(workdir, tmp_path, capsys):

@@ -12,7 +12,7 @@ from lepfuse import (
     laplacian_filter,
 )
 
-from lepfuse.filters import _box_mean, _gaussian_kernel_1d, _valid_correlate_sep
+from lepfuse.filters import _STRIP_ROWS, _box_mean, _gaussian_kernel_1d, _valid_correlate_sep
 from oracles import (
     constant_image,
     naive_box_mean,
@@ -53,11 +53,16 @@ def test_box_mean_multichannel_matches_per_channel():
         assert np.allclose(fused[:, :, c], naive_box_mean(data[:, :, c], 2), atol=1e-9)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (20, 31), (20, 31, 1), (1, 1, 3), (1, 9, 3), (9, 1, 3), (20, 31, 3)])
+TALL = 2 * _STRIP_ROWS + 5  # a partial third strip of the strip-wise correlation
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (20, 31), (20, 31, 1), (1, 1, 3), (1, 9, 3), (9, 1, 3),
+                                   (20, 31, 3), (TALL, 13), (TALL, 13, 1), (TALL, 13, 3)])
 @pytest.mark.parametrize("radius", [1, 3, 15])
 def test_window_kernels_bitwise_equal_reference(shape, radius):
-    # The in-place kernels must reproduce the straightforward formulation
-    # bit for bit, including radii at or past the image side.
+    # The in-place and strip-wise kernels must reproduce the straightforward
+    # formulation bit for bit, including radii at or past the image side
+    # and outputs that span several row strips.
     rng = np.random.default_rng(sum(shape) * 31 + radius)
     arr = rng.uniform(-50.0, 300.0, shape)
     assert _same_bits(_box_mean(arr, radius), reference_box_mean(arr, radius))

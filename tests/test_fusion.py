@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,26 @@ from lepfuse import (
     sharpness,
     ssim,
 )
+from lepfuse.filters import _STRIP_ROWS
 from lepfuse.synthetic import multifocus_pair
 
-from oracles import constant_image, naive_box_mean, naive_gaussian, naive_laplacian
+from oracles import (
+    constant_image,
+    naive_box_mean,
+    naive_gaussian,
+    naive_laplacian,
+    reference_normalize_weights,
+    reference_saliency,
+)
+
+# Heights around the strip height of the strip-wise stages: one row, a
+# partial strip, exactly one strip, one row into a second strip, and a
+# partial third strip.
+STRIP_HEIGHTS = [1, 2, _STRIP_ROWS - 1, _STRIP_ROWS, _STRIP_ROWS + 1, 2 * _STRIP_ROWS + 5]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _random_image(seed, shape=(16, 16)):
@@ -94,6 +112,21 @@ def test_saliency_impulse_matches_two_stage_oracle():
     got = saliency(Image(plane), cfg).plane()
     expected = naive_gaussian(np.abs(naive_laplacian(plane)), cfg.saliency_radius, cfg.saliency_sigma)
     assert np.abs(got - expected).max() < 1e-9
+
+
+@pytest.mark.parametrize("height", STRIP_HEIGHTS)
+@pytest.mark.parametrize("width", [1, 9, 40])
+@pytest.mark.parametrize("radius", [1, 5, None])
+def test_saliency_bitwise_equal_reference(height, width, radius):
+    """The strip-wise saliency equals the whole-plane Laplacian, abs and
+    Gaussian bit for bit.  radius None is one past the height, so every
+    strip's halo is clipped at both borders."""
+    radius = height + 1 if radius is None else radius
+    rng = np.random.default_rng(height * 97 + width * 7 + radius)
+    plane = rng.uniform(-20.0, 280.0, (height, width))
+    config = FusionConfig(saliency_radius=radius, saliency_sigma=0.8 * radius)
+    got = saliency(Image(plane), config).plane()
+    assert _same_bits(got, reference_saliency(plane, radius, 0.8 * radius))
 
 
 def test_saliency_rejects_color():
@@ -224,6 +257,38 @@ def test_normalize_single_map_is_identity():
     assert np.allclose(normalized.maps[0].data, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("height", STRIP_HEIGHTS)
+@pytest.mark.parametrize("width", [1, 9, 40])
+def test_normalize_bitwise_equal_reference(count, height, width):
+    rng = np.random.default_rng(count * 1000 + height * 10 + width)
+    planes = [rng.uniform(0.0, 1.0, (height, width)) for _ in range(count)]
+    for plane in planes:
+        plane[0, 0] = 0.0  # one pixel falls back to the uniform split
+    stack = WeightStack(maps=tuple(Image(p, 1.0) for p in planes), kind="refined")
+    got = normalize_weights(stack, 1e-12)
+    for m, want in zip(got.maps, reference_normalize_weights(planes, 1e-12)):
+        assert _same_bits(m.plane(), want)
+
+
+def test_normalize_holds_one_plane_per_map():
+    """Beyond the returned maps, normalization holds at most one more
+    plane's worth of memory, whatever the image height."""
+    count, side = 2, 512
+    rng = np.random.default_rng(8)
+    stack = WeightStack(maps=tuple(Image(rng.uniform(0.0, 1.0, (side, side)), 1.0) for _ in range(count)),
+                        kind="refined")
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        normalized = normalize_weights(stack, 1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(normalized) == count
+    assert (peak - start) / (side * side * 8) <= count + 1
+
+
 def test_normalize_requires_refined_kind():
     stack = binary_weight_maps([_random_image(4, (6, 6))])
     with pytest.raises(ValueError):
@@ -335,14 +400,18 @@ def test_fusion_config_validation():
     with pytest.raises(ValueError):
         FusionConfig(refine_filter="median")
 
-# --- threaded refinement -----------------------------------------------------
+# --- threaded stages ---------------------------------------------------------
 
 def _serial_fuse(sources, config):
-    """The pipeline composed stage by stage, refining one map at a time with
-    the public filters, then blending as fuse documents."""
+    """The pipeline composed stage by stage on whole planes: the reference
+    saliency, one map at a time refined with the public filters, the
+    reference normalization, then the blend as fuse documents."""
     layers = tuple(decompose(src, config.avg_filter_size) for src in sources)
     lumas = [rgb_to_luma(src) if src.channels == 3 else src for src in sources]
-    saliencies = tuple(saliency(luma, config) for luma in lumas)
+    saliencies = tuple(
+        Image(reference_saliency(luma.plane(), config.saliency_radius, config.saliency_sigma), luma.max_val)
+        for luma in lumas
+    )
     binary = binary_weight_maps(saliencies)
 
     def refine(params):
@@ -357,8 +426,14 @@ def _serial_fuse(sources, config):
 
     refined_base = refine(config.base_params)
     refined_detail = refine(config.detail_params)
-    base_weights = normalize_weights(refined_base, config.weight_floor)
-    detail_weights = normalize_weights(refined_detail, config.weight_floor)
+    base_weights, detail_weights = (
+        WeightStack(
+            maps=tuple(Image(m, 1.0) for m in reference_normalize_weights(
+                [m.plane() for m in refined.maps], config.weight_floor)),
+            kind="normalized",
+        )
+        for refined in (refined_base, refined_detail)
+    )
     fused_base = np.zeros(sources[0].data.shape)
     fused_detail = np.zeros(sources[0].data.shape)
     for pair, wb, wd in zip(layers, base_weights.maps, detail_weights.maps):
@@ -390,18 +465,10 @@ def _result_fields(result):
     }
 
 
-@pytest.mark.parametrize("cpus", [1, 64])
-@pytest.mark.parametrize("refine_filter", ["lep", "guided"])
-@pytest.mark.parametrize("channels", [1, 3])
-@pytest.mark.parametrize("count", [1, 2, 3, 5])
-def test_fuse_bit_identical_for_any_thread_count(monkeypatch, cpus, refine_filter, channels, count):
-    """One refinement thread, or more threads than cores (up to one per
-    map), gives every FusionResult field bit for bit as the serial
-    composition of the public stages.  A switch interval of 1 us makes the
-    threads interleave as finely as the interpreter allows."""
+def _assert_fuse_matches_serial(monkeypatch, cpus, refine_filter, channels, count, height):
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
     rng = np.random.default_rng(count * 10 + channels)
-    sources = [Image(rng.uniform(0, 255, (61, 70, channels))) for _ in range(count)]
+    sources = [Image(rng.uniform(0, 255, (height, 70, channels))) for _ in range(count)]
     config = FusionConfig(refine_filter=refine_filter)
     before = threading.active_count()
     interval = sys.getswitchinterval()
@@ -418,6 +485,26 @@ def test_fuse_bit_identical_for_any_thread_count(monkeypatch, cpus, refine_filte
         for a, b in zip(got[name], images):
             assert a.data.shape == b.data.shape, name
             assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64)), name
+
+
+@pytest.mark.parametrize("cpus", [1, 64])
+@pytest.mark.parametrize("refine_filter", ["lep", "guided"])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_fuse_bit_identical_for_any_thread_count(monkeypatch, cpus, refine_filter, channels, count):
+    """One thread, or more threads than cores (up to one per source), gives
+    every FusionResult field bit for bit as the serial whole-plane
+    composition of the stages, on sources several row strips tall.  A
+    switch interval of 1 us makes the threads interleave as finely as the
+    interpreter allows."""
+    _assert_fuse_matches_serial(monkeypatch, cpus, refine_filter, channels, count, 3 * _STRIP_ROWS + 13)
+
+
+@pytest.mark.parametrize("cpus", [1, 64])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_fuse_bit_identical_on_one_row(monkeypatch, cpus, channels, count):
+    _assert_fuse_matches_serial(monkeypatch, cpus, "lep", channels, count, 1)
 
 
 def test_threaded_refine_rejects_bad_guided_config(monkeypatch):

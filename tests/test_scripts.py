@@ -30,6 +30,10 @@ def test_box_filter_timing_runs(capsys):
     assert f"{os.cpu_count()} CPUs" in lines[0]
     assert lines[1].startswith("gaussian_filter radius 5 sigma 5.0: ")
     assert lines[1].endswith(" ms")
-    assert lines[2].startswith("refine_weights 2 maps radius 15 alpha 0.3: ")
+    assert lines[2].startswith("saliency: ")
     assert lines[2].endswith(" ms")
-    assert [line.split()[0] for line in lines[4:]] == ["1", "2"]
+    assert lines[3].startswith("normalize_weights 2 maps: ")
+    assert lines[3].endswith(" ms")
+    assert lines[4].startswith("refine_weights 2 maps radius 15 alpha 0.3: ")
+    assert lines[4].endswith(" ms")
+    assert [line.split()[0] for line in lines[6:]] == ["1", "2"]
