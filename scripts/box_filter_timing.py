@@ -8,13 +8,16 @@ radius.  Prints the median wall time of the saliency-sized Gaussian filter
 normalize_weights and of refine_weights with the default base-layer
 parameters on a seeded two-source stack, and of the box filter per radius,
 all on fixed random images, with the numpy version and CPU count in the
-header.  Every timed row follows one untimed call of the same work.
+header.  Every timed row follows one untimed call of the same work.  The
+refine_weights line also gives the call's tracemalloc peak in planes of
+the image size, its two output maps included.
 """
 
 import argparse
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -39,6 +42,18 @@ def median_ms(run, repeats: int) -> float:
         run()
         times.append(time.perf_counter() - t0)
     return float(np.median(times)) * 1e3
+
+
+def traced_peak(run) -> int:
+    # Peak bytes allocated by one call, beyond what was allocated before it.
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
 
 
 def main(argv=None) -> int:
@@ -66,7 +81,9 @@ def main(argv=None) -> int:
     ms = median_ms(lambda: normalize_weights(refined), args.repeats)
     print(f"normalize_weights 2 maps: {ms:.2f} ms")
     ms = median_ms(lambda: refine_weights(binary, guides, params), args.repeats)
-    print(f"refine_weights 2 maps radius {params.radius} alpha {params.alpha}: {ms:.2f} ms")
+    planes = traced_peak(lambda: refine_weights(binary, guides, params)) / (args.side * args.side * 8)
+    print(f"refine_weights 2 maps radius {params.radius} alpha {params.alpha}: {ms:.2f} ms, "
+          f"peak {planes:.2f} planes")
     print(f"{'radius':>6} {'ms':>8}")
     baseline = None
     for radius in args.radii:

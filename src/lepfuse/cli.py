@@ -157,7 +157,8 @@ def _cmd_fuse(args, cfg: CliConfig) -> int:
     out_path = _resolve_output(args, cfg)
     _check_encodable(out_path, sources[0].channels)
 
-    result = fuse(sources, fusion_config)
+    # Intermediates are kept only when they are to be written.
+    result = fuse(sources, fusion_config, _keep_intermediates=bool(cfg.dump_intermediates))
     with _atomic_outputs() as write:
         write(result.fused, out_path)
         if cfg.dump_intermediates:

@@ -53,40 +53,125 @@ class CoeffMaps:
     intercept_mean: Image
 
 
-def _box_mean(arr: np.ndarray, radius: int, out: np.ndarray = None, integral: np.ndarray = None) -> np.ndarray:
-    # Mean over (2r+1)^2 replicate-padded windows via an integral image.
-    # Anchoring on the corner sample keeps constant regions exact: a flat
-    # input yields all-zero window sums instead of cancellation residue.
-    # One buffer of shape (h+k, w+k[, c]) holds the integral image: its lead
-    # row and column are zero, the body takes the anchored input plus a
-    # replicate border, and both prefix sums and the corner combination run
-    # in place.  Callers may pass that buffer and the output; ``out`` may
-    # alias ``arr``, so the anchor is copied before anything is written.
-    anchor = arr[0:1, 0:1].copy()
-    k = 2 * radius + 1
-    h, w = arr.shape[:2]
-    s = np.empty((h + k, w + k) + arr.shape[2:]) if integral is None else integral
-    s[0] = 0.0
-    s[:, 0] = 0.0
-    body = s[1:, 1:]
-    np.subtract(arr, anchor, out=body[radius:radius + h, radius:radius + w])
-    body[radius:radius + h, :radius] = body[radius:radius + h, radius:radius + 1]
-    body[radius:radius + h, radius + w:] = body[radius:radius + h, radius + w - 1:radius + w]
-    body[:radius] = body[radius]
-    body[radius + h:] = body[radius + h - 1]
-    # Vertical prefix sum as a sweep over whole rows.  numpy's axis-0
-    # accumulate walks each column with a stride of one full row; the sweep
-    # adds contiguous rows instead.  It performs the same sequential
-    # additions, so it is bitwise cumsum(axis=0).
-    for i in range(1, body.shape[0]):
-        body[i] += body[i - 1]
-    np.cumsum(body, axis=1, out=body)
-    out = np.subtract(s[k:k + h, k:k + w], s[:h, k:k + w], out=out)
-    out -= s[k:k + h, :w]
-    out += s[:h, :w]
-    out /= k * k
-    out += anchor
-    return out
+def _anchored(body: np.ndarray, block: np.ndarray, anchor: np.ndarray, radius: int) -> None:
+    # An (n, channels, w) block minus the per-channel anchor, replicate-
+    # padded by ``radius`` columns on each side, into ``body``.
+    w = block.shape[2]
+    np.subtract(block, anchor, out=body[:, :, radius:radius + w])
+    body[:, :, :radius] = body[:, :, radius:radius + 1]
+    body[:, :, radius + w:] = body[:, :, radius + w - 1:radius + w]
+
+
+def _stream_work(width: int, radius: int, channels: int) -> tuple:
+    # Buffers for one streamed window mean at a time (see _box_means): the
+    # ring, the carried prefix row and the padded edge row, and one strip
+    # of means.
+    k, m = 2 * radius + 1, _STRIP_ROWS
+    return (np.empty((-(-(m + k) // m) * m, channels, width + k)), np.empty((2, channels, width + 2 * radius)),
+            np.empty((m, channels, width)))
+
+
+def _box_means(blocks, radius: int, work: tuple, out: np.ndarray = None):
+    # Mean over (2r+1)^2 replicate-padded windows of a stream of row blocks,
+    # as a generator.  Each block is an (n, channels, w) array of the next
+    # input rows; the generator yields (rows, means) for consecutive output
+    # rows, each row as soon as the input rows within ``radius`` below it
+    # have arrived.  ``means`` has shape (n, channels, w), n <= _STRIP_ROWS,
+    # and is written into ``out[rows]`` when ``out`` is given.  ``work``
+    # comes from _stream_work and may be reused once the generator is done.
+    #
+    # The integral image is that of the whole replicate-padded plane,
+    # anchored on the first sample of each channel, so constant regions
+    # stay exact.  Its rows live in a ring of at least _STRIP_ROWS + 2r + 1
+    # rows, a multiple of _STRIP_ROWS: integral row x sits at ring row
+    # (x - 1) mod size, and a zero column leads every row.  Rows are
+    # anchored and padded as they arrive, then swept down (adding the row
+    # above, the last row of the previous chunk being carried) and summed
+    # across by cumsum in chunks of _STRIP_ROWS rows that never wrap.
+    # Output row i combines integral rows i and i + k as ((A - B) - C) + D.
+    # These are the additions of whole-plane prefix sums in the same order,
+    # so every mean is bitwise that of the whole-plane integral image.  Each
+    # row holds its channels one after another, so every pass runs along
+    # whole rows.
+    ring, (carry, edge), means = work
+    k, m = 2 * radius + 1, _STRIP_ROWS
+    size, w = len(ring), means.shape[2]
+    ring[-1] = 0.0
+    ring[:, :, 0] = 0.0
+    lines = list(ring[:, :, 1:])
+    written = summed = 1  # integral rows written and summed; row 0 is zero
+    emitted, anchor = 0, None
+
+    def write(count, fill):
+        # Writes ``count`` padded rows, ``fill(body, i)`` writing rows i,
+        # i + 1, ... of them, and yields every output row that completes.
+        nonlocal written
+        done = 0
+        while done < count:
+            at = (written - 1) % size
+            n = min(count - done, size - (written - emitted), size - at)
+            fill(ring[at:at + n, :, 1:], done)
+            written += n
+            done += n
+            while written - summed >= m:
+                yield from sum_rows(m)
+
+    def sum_rows(n):
+        # Sweeps and sums the next ``n`` written rows, then yields every
+        # output row they complete.
+        nonlocal summed, emitted
+        at = (summed - 1) % size
+        if summed > 1:  # the first row gets no carry: 0.0 + -0.0 is 0.0
+            np.add(lines[at], carry, out=lines[at])
+        for x in range(at + 1, at + n):
+            np.add(lines[x], lines[x - 1], out=lines[x])
+        np.copyto(carry, lines[at + n - 1])
+        body = ring[at:at + n, :, 1:]
+        np.cumsum(body, axis=2, out=body)
+        summed += n
+        e = summed - emitted - k
+        if e <= 0:
+            return
+        o = means[:e] if out is None else out[emitted:emitted + e]
+        i = 0
+        while i < e:  # in pieces whose integral rows do not wrap
+            top, bottom = (emitted + i - 1) % size, (emitted + i + k - 1) % size
+            j = i + min(e - i, size - top, size - bottom)
+            top, bottom = ring[top:top + j - i], ring[bottom:bottom + j - i]
+            np.subtract(bottom[:, :, k:k + w], top[:, :, k:k + w], out=o[i:j])
+            o[i:j] -= bottom[:, :, :w]
+            o[i:j] += top[:, :, :w]
+            i = j
+        o /= k * k
+        o += anchor
+        yield slice(emitted, emitted + e), o
+        emitted += e
+
+    def copies(body, i):
+        np.copyto(body, edge)
+
+    for block in blocks:
+        if anchor is None:
+            anchor = block[0, :, :1].copy()
+            _anchored(edge[np.newaxis], block[:1], anchor, radius)
+            yield from write(radius, copies)
+        yield from write(len(block), lambda body, i: _anchored(body, block[i:i + len(body)], anchor, radius))
+        _anchored(edge[np.newaxis], block[-1:], anchor, radius)
+    yield from write(radius, copies)
+    if written > summed:
+        yield from sum_rows(written - summed)
+
+
+def _row_blocks(arr: np.ndarray):
+    # The rows of an (h, w, c) array in strips, as (n, c, w) views.
+    for rows in _strips(len(arr)):
+        yield arr[rows].transpose(0, 2, 1)
+
+
+def _drain(strips) -> None:
+    # Runs a strip generator to the end.
+    for _ in strips:
+        pass
 
 
 def _single_plane(img: Image, op: str) -> np.ndarray:
@@ -99,10 +184,15 @@ def box_mean(img: Image, radius: int) -> Image:
     """Arithmetic mean over (2r+1)^2 replicate-padded windows, per channel.
 
     Runtime is independent of the radius (running sums, not a window loop).
+    The image is streamed in strips of rows, so beyond the returned image
+    it holds O(strip) scratch: a ring of 2r + 1 + 16 integral-image rows.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    return Image(_box_mean(img.data, radius), img.max_val)
+    out = np.empty(img.data.shape)
+    _drain(_box_means(_row_blocks(img.data), radius, _stream_work(img.width, radius, img.channels),
+                      out=out.transpose(0, 2, 1)))
+    return Image._adopt(out, img.max_val)
 
 
 def _gaussian_kernel_1d(radius: int, sigma: float) -> np.ndarray:
@@ -207,70 +297,92 @@ def gradient_magnitude(img: Image) -> Image:
     return Image(_gradient_magnitude(np.pad(plane, 1, mode="edge")), img.max_val)
 
 
-def _fit_workspace(shape: tuple, radius: int) -> tuple:
-    # Scratch for one buffered fit at a time: four planes, an integral-image
-    # buffer sized for the radius, and a mask.
-    h, w = shape
-    k = 2 * radius + 1
-    return [np.empty(shape) for _ in range(4)], np.empty((h + k, w + k)), np.empty(shape, dtype=bool)
+def _fit_work(width: int, radius: int, sums: int = 5) -> tuple:
+    # Scratch for one streamed fit at a time: a window-mean stream for the
+    # ``sums`` first-stage sums and one for slope and intercept, the
+    # edge-padded guide band, a scratch strip, the first stream's input
+    # strip and a mask strip.
+    rows = _STRIP_ROWS
+    return (_stream_work(width, radius, sums), _stream_work(width, radius, 2), np.empty((rows + 2, width + 2)),
+            np.empty((rows, width)), np.empty((rows, sums, width)), np.empty((rows, width), dtype=bool))
 
 
-def _edge_regularizer(guide_plane: np.ndarray, params: FilterParams, out: np.ndarray,
-                      tmp: np.ndarray, integral: np.ndarray) -> np.ndarray:
-    # alpha * window mean of |grad|^(2 - beta), written into ``out``.  The
-    # replicate-padded guide lives in the integral buffer until the gradient
-    # is taken.  Clamped so rounding residue in the box filter can never
-    # push the slope denominator below the variance term.
-    h, w = guide_plane.shape
-    padded = integral[:h + 2, :w + 2]
-    padded[1:-1, 1:-1] = guide_plane
-    padded[0, 1:-1] = guide_plane[0]
-    padded[-1, 1:-1] = guide_plane[-1]
-    padded[:, 0] = padded[:, 1]
-    padded[:, -1] = padded[:, -2]
-    grad = _gradient_magnitude(padded, out=out, tmp=tmp)
-    grad **= 2.0 - params.beta  # numpy's scalar-power fast path, as grad ** (2 - beta)
-    _box_mean(grad, params.radius, out=grad, integral=integral)
-    grad *= params.alpha
-    return np.maximum(grad, 0.0, out=grad)
-
-
-def _linear_fit(pp: np.ndarray, gg: np.ndarray, params: FilterParams, work: tuple) -> tuple[np.ndarray, np.ndarray]:
-    # Per-window a = cov(gg, pp) / (var(gg) + edge regularizer of gg), or 0
-    # where the denominator is 0, and b = mean(pp) - a * mean(gg).  Passing
-    # one array as both arguments reuses the variance as the covariance.
-    # Every plane lives in ``work`` (from _fit_workspace); slope and
-    # intercept are returned as two of its planes.
-    (p0, p1, p2, p3), integral, mask = work
-    r = params.radius
+def _fit(out: np.ndarray, pp: np.ndarray, gg: np.ndarray, params: FilterParams, work: tuple, coeffs=None):
+    # The local linear fit of pp on the guide gg, as a generator that
+    # writes box_mean(slope) * gg + box_mean(intercept) into ``out`` one
+    # strip of rows at a time and yields each strip's rows once written.
+    # Per window, with a regularizer from the guide's gradient,
+    #
+    #   a = cov(gg, pp) / (var(gg) + alpha * mean(|grad gg|^(2 - beta))),
+    #
+    # or 0 where that denominator is 0, and b = mean(pp) - a * mean(gg).
+    # The regularizer and the variance are clamped at 0, so rounding
+    # residue can never make the denominator smaller than the variance.
+    # Passing one array as both pp and gg reuses the variance as the
+    # covariance (``work`` then from _fit_work(..., sums=3)).  ``coeffs``,
+    # if given, is four planes that receive a, b and their window means.
+    #
+    # Two window-mean streams run as a pipeline: the first takes the sums
+    # |grad gg|^(2 - beta), gg, gg^2 (and pp, gg * pp) of each input strip
+    # as channels, the second takes a and b of each strip the first
+    # completes, r rows behind.  ``out`` may be ``pp``: output row i is
+    # written only after every input row up to i + 2r has been read.
+    first, second, band, tmp, block, mask_buf = work
     h, w = gg.shape
-    denom = _edge_regularizer(gg, params, out=p0, tmp=p1, integral=integral)
-    mean_g = _box_mean(gg, r, out=p1, integral=integral)
-    var_g = _box_mean(np.multiply(gg, gg, out=p2), r, out=p2, integral=integral)
-    var_g -= np.multiply(mean_g, mean_g, out=p3)
-    np.maximum(var_g, 0.0, out=var_g)
-    denom += var_g
-    if pp is gg:
-        mean_p, cov = mean_g, var_g
-    else:
-        mean_p = _box_mean(pp, r, out=p3, integral=integral)
-        cov = _box_mean(np.multiply(gg, pp, out=p2), r, out=p2, integral=integral)
-        cov -= np.multiply(mean_g, mean_p, out=integral[:h, :w])
-    np.greater(denom, 0.0, out=mask)
-    slope = np.divide(cov, denom, out=cov, where=mask)
-    np.logical_not(mask, out=mask)
-    np.copyto(slope, 0.0, where=mask)
-    intercept = np.multiply(slope, mean_g, out=denom)
-    return slope, np.subtract(mean_p, intercept, out=intercept)
+    same = pp is gg
 
+    def sums():
+        for rows in _strips(h):
+            n = rows.stop - rows.start
+            # The guide rows and one more on each side, edge-padded.
+            padded = band[:n + 2]
+            padded[1:-1, 1:-1] = gg[rows]
+            padded[0, 1:-1] = gg[max(rows.start - 1, 0)]
+            padded[-1, 1:-1] = gg[min(rows.stop, h - 1)]
+            padded[:, 0] = padded[:, 1]
+            padded[:, -1] = padded[:, -2]
+            blk = block[:n]
+            grad = _gradient_magnitude(padded, out=blk[:, 0], tmp=tmp[:n])
+            grad **= 2.0 - params.beta  # numpy's scalar-power fast path, as grad ** (2 - beta)
+            g = blk[:, 1]
+            np.copyto(g, gg[rows])
+            np.multiply(g, g, out=blk[:, 2])
+            if not same:
+                np.copyto(blk[:, 3], pp[rows])
+                np.multiply(g, blk[:, 3], out=blk[:, 4])
+            yield blk
 
-def _guided_fit(out: np.ndarray, pp: np.ndarray, gg: np.ndarray, params: FilterParams, work: tuple) -> np.ndarray:
-    # box_mean(slope) * gg + box_mean(intercept), written into ``out``.
-    slope, intercept = _linear_fit(pp, gg, params, work)
-    integral = work[1]
-    np.multiply(_box_mean(slope, params.radius, out=slope, integral=integral), gg, out=out)
-    out += _box_mean(intercept, params.radius, out=intercept, integral=integral)
-    return out
+    def coefficients():
+        # a and b of each strip, written over the strip's first two means.
+        for rows, means in _box_means(sums(), params.radius, first):
+            n = rows.stop - rows.start
+            mean_g, var_g = means[:, 1], means[:, 2]
+            reg = np.multiply(means[:, 0], params.alpha, out=means[:, 0])
+            np.maximum(reg, 0.0, out=reg)
+            var_g -= np.multiply(mean_g, mean_g, out=tmp[:n])
+            np.maximum(var_g, 0.0, out=var_g)
+            reg += var_g
+            if same:
+                mean_p, cov = mean_g, var_g
+            else:
+                mean_p, cov = means[:, 3], means[:, 4]
+                cov -= np.multiply(mean_g, mean_p, out=tmp[:n])
+            mask = np.greater(reg, 0.0, out=mask_buf[:n])
+            slope = np.divide(cov, reg, out=reg, where=mask)
+            np.copyto(slope, 0.0, where=np.logical_not(mask, out=mask))
+            intercept = np.subtract(mean_p, np.multiply(slope, mean_g, out=tmp[:n]), out=means[:, 1])
+            if coeffs is not None:
+                np.copyto(coeffs[0][rows], slope)
+                np.copyto(coeffs[1][rows], intercept)
+            yield means[:, :2]
+
+    for rows, means in _box_means(coefficients(), params.radius, second):
+        np.multiply(means[:, 0], gg[rows], out=out[rows])
+        out[rows] += means[:, 1]
+        if coeffs is not None:
+            np.copyto(coeffs[2][rows], means[:, 0])
+            np.copyto(coeffs[3][rows], means[:, 1])
+        yield rows
 
 
 def lep_filter(img: Image, params: FilterParams) -> tuple[Image, CoeffMaps]:
@@ -289,20 +401,21 @@ def lep_filter(img: Image, params: FilterParams) -> tuple[Image, CoeffMaps]:
     closing the 0/0 case continuously.
 
     Returns the filtered image and the coefficient maps; every slope value
-    lies in [0, 1].
+    lies in [0, 1].  The fit streams over strips of rows, so beyond the
+    returned planes it holds O(strip) scratch.
     """
     plane = _single_plane(img, "lep_filter")
-    slope, intercept = _linear_fit(plane, plane, params, _fit_workspace(plane.shape, params.radius))
-    slope_mean = _box_mean(slope, params.radius)
-    intercept_mean = _box_mean(intercept, params.radius)
-    out = slope_mean * plane + intercept_mean
-    coeffs = CoeffMaps(
-        slope=Image(slope, 1.0),
-        intercept=Image(intercept, img.max_val),
-        slope_mean=Image(slope_mean, 1.0),
-        intercept_mean=Image(intercept_mean, img.max_val),
+    out, *coeffs = (np.empty(img.data.shape) for _ in range(5))
+    _drain(_fit(out[:, :, 0], plane, plane, params, _fit_work(img.width, params.radius, sums=3),
+                [c[:, :, 0] for c in coeffs]))
+    slope, intercept, slope_mean, intercept_mean = coeffs
+    maps = CoeffMaps(
+        slope=Image._adopt(slope, 1.0),
+        intercept=Image._adopt(intercept, img.max_val),
+        slope_mean=Image._adopt(slope_mean, 1.0),
+        intercept_mean=Image._adopt(intercept_mean, img.max_val),
     )
-    return Image(out, img.max_val), coeffs
+    return Image._adopt(out, img.max_val), maps
 
 
 def _guided_planes(p: Image, guide: Image) -> tuple[np.ndarray, np.ndarray]:
@@ -334,8 +447,9 @@ def lep_filter_guided(p: Image, guide: Image, params: FilterParams) -> Image:
     guide's structure.  With ``guide is p`` this reduces to lep_filter.
     """
     pp, gg = _guided_planes(p, guide)
-    out = np.empty(pp.shape)
-    return Image(_guided_fit(out, pp, gg, params, _fit_workspace(pp.shape, params.radius)), p.max_val)
+    out = np.empty(p.data.shape)
+    _drain(_fit(out[:, :, 0], pp, gg, params, _fit_work(p.width, params.radius)))
+    return Image._adopt(out, p.max_val)
 
 
 def guided_filter(p: Image, guide: Image, radius: int, epsilon: float) -> Image:

@@ -19,15 +19,18 @@ import numpy as np
 from .filters import (
     _STRIP_ROWS,
     FilterParams,
-    _fit_workspace,
+    _box_means,
+    _drain,
+    _fit,
+    _fit_work,
     _gaussian_kernel_1d,
-    _guided_fit,
     _guided_params,
     _guided_planes,
     _laplacian_rows,
+    _row_blocks,
+    _stream_work,
     _strips,
     _valid_correlate_sep,
-    box_mean,
 )
 from .image import Image, _luma
 
@@ -126,25 +129,47 @@ class WeightStack:
 
 @dataclass(frozen=True)
 class FusionResult:
-    """Fused image plus every pipeline intermediate, in pipeline order."""
+    """Fused image plus every pipeline intermediate, in pipeline order.
+
+    The intermediates are None when ``fuse`` was told not to keep them.
+    """
 
     fused: Image
-    layers: tuple
-    saliencies: tuple
-    binary_maps: WeightStack
-    refined_base: WeightStack
-    refined_detail: WeightStack
-    base_weights: WeightStack
-    detail_weights: WeightStack
+    layers: tuple = None
+    saliencies: tuple = None
+    binary_maps: WeightStack = None
+    refined_base: WeightStack = None
+    refined_detail: WeightStack = None
+    base_weights: WeightStack = None
+    detail_weights: WeightStack = None
+
+
+def _layers(data: np.ndarray, radius: int, planes=None):
+    # The base layer (box mean) and detail residual (data - base) of an
+    # (h, w, c) array, as a generator of (rows, base, detail) strips.  The
+    # strips land in ``planes`` (base, detail) when given, else in scratch.
+    base_plane, detail_plane = (None, None) if planes is None else planes
+    scratch = np.empty((min(len(data), _STRIP_ROWS),) + data.shape[1:]) if planes is None else None
+    work = _stream_work(data.shape[1], radius, data.shape[2])
+    for rows, base in _box_means(_row_blocks(data), radius, work,
+                                 out=None if base_plane is None else base_plane.transpose(0, 2, 1)):
+        base = base.transpose(0, 2, 1)
+        detail = scratch[:len(base)] if detail_plane is None else detail_plane[rows]
+        yield rows, base, np.subtract(data[rows], base, out=detail)
 
 
 def decompose(src: Image, avg_filter_size: int = FusionConfig.avg_filter_size) -> LayerPair:
-    """Split into a box-mean base layer and the detail residual."""
+    """Split into a box-mean base layer and the detail residual.
+
+    Both layers are built strip by strip, with O(strip) scratch beyond
+    the two returned images.
+    """
     if avg_filter_size < 3 or avg_filter_size % 2 == 0:
         raise ValueError(f"avg_filter_size must be odd and >= 3, got {avg_filter_size}")
-    base = box_mean(src, (avg_filter_size - 1) // 2)
-    detail = Image(src.data - base.data, src.max_val)
-    return LayerPair(base=base, detail=detail)
+    radius = (avg_filter_size - 1) // 2
+    base, detail = np.empty(src.data.shape), np.empty(src.data.shape)
+    _drain(_layers(src.data, radius, (base, detail)))
+    return LayerPair(base=Image._adopt(base, src.max_val), detail=Image._adopt(detail, src.max_val))
 
 
 def _saliency_workspace(width: int, radius: int) -> tuple:
@@ -184,18 +209,17 @@ def _saliency(out: np.ndarray, plane: np.ndarray, kernel: np.ndarray, work: tupl
     return out
 
 
-def _saliencies(lumas, config: FusionConfig) -> tuple:
-    # One saliency map per single-channel image, on threads.
-    planes = [luma.plane() for luma in lumas]
-    h, w = planes[0].shape
+def _saliency_maps(guides, config: FusionConfig) -> list:
+    # One (h, w, 1) saliency array per guide plane, on threads.
+    h, w = guides[0].shape
     kernel = _gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
-    outs = [np.empty((h, w, 1)) for _ in planes]
+    outs = [np.empty((h, w, 1)) for _ in guides]
     _each_on_threads(
-        len(planes),
+        len(guides),
         lambda: _saliency_workspace(w, config.saliency_radius),
-        lambda n, work: _saliency(outs[n][:, :, 0], planes[n], kernel, work),
+        lambda n, work: _saliency(outs[n][:, :, 0], guides[n], kernel, work),
     )
-    return tuple(Image._adopt(out, luma.max_val) for out, luma in zip(outs, lumas))
+    return outs
 
 
 def saliency(src_luma: Image, config: FusionConfig = FusionConfig()) -> Image:
@@ -208,14 +232,35 @@ def saliency(src_luma: Image, config: FusionConfig = FusionConfig()) -> Image:
     """
     if src_luma.channels != 1:
         raise ValueError(f"saliency requires a single-channel image, got {src_luma.channels} channels")
-    return _saliencies([src_luma], config)[0]
+    return Image._adopt(_saliency_maps([src_luma.plane()], config)[0], src_luma.max_val)
+
+
+def _binary_maps(saliencies, outs) -> None:
+    # outs[n] = 1.0 where saliency n is the first strict maximum, else 0.0,
+    # as argmax picks, one strip of rows at a time.  ``outs`` may be the
+    # saliency planes themselves: a strip is written only after every map
+    # has been read there.
+    h, w = saliencies[0].shape
+    best, winner, mask = (np.empty((min(h, _STRIP_ROWS), w), dtype=t) for t in (np.float64, np.intp, bool))
+    for rows in _strips(h):
+        n = rows.stop - rows.start
+        top, win, greater = best[:n], winner[:n], mask[:n]
+        np.copyto(top, saliencies[0][rows])
+        win.fill(0)
+        for index, sal in enumerate(saliencies[1:], start=1):
+            np.greater(sal[rows], top, out=greater)
+            np.copyto(top, sal[rows], where=greater)
+            np.copyto(win, index, where=greater)
+        for index, out in enumerate(outs):
+            np.equal(win, index, out=out[rows])
 
 
 def binary_weight_maps(saliencies) -> WeightStack:
     """Indicator maps of the per-pixel saliency winner.
 
     Exactly one map is 1 at each pixel; ties go to the lowest source index
-    so the maps always sum to one.
+    so the maps always sum to one.  The maps are built in strips of rows
+    with a running maximum, without stacking the saliency maps.
     """
     saliencies = list(saliencies)
     if not saliencies:
@@ -226,12 +271,9 @@ def binary_weight_maps(saliencies) -> WeightStack:
             raise ValueError("saliency maps must be single-channel")
         if s.data.shape != shape:
             raise ValueError(f"saliency map dimensions differ: {s.data.shape} vs {shape}")
-    stacked = np.stack([s.plane() for s in saliencies], axis=0)
-    winner = np.argmax(stacked, axis=0)
-    maps = tuple(
-        Image((winner == n).astype(np.float64), 1.0) for n in range(len(saliencies))
-    )
-    return WeightStack(maps=maps, kind="binary")
+    outs = [np.empty(shape) for _ in saliencies]
+    _binary_maps([s.plane() for s in saliencies], [out[:, :, 0] for out in outs])
+    return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="binary")
 
 
 def _usable_cpus() -> int:
@@ -266,6 +308,19 @@ def _each_on_threads(count: int, workspace, job) -> None:
             future.result()
 
 
+def _refined(maps, guides, params: FilterParams, filter_kind: str, outs) -> None:
+    # outs[n] = the fit of maps[n] on guides[n], clamped to [0, 1], one map
+    # per thread; ``outs`` may be ``maps`` itself.
+    if filter_kind == "guided":
+        params = _guided_params(params.radius, params.alpha)
+
+    def refine(n, work):
+        for rows in _fit(outs[n], maps[n], guides[n], params, work):
+            np.clip(outs[n][rows], 0.0, 1.0, out=outs[n][rows])
+
+    _each_on_threads(len(maps), lambda: _fit_work(guides[0].shape[1], params.radius), refine)
+
+
 def refine_weights(
     binary: WeightStack,
     guides,
@@ -282,8 +337,10 @@ def refine_weights(
 
     The maps are refined independently on min(maps, usable CPUs) threads.
     This thread allocates every output plane and one scratch set per
-    thread, so the threads allocate no large arrays of their own, and each
-    output is the same, bit for bit, whatever the thread count.
+    thread, and each output is the same, bit for bit, whatever the thread
+    count.  Each fit streams over strips of rows, so the scratch is
+    O(strip): rings of about 2r + 17 integral-image rows and a few strips
+    of 16 rows.
     """
     guides = list(guides)
     if len(guides) != len(binary.maps):
@@ -292,26 +349,17 @@ def refine_weights(
         )
     if filter_kind not in REFINE_FILTERS:
         raise ValueError(f"filter_kind must be one of {REFINE_FILTERS}, got {filter_kind!r}")
-    if filter_kind == "guided":
-        params = _guided_params(params.radius, params.alpha)
     pairs = [_guided_planes(m, g) for m, g in zip(binary.maps, guides)]
-    shape = pairs[0][0].shape
-    outs = [np.empty(shape) for _ in pairs]
-
-    def refine(n, work):
-        _guided_fit(outs[n], *pairs[n], params, work)
-        np.clip(outs[n], 0.0, 1.0, out=outs[n])
-
-    _each_on_threads(len(pairs), lambda: _fit_workspace(shape, params.radius), refine)
-    return WeightStack(maps=tuple(Image(out, 1.0) for out in outs), kind="refined")
+    outs = [np.empty(m.data.shape) for m in binary.maps]
+    _refined([p for p, _ in pairs], [g for _, g in pairs], params, filter_kind, [out[:, :, 0] for out in outs])
+    return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="refined")
 
 
-def _normalized(stack: WeightStack, weight_floor: float) -> WeightStack:
-    # (map + floor) / sum over maps of (map + floor), in strips of rows.
-    # Each output plane holds its shifted map until the strip's quotient
-    # overwrites it, so the only other memory is one strip of the sum.
-    maps = [m.data for m in stack.maps]
-    outs = [np.empty(maps[0].shape) for _ in maps]
+def _normalized(maps, weight_floor: float, outs) -> None:
+    # outs[n] = (maps[n] + floor) / sum over maps of (map + floor), in
+    # strips of rows.  Each output holds its shifted map until the strip's
+    # quotient overwrites it, so ``outs`` may be ``maps`` itself, and the
+    # only other memory is one strip of the sum.
     total = np.empty((min(len(outs[0]), _STRIP_ROWS),) + outs[0].shape[1:])
     for rows in _strips(len(outs[0])):
         acc = total[:rows.stop - rows.start]
@@ -322,7 +370,6 @@ def _normalized(stack: WeightStack, weight_floor: float) -> WeightStack:
             acc += out[rows]
         for out in outs:
             np.divide(out[rows], acc, out=out[rows])
-    return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="normalized")
 
 
 def normalize_weights(stack: WeightStack, weight_floor: float = FusionConfig.weight_floor) -> WeightStack:
@@ -338,29 +385,35 @@ def normalize_weights(stack: WeightStack, weight_floor: float = FusionConfig.wei
         raise ValueError(f"can only normalize refined weight stacks, got kind {stack.kind!r}")
     if not (np.isfinite(weight_floor) and weight_floor > 0.0):
         raise ValueError(f"weight_floor must be positive, got {weight_floor}")
-    return _normalized(stack, weight_floor)
+    outs = [np.empty(m.data.shape) for m in stack.maps]
+    _normalized([m.data for m in stack.maps], weight_floor, outs)
+    return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="normalized")
 
 
-def _blend(layers, base_weights: WeightStack, detail_weights: WeightStack, max_val: float) -> np.ndarray:
+def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, layers=None) -> np.ndarray:
     # sum(wb * base) + sum(wd * detail) over the sources, clipped to
-    # [0, max_val], in strips of rows.  Both sums start from zero and add
-    # the sources in order.
-    h, w, c = layers[0].base.data.shape
+    # [0, max_val], in strips of rows.  Each source's layers are streamed
+    # alongside (see _layers), into ``layers`` (one (base, detail) pair of
+    # planes per source) when given.  Both sums start from zero and add the
+    # sources in order.
+    h, w, c = sources[0].data.shape
     fused = np.empty((h, w, c))
     fb, fd, tmp = np.empty((3, min(h, _STRIP_ROWS), w, c))
-    for rows in _strips(h):
+    streams = [_layers(src.data, radius, None if layers is None else layers[n]) for n, src in enumerate(sources)]
+    for strips in zip(*streams):
+        rows = strips[0][0]
         n = rows.stop - rows.start
         b, d, t = fb[:n], fd[:n], tmp[:n]
         b.fill(0.0)
         d.fill(0.0)
-        for pair, wb, wd in zip(layers, base_weights.maps, detail_weights.maps):
-            b += np.multiply(wb.data[rows], pair.base.data[rows], out=t)
-            d += np.multiply(wd.data[rows], pair.detail.data[rows], out=t)
+        for (_, base, detail), wb, wd in zip(strips, base_weights, detail_weights):
+            b += np.multiply(wb[rows], base, out=t)
+            d += np.multiply(wd[rows], detail, out=t)
         np.clip(np.add(b, d, out=fused[rows]), 0.0, max_val, out=fused[rows])
     return fused
 
 
-def fuse(sources, config: FusionConfig = FusionConfig()) -> FusionResult:
+def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates: bool = True) -> FusionResult:
     """Run the full two-scale fusion pipeline.
 
     Sources must share dimensions, channel count and max_val.  Weights are computed
@@ -369,10 +422,20 @@ def fuse(sources, config: FusionConfig = FusionConfig()) -> FusionResult:
     raw values, which the result exposes for inspection.
 
     Saliency and weight refinement run one source per thread on up to
-    min(sources, usable CPUs) threads.  Saliency, normalization and the
-    blend work in strips of rows with no full-size temporaries.  Every
-    field of the result is the same, bit for bit, as from the public stages
-    composed on whole planes, whatever the thread count.
+    min(sources, usable CPUs) threads.  Every stage works in strips of
+    rows with O(strip) scratch: each weight fit streams through rings of
+    integral-image rows, and each source's base and detail layers are
+    built strip by strip inside the blend.  Every field of the result is
+    the same, bit for bit, as from the public stages composed on whole
+    planes, whatever the thread count.
+
+    Memory: the result holds every stage's planes.  The command line
+    passes the private ``_keep_intermediates=False`` unless they are to be
+    written; then fuse returns only ``fused`` (the other fields are None),
+    and each stage overwrites the planes of the one before it: binary maps
+    over saliency, detail weights over the binary maps, normalized over
+    refined weights.  Its peak is then about two planes per source and the
+    fused image beyond the sources (and their luminance, for color).
     """
     sources = list(sources)
     if not sources:
@@ -385,24 +448,39 @@ def fuse(sources, config: FusionConfig = FusionConfig()) -> FusionResult:
         if src.max_val != max_val:
             raise ValueError(f"source max_val differs: {src.max_val:g} vs {max_val:g}")
 
+    keep = _keep_intermediates
     lumas = [_luma(src) for src in sources]
-    saliencies = _saliencies(lumas, config)
-    binary = binary_weight_maps(saliencies)
-    refined_base = refine_weights(binary, lumas, config.base_params, config.refine_filter)
-    refined_detail = refine_weights(binary, lumas, config.detail_params, config.refine_filter)
-    base_weights = _normalized(refined_base, config.weight_floor)
-    detail_weights = _normalized(refined_detail, config.weight_floor)
-    # Decomposed last, so the layers are not held while the weights are refined.
-    layers = tuple(decompose(src, config.avg_filter_size) for src in sources)
-    fused = Image._adopt(_blend(layers, base_weights, detail_weights, max_val), max_val)
+    guides = [luma.plane() for luma in lumas]
+
+    def planes():
+        return [np.empty(shape[:2] + (1,)) for _ in sources]
+
+    saliencies = _saliency_maps(guides, config)
+    binary = planes() if keep else saliencies
+    _binary_maps([s[:, :, 0] for s in saliencies], [b[:, :, 0] for b in binary])
+    refined_base, refined_detail = planes(), planes() if keep else binary
+    for params, outs in ((config.base_params, refined_base), (config.detail_params, refined_detail)):
+        _refined([b[:, :, 0] for b in binary], guides, params, config.refine_filter, [o[:, :, 0] for o in outs])
+    base_weights = planes() if keep else refined_base
+    detail_weights = planes() if keep else refined_detail
+    _normalized(refined_base, config.weight_floor, base_weights)
+    _normalized(refined_detail, config.weight_floor, detail_weights)
+    layers = [(np.empty(shape), np.empty(shape)) for _ in sources] if keep else None
+    fused = Image._adopt(_blend(sources, base_weights, detail_weights, (config.avg_filter_size - 1) // 2,
+                                max_val, layers), max_val)
+    if not keep:
+        return FusionResult(fused=fused)
+
+    def stack(arrays, kind):
+        return WeightStack(maps=tuple(Image._adopt(a, 1.0) for a in arrays), kind=kind)
 
     return FusionResult(
         fused=fused,
-        layers=layers,
-        saliencies=saliencies,
-        binary_maps=binary,
-        refined_base=refined_base,
-        refined_detail=refined_detail,
-        base_weights=base_weights,
-        detail_weights=detail_weights,
+        layers=tuple(LayerPair(Image._adopt(base, max_val), Image._adopt(detail, max_val)) for base, detail in layers),
+        saliencies=tuple(Image._adopt(s, luma.max_val) for s, luma in zip(saliencies, lumas)),
+        binary_maps=stack(binary, "binary"),
+        refined_base=stack(refined_base, "refined"),
+        refined_detail=stack(refined_detail, "refined"),
+        base_weights=stack(base_weights, "normalized"),
+        detail_weights=stack(detail_weights, "normalized"),
     )

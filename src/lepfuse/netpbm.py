@@ -124,16 +124,19 @@ def read_image(path) -> Image:
             raise NetpbmParseError(
                 f"pixel data truncated: expected {count} bytes, got {len(raster)}", len(blob)
             )
-        samples = np.frombuffer(raster, dtype=np.uint8).astype(np.float64)
-        over = np.nonzero(samples > maxval)[0]
+        raw = np.frombuffer(raster, dtype=np.uint8)
+        over = np.flatnonzero(raw > maxval)
         if over.size:
             raise NetpbmParseError(
-                f"sample value {int(samples[over[0]])} exceeds maxval {maxval}",
+                f"sample value {int(raw[over[0]])} exceeds maxval {maxval}",
                 start + int(over[0]),
             )
+        samples = raw.astype(np.float64)
 
+    # The raster was built here and is not written again, so it is adopted
+    # rather than copied.
     shape = (height, width) if channels == 1 else (height, width, 3)
-    return Image(samples.reshape(shape), float(maxval))
+    return Image._adopt(samples.reshape(shape), float(maxval))
 
 
 def quantize(img: Image) -> np.ndarray:

@@ -7,8 +7,8 @@ straightforward vectorized window kernels (a padded-copy integral image
 and a tap-by-tap separable correlation) and the local linear fit written
 with one fresh array per step pin the in-place library kernels bit for
 bit, since both perform the same floating-point operations; so do the
-whole-plane saliency and weight normalization, which pin their
-strip-wise library forms.  The
+whole-plane saliency, binary weight maps and weight normalization, which
+pin their strip-wise library forms.  The
 image helpers at the end (constant images, replicate padding, single-point
 bilinear sampling) serve only the tests.
 """
@@ -125,6 +125,13 @@ def reference_normalize_weights(planes, weight_floor: float) -> list:
     shifted = [m + weight_floor for m in planes]
     total = np.sum(shifted, axis=0)
     return [s / total for s in shifted]
+
+
+def reference_binary_weight_maps(planes) -> list:
+    """Indicator planes of the per-pixel argmax over the stacked saliency
+    planes (ties to the lowest index), one float64 plane per source."""
+    winner = np.argmax(np.stack(planes, axis=0), axis=0)
+    return [(winner == n).astype(np.float64) for n in range(len(planes))]
 
 
 def naive_laplacian(plane: np.ndarray) -> np.ndarray:

@@ -5,12 +5,16 @@ file cannot be read, 2 when validation fails.  Non-zero exits must leave
 no output files behind.
 """
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dataclasses import fields
 
 import lepfuse.cli
+import lepfuse.fusion
 from lepfuse import FilterParams, FusionConfig, Image, NaturalnessPriors, read_image, write_image
 from lepfuse.cli import main
 from lepfuse.config import CliConfig, apply_values, parse_config_text
@@ -145,6 +149,59 @@ def test_fuse_dump_intermediates_file_count(workdir):
     for tag in ("base", "detail", "sal", "wb", "wd"):
         for n in (1, 2):
             assert f"dumped_{tag}_{n}.pgm" in produced
+
+
+@pytest.mark.parametrize("cpus", [1, 64])
+@pytest.mark.parametrize("refine_filter", ["lep", "guided"])
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("ext", [".pgm", ".ppm"])
+def test_fuse_output_same_with_and_without_intermediates(tmp_path, monkeypatch, capsys, cpus, refine_filter, count,
+                                                        ext):
+    """Without --dump-intermediates fuse keeps no intermediates, yet writes
+    the same bytes and prints the same report as with it."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(count)
+    channels = 1 if ext == ".pgm" else 3
+    inputs = []
+    for n in range(count):
+        path = tmp_path / f"src{n}{ext}"
+        write_image(Image(rng.integers(0, 256, (37, 29, channels)).astype(float)), path)
+        inputs.append(str(path))
+    outputs = {}
+    for mode, extra in (("lean", []), ("dump", ["--dump-intermediates"])):
+        out = tmp_path / mode / f"fused{ext}"
+        out.parent.mkdir()
+        before = threading.active_count()
+        assert main(["fuse", *inputs, "-o", str(out), "--refine-filter", refine_filter, *extra]) == 0
+        assert threading.active_count() == before
+        outputs[mode] = out.read_bytes(), capsys.readouterr().out
+    assert outputs["lean"] == outputs["dump"]
+
+
+def test_lean_fuse_holds_few_planes(tmp_path, monkeypatch):
+    """Without intermediates, the fuse call of a gray N = 2 512^2 job
+    holds at most 7 planes beyond its sources."""
+    side = 512
+    rng = np.random.default_rng(3)
+    for name in ("a.pgm", "b.pgm"):
+        write_image(Image(rng.integers(0, 256, (side, side)).astype(float)), tmp_path / name)
+    real_fuse, peaks = lepfuse.cli.fuse, []
+
+    def traced_fuse(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            result = real_fuse(*args, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append((peak - start) / (side * side * 8))
+        return result
+
+    monkeypatch.setattr(lepfuse.cli, "fuse", traced_fuse)
+    out = tmp_path / "fused.pgm"
+    assert main(["fuse", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"), "-o", str(out)]) == 0
+    assert len(peaks) == 1 and peaks[0] <= 7
 
 
 @pytest.mark.parametrize("command, failing_write", [

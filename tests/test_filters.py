@@ -12,7 +12,7 @@ from lepfuse import (
     laplacian_filter,
 )
 
-from lepfuse.filters import _STRIP_ROWS, _box_mean, _gaussian_kernel_1d, _valid_correlate_sep
+from lepfuse.filters import _STRIP_ROWS, _gaussian_kernel_1d, _valid_correlate_sep
 from oracles import (
     constant_image,
     naive_box_mean,
@@ -54,18 +54,21 @@ def test_box_mean_multichannel_matches_per_channel():
 
 
 TALL = 2 * _STRIP_ROWS + 5  # a partial third strip of the strip-wise correlation
+TALLER = 5 * _STRIP_ROWS + 3  # enough strips for the streamed box mean's ring to wrap several times
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (20, 31), (20, 31, 1), (1, 1, 3), (1, 9, 3), (9, 1, 3),
-                                   (20, 31, 3), (TALL, 13), (TALL, 13, 1), (TALL, 13, 3)])
-@pytest.mark.parametrize("radius", [1, 3, 15])
+                                   (20, 31, 3), (TALL, 13), (TALL, 13, 1), (TALL, 13, 3),
+                                   (TALLER, 13), (TALLER, 13, 3), (TALLER, 1), (1, TALLER, 3)])
+@pytest.mark.parametrize("radius", [1, 3, 15, 40])
 def test_window_kernels_bitwise_equal_reference(shape, radius):
-    # The in-place and strip-wise kernels must reproduce the straightforward
-    # formulation bit for bit, including radii at or past the image side
-    # and outputs that span several row strips.
+    # The streamed and strip-wise kernels must reproduce the straightforward
+    # formulation bit for bit, including radii past a strip and past the
+    # image side (40), and outputs that span several row strips.
     rng = np.random.default_rng(sum(shape) * 31 + radius)
     arr = rng.uniform(-50.0, 300.0, shape)
-    assert _same_bits(_box_mean(arr, radius), reference_box_mean(arr, radius))
+    want = reference_box_mean(arr, radius)
+    assert _same_bits(box_mean(Image(arr), radius).data.reshape(want.shape), want)
     kernel = _gaussian_kernel_1d(radius, 0.7 * radius)
     pad = [(radius, radius), (radius, radius)] + [(0, 0)] * (arr.ndim - 2)
     padded = np.pad(arr, pad, mode="edge")

@@ -39,6 +39,7 @@ from oracles import (
     naive_box_mean,
     naive_gaussian,
     naive_laplacian,
+    reference_binary_weight_maps,
     reference_normalize_weights,
     reference_saliency,
 )
@@ -160,6 +161,24 @@ def test_binary_weights_sum_to_one_everywhere():
     assert np.array_equal(total, np.ones((9, 9, 1)))
 
 
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("height", STRIP_HEIGHTS)
+@pytest.mark.parametrize("width", [1, 9, 40])
+def test_binary_weights_bitwise_equal_reference(count, height, width):
+    """The strip-wise running maximum picks argmax's winner everywhere:
+    saliencies drawn from three levels tie often, the first row is zero in
+    every map, and a second set of maps is all equal."""
+    rng = np.random.default_rng(count * 1000 + height * 10 + width)
+    planes = [rng.integers(0, 3, (height, width)).astype(np.float64) for _ in range(count)]
+    for plane in planes:
+        plane[0] = 0.0
+    equal = [planes[0]] * count
+    for case in (planes, equal):
+        got = binary_weight_maps([Image(p) for p in case])
+        for m, want in zip(got.maps, reference_binary_weight_maps(case)):
+            assert _same_bits(m.plane(), want)
+
+
 def test_binary_weights_validation():
     with pytest.raises(ValueError):
         binary_weight_maps([])
@@ -220,6 +239,39 @@ def test_refine_relocates_transition_to_guide_edge():
     # The refined map now switches at the guide edge (column 6), not at the
     # original weight transition (column 10).
     assert mid_row[7] - mid_row[4] > 0.2
+
+
+def _refine_scratch_bytes(height, width, count, params):
+    # Peak traced bytes of refine_weights beyond its ``count`` output planes.
+    rng = np.random.default_rng(height)
+    binary = binary_weight_maps([Image(rng.uniform(0, 1, (height, width))) for _ in range(count)])
+    guides = [Image(rng.uniform(0, 255, (height, width))) for _ in range(count)]
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        refined = refine_weights(binary, guides, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(refined) == count
+    return peak - start - count * height * width * 8
+
+
+@pytest.mark.parametrize("cpus", [1, 64])
+@pytest.mark.parametrize("params", [FusionConfig().base_params, FusionConfig().detail_params])
+def test_refine_holds_strip_scratch(monkeypatch, cpus, params):
+    """Beyond its output maps, refinement holds scratch for a few strips of
+    rows per worker thread: at most 1.5 planes each at 512^2 with the
+    default radii, and no more for an image twice as tall (up to
+    interpreter bookkeeping, far below the 2 MiB of one more plane)."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
+    count, side = 2, 512
+    workers = min(count, cpus)
+    before = threading.active_count()
+    scratch = _refine_scratch_bytes(side, side, count, params)
+    assert threading.active_count() == before
+    assert scratch / (side * side * 8) <= 1.5 * workers
+    assert abs(_refine_scratch_bytes(2 * side, side, count, params) - scratch) <= 64 * 1024
 
 
 def test_refine_count_mismatch():
@@ -404,15 +456,19 @@ def test_fusion_config_validation():
 
 def _serial_fuse(sources, config):
     """The pipeline composed stage by stage on whole planes: the reference
-    saliency, one map at a time refined with the public filters, the
-    reference normalization, then the blend as fuse documents."""
+    saliency and binary maps, one map at a time refined with the public
+    filters, the reference normalization, then the blend as fuse
+    documents."""
     layers = tuple(decompose(src, config.avg_filter_size) for src in sources)
     lumas = [rgb_to_luma(src) if src.channels == 3 else src for src in sources]
     saliencies = tuple(
         Image(reference_saliency(luma.plane(), config.saliency_radius, config.saliency_sigma), luma.max_val)
         for luma in lumas
     )
-    binary = binary_weight_maps(saliencies)
+    binary = WeightStack(
+        maps=tuple(Image(m, 1.0) for m in reference_binary_weight_maps([s.plane() for s in saliencies])),
+        kind="binary",
+    )
 
     def refine(params):
         maps = []

@@ -14,6 +14,7 @@ from lepfuse import (
     lep_filter_guided,
 )
 
+from lepfuse.filters import _STRIP_ROWS
 from oracles import (
     constant_image,
     lep_oracle,
@@ -209,14 +210,19 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (20, 31), (64, 64)])
-@pytest.mark.parametrize("radius", [1, 3, 15])
+TALLER = 5 * _STRIP_ROWS + 3
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (20, 31), (64, 64), (TALLER, 13), (TALLER, 1), (1, TALLER)])
+@pytest.mark.parametrize("radius", [1, 3, 15, 40])
 def test_fit_core_bitwise_equal_reference(shape, radius):
-    """The buffered fit core performs the allocating reference's operations
-    in the same order, so every output bit agrees.  The inputs mix flat
+    """The streamed fit performs the allocating reference's operations in
+    the same order, so every output bit agrees.  The inputs mix flat
     patches (zero variance, and with alpha = 0 a zero denominator) with
-    noise; radius 15 exceeds every side but the 64x64 one; beta 0.5 takes
-    numpy's general power loop instead of a scalar-power fast path."""
+    noise; radius 15 exceeds every side but the 64x64 one and radius 40
+    exceeds a strip; the tall shapes run both window-mean streams over
+    several strips; beta 0.5 takes numpy's general power loop instead of a
+    scalar-power fast path."""
     rng = np.random.default_rng(shape[0] * 1000 + shape[1] * 10 + radius)
     p = rng.uniform(0, 1, shape)
     guide = rng.uniform(0, 255, shape)

@@ -35,5 +35,8 @@ def test_box_filter_timing_runs(capsys):
     assert lines[3].startswith("normalize_weights 2 maps: ")
     assert lines[3].endswith(" ms")
     assert lines[4].startswith("refine_weights 2 maps radius 15 alpha 0.3: ")
-    assert lines[4].endswith(" ms")
+    timing, peak = lines[4].split(", ")
+    assert timing.endswith(" ms")
+    assert peak.startswith("peak ") and peak.endswith(" planes")
+    assert float(peak.split()[1]) >= 2.0  # the two output maps
     assert [line.split()[0] for line in lines[6:]] == ["1", "2"]
