@@ -12,6 +12,7 @@ from :func:`lepfuse.filters.laplacian_filter`; it is not configurable.
 """
 
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,14 +211,15 @@ def _saliency(out: np.ndarray, plane: np.ndarray, kernel: np.ndarray, work: tupl
 
 
 def _saliency_maps(guides, config: FusionConfig) -> list:
-    # One (h, w, 1) saliency array per guide plane, on threads.
+    # One (h, w, 1) saliency array per guide plane, one plane per process.
     h, w = guides[0].shape
     kernel = _gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
     outs = [np.empty((h, w, 1)) for _ in guides]
-    _each_on_threads(
+    _each_in_processes(
         len(guides),
         lambda: _saliency_workspace(w, config.saliency_radius),
-        lambda n, work: _saliency(outs[n][:, :, 0], guides[n], kernel, work),
+        lambda n, out, work: _saliency(out, guides[n], kernel, work),
+        [out[:, :, 0] for out in outs],
     )
     return outs
 
@@ -284,41 +286,82 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _each_on_threads(count: int, workspace, job) -> None:
-    # Runs job(n, work) for every n < count on min(count, usable CPUs)
-    # threads.  Thread j takes n = j, j + threads, ... in its own ``work``,
-    # which this thread builds with workspace() beforehand, so the threads
-    # allocate no large arrays of their own.  Every future's result is read,
-    # so an exception in a job is raised here.
+def _each_in_processes(count: int, workspace, job, outs) -> None:
+    # Runs job(n, out, work) for every n < count so that outs[n] ends up
+    # holding what the job wrote into ``out``.  With os.fork, more than one
+    # usable CPU and no other thread running, the jobs are split over
+    # min(count, usable CPUs) processes: this one takes n = 0, W, 2W, ...
+    # straight into outs[n], and forked child j takes n = j, j + W, ...
+    # into shared buffers that this process copies into outs[n] once every
+    # child has exited.  Each process builds its own ``work`` with
+    # workspace().  A child reads the arrays as they were at the fork, so a
+    # job may write over its inputs.
+    #
+    # Processes, not threads: the strip-wise stages make numpy calls of
+    # tens of microseconds, so threads wait on each other's interpreter
+    # lock for a share of the time that swings with the load on the host.
+    # On a 2-vCPU Xeon VM, refining two 2048^2 maps at both radii took
+    # 1.4-2.7 s on two threads from run to run, 1.9-2.5 s on one, and
+    # 1.0-1.4 s in two processes.  Forked, not spawned: a spawned worker
+    # imports numpy and lepfuse afresh (about 0.2 s) and needs its inputs
+    # copied, which costs more than the whole stage at 512^2.  A fork with
+    # other Python threads alive could deadlock, hence the fallback; the
+    # child only runs numpy's elementwise loops and never returns into the
+    # caller's frames.
     workers = min(count, _usable_cpus())
-    works = [workspace() for _ in range(workers)]
-
-    def share(worker):
-        for n in range(worker, count, workers):
-            job(n, works[worker])
-
-    if workers == 1:
-        share(0)
+    if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        work = workspace()
+        for n in range(count):
+            job(n, outs[n], work)
         return
-    from concurrent.futures import ThreadPoolExecutor
+    import mmap
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(share, worker) for worker in range(workers)]
-        for future in futures:
-            future.result()
+    shared = {n: mmap.mmap(-1, max(outs[n].nbytes, 1)) for n in range(count) if n % workers}
+
+    def plane(n):
+        return np.frombuffer(shared[n], dtype=outs[n].dtype, count=outs[n].size).reshape(outs[n].shape)
+
+    children = []
+    try:
+        for worker in range(1, workers):
+            pid = os.fork()
+            if pid == 0:  # the child runs its share and exits without cleanup
+                status = 1
+                try:
+                    work = workspace()
+                    for n in range(worker, count, workers):
+                        job(n, plane(n), work)
+                    status = 0
+                except BaseException:
+                    import traceback
+
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            children.append(pid)
+        work = workspace()
+        for n in range(0, count, workers):
+            job(n, outs[n], work)
+    finally:
+        failed = [pid for pid in children if os.waitpid(pid, 0)[1]]
+    if failed:
+        raise RuntimeError(f"{len(failed)} of {len(children)} worker processes failed")
+    for n, buffer in shared.items():
+        np.copyto(outs[n], plane(n))
+        buffer.close()
 
 
 def _refined(maps, guides, params: FilterParams, filter_kind: str, outs) -> None:
     # outs[n] = the fit of maps[n] on guides[n], clamped to [0, 1], one map
-    # per thread; ``outs`` may be ``maps`` itself.
+    # per process; ``outs`` may be ``maps`` itself.
     if filter_kind == "guided":
         params = _guided_params(params.radius, params.alpha)
 
-    def refine(n, work):
-        for rows in _fit(outs[n], maps[n], guides[n], params, work):
-            np.clip(outs[n][rows], 0.0, 1.0, out=outs[n][rows])
+    def refine(n, out, work):
+        for rows in _fit(out, maps[n], guides[n], params, work):
+            np.clip(out[rows], 0.0, 1.0, out=out[rows])
 
-    _each_on_threads(len(maps), lambda: _fit_work(guides[0].shape[1], params.radius), refine)
+    _each_in_processes(len(maps), lambda: _fit_work(guides[0].shape[1], params.radius), refine, outs)
 
 
 def refine_weights(
@@ -335,12 +378,14 @@ def refine_weights(
     with ``params``; "guided" applies guided_filter with ``params.radius``
     and epsilon ``params.alpha``.
 
-    The maps are refined independently on min(maps, usable CPUs) threads.
-    This thread allocates every output plane and one scratch set per
-    thread, and each output is the same, bit for bit, whatever the thread
-    count.  Each fit streams over strips of rows, so the scratch is
-    O(strip): rings of about 2r + 17 integral-image rows and a few strips
-    of 16 rows.
+    The maps are refined in min(maps, usable CPUs) processes where the
+    system can fork and no other thread is running, else one after
+    another; each output is the same, bit for bit, either way.  Each
+    process refines its maps in one scratch set of its own, and each fit
+    streams over strips of rows, so the scratch is O(strip): rings of
+    about 2r + 17 integral-image rows and a few strips of 16 rows.  A
+    forked process writes its maps into shared buffers of the output
+    size, which this process then copies into the outputs.
     """
     guides = list(guides)
     if len(guides) != len(binary.maps):
@@ -421,13 +466,13 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
     clamped to [0, max_val] at the very end; everything upstream keeps its
     raw values, which the result exposes for inspection.
 
-    Saliency and weight refinement run one source per thread on up to
-    min(sources, usable CPUs) threads.  Every stage works in strips of
-    rows with O(strip) scratch: each weight fit streams through rings of
-    integral-image rows, and each source's base and detail layers are
-    built strip by strip inside the blend.  Every field of the result is
-    the same, bit for bit, as from the public stages composed on whole
-    planes, whatever the thread count.
+    Saliency and weight refinement run one source per process in up to
+    min(sources, usable CPUs) processes (see refine_weights).  Every
+    stage works in strips of rows with O(strip) scratch: each weight fit
+    streams through rings of integral-image rows, and each source's base
+    and detail layers are built strip by strip inside the blend.  Every
+    field of the result is the same, bit for bit, as from the public
+    stages composed on whole planes, whatever the number of processes.
 
     Memory: the result holds every stage's planes.  The command line
     passes the private ``_keep_intermediates=False`` unless they are to be

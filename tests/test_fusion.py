@@ -260,17 +260,18 @@ def _refine_scratch_bytes(height, width, count, params):
 @pytest.mark.parametrize("cpus", [1, 64])
 @pytest.mark.parametrize("params", [FusionConfig().base_params, FusionConfig().detail_params])
 def test_refine_holds_strip_scratch(monkeypatch, cpus, params):
-    """Beyond its output maps, refinement holds scratch for a few strips of
-    rows per worker thread: at most 1.5 planes each at 512^2 with the
-    default radii, and no more for an image twice as tall (up to
-    interpreter bookkeeping, far below the 2 MiB of one more plane)."""
+    """Beyond its output maps, the calling process refines its share of the
+    maps in one scratch set of a few strips of rows, whatever the CPU
+    count: at most 1.5 planes at 512^2 with the default radii, and no more
+    for an image twice as tall (up to interpreter bookkeeping, far below
+    the 2 MiB of one more plane).  tracemalloc sees neither a forked
+    process's scratch nor the shared buffers it writes."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
     count, side = 2, 512
-    workers = min(count, cpus)
     before = threading.active_count()
     scratch = _refine_scratch_bytes(side, side, count, params)
     assert threading.active_count() == before
-    assert scratch / (side * side * 8) <= 1.5 * workers
+    assert scratch / (side * side * 8) <= 1.5
     assert abs(_refine_scratch_bytes(2 * side, side, count, params) - scratch) <= 64 * 1024
 
 
@@ -527,12 +528,7 @@ def _assert_fuse_matches_serial(monkeypatch, cpus, refine_filter, channels, coun
     sources = [Image(rng.uniform(0, 255, (height, 70, channels))) for _ in range(count)]
     config = FusionConfig(refine_filter=refine_filter)
     before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = _result_fields(fuse(sources, config))
-    finally:
-        sys.setswitchinterval(interval)
+    got = _result_fields(fuse(sources, config))
     assert threading.active_count() == before
     want = _serial_fuse(sources, config)
     assert got.keys() == want.keys()
@@ -548,11 +544,10 @@ def _assert_fuse_matches_serial(monkeypatch, cpus, refine_filter, channels, coun
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("count", [1, 2, 3, 5])
 def test_fuse_bit_identical_for_any_thread_count(monkeypatch, cpus, refine_filter, channels, count):
-    """One thread, or more threads than cores (up to one per source), gives
-    every FusionResult field bit for bit as the serial whole-plane
-    composition of the stages, on sources several row strips tall.  A
-    switch interval of 1 us makes the threads interleave as finely as the
-    interpreter allows."""
+    """One process, or more processes than cores (up to one per source),
+    gives every FusionResult field bit for bit as the serial whole-plane
+    composition of the stages, on sources several row strips tall, and
+    leaves no thread behind."""
     _assert_fuse_matches_serial(monkeypatch, cpus, refine_filter, channels, count, 3 * _STRIP_ROWS + 13)
 
 
@@ -571,6 +566,61 @@ def test_threaded_refine_rejects_bad_guided_config(monkeypatch):
     with pytest.raises(ValueError, match="epsilon"):
         fuse(sources, config)
     assert threading.active_count() == before
+
+
+def _job_pids(count):
+    # The pid of the process that ran each job of _each_in_processes.
+    outs = [np.zeros(2) for _ in range(count)]
+
+    def job(n, out, work):
+        out[:] = os.getpid()
+
+    lepfuse.fusion._each_in_processes(count, lambda: None, job, outs)
+    return [int(out[0]) for out in outs]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+def test_jobs_split_over_processes(monkeypatch, cpus):
+    """Job n runs in worker n mod W of W = min(jobs, CPUs) processes, this
+    one being worker 0, and every forked worker has exited afterwards."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
+    pids = _job_pids(5)
+    workers = min(5, cpus)
+    assert pids[::workers] == [os.getpid()] * len(pids[::workers])
+    assert len(set(pids)) == workers
+    assert all(pids[n] == pids[n % workers] for n in range(5))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_jobs_stay_in_process_while_a_thread_runs(monkeypatch):
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert _job_pids(3) == [os.getpid()] * 3
+    finally:
+        release.set()
+        other.join()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_failed_worker_process_raises(monkeypatch):
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    parent = os.getpid()
+
+    def job(n, out, work):
+        if os.getpid() != parent:
+            raise MemoryError("worker out of memory")
+        out[:] = 1.0
+
+    outs = [np.zeros(2) for _ in range(3)]
+    with pytest.raises(RuntimeError, match="2 of 2 worker processes failed"):
+        lepfuse.fusion._each_in_processes(3, lambda: None, job, outs)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_import_starts_no_thread():
