@@ -1,26 +1,31 @@
 #!/usr/bin/env python3
 """Window kernel timing: box filter across radii, the Gaussian filter,
-saliency, weight normalization and weight refinement.
+saliency, weight normalization, weight refinement and plain PGM decoding.
 
 The integral-image formulation should make box filter runtime flat in the
 radius.  Prints the median wall time of the saliency-sized Gaussian filter
 (radius 5, sigma 5), of saliency with the default configuration, of
 normalize_weights and of refine_weights with the default base-layer
-parameters on a seeded two-source stack, and of the box filter per radius,
-all on fixed random images, with the numpy version and CPU count in the
-header.  Every timed row follows one untimed call of the same work.  The
-refine_weights line also gives the call's tracemalloc peak in planes of
-the image size, its two output maps included.
+parameters on a seeded two-source stack, of read_image on a plain P2 file,
+and of the box filter per radius, all on fixed random images, with the
+numpy version and CPU count in the header.  Every timed row follows one
+untimed call of the same work.  The refine_weights line also gives the
+call's peak memory in planes of the image size, its two output maps
+included: the tracemalloc peak plus the shared memory maps that forked
+processes write into, which tracemalloc does not see.
 """
 
 import argparse
 import os
 import sys
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import lepfuse.fusion
 from lepfuse import (
     FusionConfig,
     Image,
@@ -29,6 +34,7 @@ from lepfuse import (
     box_mean,
     gaussian_filter,
     normalize_weights,
+    read_image,
     refine_weights,
     saliency,
 )
@@ -45,7 +51,16 @@ def median_ms(run, repeats: int) -> float:
 
 
 def traced_peak(run) -> int:
-    # Peak bytes allocated by one call, beyond what was allocated before it.
+    # Peak bytes allocated by one call, beyond what was allocated before it:
+    # the tracemalloc peak plus every shared plane the call allocates.
+    real_shared_planes, shared = lepfuse.fusion._shared_planes, []
+
+    def counted(count, shape):
+        planes = real_shared_planes(count, shape)
+        shared.extend(plane.nbytes for plane in planes)
+        return planes
+
+    lepfuse.fusion._shared_planes = counted
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
@@ -53,7 +68,8 @@ def traced_peak(run) -> int:
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak - start
+        lepfuse.fusion._shared_planes = real_shared_planes
+    return peak - start + sum(shared)
 
 
 def main(argv=None) -> int:
@@ -84,6 +100,12 @@ def main(argv=None) -> int:
     planes = traced_peak(lambda: refine_weights(binary, guides, params)) / (args.side * args.side * 8)
     print(f"refine_weights 2 maps radius {params.radius} alpha {params.alpha}: {ms:.2f} ms, "
           f"peak {planes:.2f} planes")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plain.pgm"
+        samples = rng.integers(0, 256, args.side * args.side)
+        path.write_bytes(b"P2\n%d %d\n255\n" % (args.side, args.side) + b"\n".join(b"%d" % v for v in samples))
+        ms = median_ms(lambda: read_image(path), args.repeats)
+    print(f"read_image plain P2 {args.side}x{args.side}: {ms:.2f} ms")
     print(f"{'radius':>6} {'ms':>8}")
     baseline = None
     for radius in args.radii:

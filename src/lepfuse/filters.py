@@ -208,10 +208,16 @@ def _gaussian_kernel_1d(radius: int, sigma: float) -> np.ndarray:
 # 32, 198 ms in strips of 128 and 273 ms in whole-plane passes.
 _STRIP_ROWS = 16
 
+# Bytes per scratch strip when _valid_correlate_sep sizes its own: the
+# 16 rows above at 2048 wide.  Narrower rows get taller strips, so small
+# images make fewer, longer numpy calls; the 128^2 ssim measured 6.3 ms in
+# strips of 16 rows and 3.0 ms in one strip, with the same value bits.
+_STRIP_BYTES = _STRIP_ROWS * 2048 * 8
 
-def _strips(height: int):
-    # Row slices of at most _STRIP_ROWS rows that cover ``height`` rows.
-    return (slice(i, min(i + _STRIP_ROWS, height)) for i in range(0, height, _STRIP_ROWS))
+
+def _strips(height: int, rows: int = _STRIP_ROWS):
+    # Row slices of at most ``rows`` rows that cover ``height`` rows.
+    return (slice(i, min(i + rows, height)) for i in range(0, height, rows))
 
 
 def _valid_correlate_sep(arr: np.ndarray, kernel: np.ndarray, out: np.ndarray = None,
@@ -222,16 +228,19 @@ def _valid_correlate_sep(arr: np.ndarray, kernel: np.ndarray, out: np.ndarray = 
     # strip, then the column pass sums into the matching rows of ``out``,
     # with the second scratch strip holding each weighted tap.  Both sums
     # start from zero and add the taps in kernel order, so every sample is
-    # the same as from whole-plane passes.  ``scratch`` is an optional
-    # (2, >= _STRIP_ROWS) + arr.shape[1:] buffer.
+    # the same as from whole-plane passes, whatever the strip height.
+    # ``scratch`` is an optional (2, strip rows) + arr.shape[1:] buffer;
+    # without it the strips hold at least _STRIP_ROWS rows and about
+    # _STRIP_BYTES each.
     radius = len(kernel) // 2
     h, w = arr.shape[:2]
     oh, ow = h - 2 * radius, w - 2 * radius
     if out is None:
         out = np.empty((oh, ow) + arr.shape[2:])
     if scratch is None:
-        scratch = np.empty((2, min(oh, _STRIP_ROWS)) + arr.shape[1:])
-    for rows in _strips(oh):
+        rows = max(_STRIP_ROWS, _STRIP_BYTES // (8 * arr[0].size))
+        scratch = np.empty((2, min(oh, rows)) + arr.shape[1:])
+    for rows in _strips(oh, scratch.shape[1]):
         n = rows.stop - rows.start
         acc, tmp = scratch[0, :n], scratch[1, :n]
         acc.fill(0.0)

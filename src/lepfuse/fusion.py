@@ -11,6 +11,7 @@ The Laplacian used by the saliency measure is the fixed 4-neighbor kernel
 from :func:`lepfuse.filters.laplacian_filter`; it is not configurable.
 """
 
+import mmap
 import os
 import threading
 from dataclasses import dataclass, field
@@ -214,7 +215,7 @@ def _saliency_maps(guides, config: FusionConfig) -> list:
     # One (h, w, 1) saliency array per guide plane, one plane per process.
     h, w = guides[0].shape
     kernel = _gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
-    outs = [np.empty((h, w, 1)) for _ in guides]
+    outs = _shared_planes(len(guides), (h, w, 1))
     _each_in_processes(
         len(guides),
         lambda: _saliency_workspace(w, config.saliency_radius),
@@ -286,16 +287,32 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _shared_planes(count: int, shape: tuple) -> list:
+    # ``count`` float64 arrays of ``shape`` in anonymous shared memory maps,
+    # which processes forked later write into in place.  tracemalloc does
+    # not see them.
+    size = int(np.prod(shape))
+    return [np.frombuffer(mmap.mmap(-1, 8 * size), count=size).reshape(shape) for _ in range(count)]
+
+
+def _is_shared(arr: np.ndarray) -> bool:
+    # Whether ``arr`` is a view of a _shared_planes array.
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return isinstance(arr, memoryview) and isinstance(arr.obj, mmap.mmap)
+
+
 def _each_in_processes(count: int, workspace, job, outs) -> None:
-    # Runs job(n, out, work) for every n < count so that outs[n] ends up
-    # holding what the job wrote into ``out``.  With os.fork, more than one
-    # usable CPU and no other thread running, the jobs are split over
-    # min(count, usable CPUs) processes: this one takes n = 0, W, 2W, ...
-    # straight into outs[n], and forked child j takes n = j, j + W, ...
-    # into shared buffers that this process copies into outs[n] once every
-    # child has exited.  Each process builds its own ``work`` with
-    # workspace().  A child reads the arrays as they were at the fork, so a
-    # job may write over its inputs.
+    # Runs job(n, outs[n], work) for every n < count.  Each outs[n] must be
+    # a view of a _shared_planes array, else ValueError: a forked process
+    # writing a private array would write its own copy, and the result
+    # would be lost.  With os.fork, more than one usable CPU and no other
+    # thread running, the jobs are split over min(count, usable CPUs)
+    # processes: this one takes n = 0, W, 2W, ... and forked child j takes
+    # n = j, j + W, ..., each writing straight into the shared outs[n].
+    # Each process builds its own ``work`` with workspace().  Every process
+    # sees the shared planes as they change and other arrays as they were
+    # at the fork, so job n may write over what job n alone reads.
     #
     # Processes, not threads: the strip-wise stages make numpy calls of
     # tens of microseconds, so threads wait on each other's interpreter
@@ -308,19 +325,14 @@ def _each_in_processes(count: int, workspace, job, outs) -> None:
     # other Python threads alive could deadlock, hence the fallback; the
     # child only runs numpy's elementwise loops and never returns into the
     # caller's frames.
+    if not all(_is_shared(out) for out in outs):
+        raise ValueError("every output of a job must be a view of a shared plane")
     workers = min(count, _usable_cpus())
     if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         work = workspace()
         for n in range(count):
             job(n, outs[n], work)
         return
-    import mmap
-
-    shared = {n: mmap.mmap(-1, max(outs[n].nbytes, 1)) for n in range(count) if n % workers}
-
-    def plane(n):
-        return np.frombuffer(shared[n], dtype=outs[n].dtype, count=outs[n].size).reshape(outs[n].shape)
-
     children = []
     try:
         for worker in range(1, workers):
@@ -330,7 +342,7 @@ def _each_in_processes(count: int, workspace, job, outs) -> None:
                 try:
                     work = workspace()
                     for n in range(worker, count, workers):
-                        job(n, plane(n), work)
+                        job(n, outs[n], work)
                     status = 0
                 except BaseException:
                     import traceback
@@ -346,14 +358,11 @@ def _each_in_processes(count: int, workspace, job, outs) -> None:
         failed = [pid for pid in children if os.waitpid(pid, 0)[1]]
     if failed:
         raise RuntimeError(f"{len(failed)} of {len(children)} worker processes failed")
-    for n, buffer in shared.items():
-        np.copyto(outs[n], plane(n))
-        buffer.close()
 
 
 def _refined(maps, guides, params: FilterParams, filter_kind: str, outs) -> None:
     # outs[n] = the fit of maps[n] on guides[n], clamped to [0, 1], one map
-    # per process; ``outs`` may be ``maps`` itself.
+    # per process; ``outs`` are shared planes and may be ``maps`` itself.
     if filter_kind == "guided":
         params = _guided_params(params.radius, params.alpha)
 
@@ -383,9 +392,9 @@ def refine_weights(
     another; each output is the same, bit for bit, either way.  Each
     process refines its maps in one scratch set of its own, and each fit
     streams over strips of rows, so the scratch is O(strip): rings of
-    about 2r + 17 integral-image rows and a few strips of 16 rows.  A
-    forked process writes its maps into shared buffers of the output
-    size, which this process then copies into the outputs.
+    about 2r + 17 integral-image rows and a few strips of 16 rows.  The
+    outputs live in shared memory maps, which a forked process writes in
+    place.
     """
     guides = list(guides)
     if len(guides) != len(binary.maps):
@@ -395,7 +404,7 @@ def refine_weights(
     if filter_kind not in REFINE_FILTERS:
         raise ValueError(f"filter_kind must be one of {REFINE_FILTERS}, got {filter_kind!r}")
     pairs = [_guided_planes(m, g) for m, g in zip(binary.maps, guides)]
-    outs = [np.empty(m.data.shape) for m in binary.maps]
+    outs = _shared_planes(len(binary.maps), binary.maps[0].data.shape)
     _refined([p for p, _ in pairs], [g for _, g in pairs], params, filter_kind, [out[:, :, 0] for out in outs])
     return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="refined")
 
@@ -467,12 +476,14 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
     raw values, which the result exposes for inspection.
 
     Saliency and weight refinement run one source per process in up to
-    min(sources, usable CPUs) processes (see refine_weights).  Every
-    stage works in strips of rows with O(strip) scratch: each weight fit
-    streams through rings of integral-image rows, and each source's base
-    and detail layers are built strip by strip inside the blend.  Every
-    field of the result is the same, bit for bit, as from the public
-    stages composed on whole planes, whatever the number of processes.
+    min(sources, usable CPUs) processes (see refine_weights), which write
+    the saliency and refined weight maps in place in shared memory maps.
+    Every stage works in strips of rows with O(strip) scratch: each
+    weight fit streams through rings of integral-image rows, and each
+    source's base and detail layers are built strip by strip inside the
+    blend.  Every field of the result is the same, bit for bit, as from
+    the public stages composed on whole planes, whatever the number of
+    processes.
 
     Memory: the result holds every stage's planes.  The command line
     passes the private ``_keep_intermediates=False`` unless they are to be
@@ -503,7 +514,8 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
     saliencies = _saliency_maps(guides, config)
     binary = planes() if keep else saliencies
     _binary_maps([s[:, :, 0] for s in saliencies], [b[:, :, 0] for b in binary])
-    refined_base, refined_detail = planes(), planes() if keep else binary
+    refined_base = _shared_planes(len(sources), shape[:2] + (1,))
+    refined_detail = _shared_planes(len(sources), shape[:2] + (1,)) if keep else binary
     for params, outs in ((config.base_params, refined_base), (config.detail_params, refined_detail)):
         _refined([b[:, :, 0] for b in binary], guides, params, config.refine_filter, [o[:, :, 0] for o in outs])
     base_weights = planes() if keep else refined_base

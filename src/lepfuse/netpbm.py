@@ -75,8 +75,37 @@ class _Tokenizer:
         return value
 
 
+_PLAIN_BYTES = b"0123456789 \t\n\r\x0b\x0c"  # the digits, and the whitespace of bytes.isspace
+
+
+def _plain_samples(raster: bytes, count: int, maxval: int):
+    # The first ``count`` samples of a plain raster, parsed in one numpy
+    # call, or None where the tokenizer must decide: a byte other than an
+    # ASCII digit or whitespace, fewer than ``count`` samples, or one above
+    # ``maxval`` (an over-long sample saturates at the int64 maximum).  The
+    # samples are counted as digit-run starts before the parse, because
+    # np.fromstring reads a blank raster as [0], and because ``count`` comes
+    # from the header and may far exceed what the raster holds.
+    if raster.translate(None, _PLAIN_BYTES):
+        return None
+    digit = np.frombuffer(raster, dtype=np.uint8) > ord(" ")
+    tokens = int(digit[:1].sum()) + np.count_nonzero(digit[1:] > digit[:-1])
+    if tokens < count:
+        return None
+    values = np.fromstring(raster, dtype=np.int64, sep=" ")
+    if len(values) != tokens or values[:count].max() > maxval:
+        return None
+    return values[:count].astype(np.float64)
+
+
 def read_image(path) -> Image:
     """Decode a PGM or PPM file into a float image.
+
+    A plain (P2/P3) raster of ASCII digits and whitespace alone is parsed
+    in one numpy call.  One with anything else in it (a comment, a sign, a
+    sample above maxval) or too few samples is read token by token, which
+    gives the same samples for every file that decodes and the same error
+    for every file that does not.
 
     Raises OSError for unreadable paths, NetpbmUnsupportedError for magic
     numbers or maxval outside the 8-bit P2/P3/P5/P6 subset, and
@@ -103,16 +132,18 @@ def read_image(path) -> Image:
     count = width * height * channels
 
     if magic in _PLAIN_MAGICS:
-        # A sample takes at least one byte, so never allocate more samples than
-        # bytes remain; the loop reports where a too-short raster ends.
-        samples = np.empty(min(count, len(blob) - tok.pos), dtype=np.float64)
-        for i in range(count):
-            tok._skip_filler()
-            if tok.pos >= len(blob):
-                raise NetpbmParseError(
-                    f"pixel data ended early: expected {count} samples, got {i}", tok.pos
-                )
-            samples[i] = tok.next_int("sample", 0, maxval)
+        samples = _plain_samples(blob[tok.pos:], count, maxval)
+        if samples is None:
+            # A sample takes at least one byte, so never allocate more samples
+            # than bytes remain; the loop reports where a too-short raster ends.
+            samples = np.empty(min(count, len(blob) - tok.pos), dtype=np.float64)
+            for i in range(count):
+                tok._skip_filler()
+                if tok.pos >= len(blob):
+                    raise NetpbmParseError(
+                        f"pixel data ended early: expected {count} samples, got {i}", tok.pos
+                    )
+                samples[i] = tok.next_int("sample", 0, maxval)
     else:
         # Binary formats: exactly one whitespace byte separates the header
         # from the raster.

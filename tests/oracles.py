@@ -75,6 +75,25 @@ def reference_valid_correlate_sep(arr: np.ndarray, kernel: np.ndarray) -> np.nda
     return out
 
 
+def reference_ssim(pa: np.ndarray, pb: np.ndarray, max_val: float) -> float:
+    """metrics.ssim's formula over reference_valid_correlate_sep, so it
+    pins the strip-wise correlation inside ssim bit for bit."""
+    c1 = (0.01 * max_val) ** 2
+    c2 = (0.03 * max_val) ** 2
+    t = np.arange(-5, 6, dtype=np.float64)
+    kernel = np.exp(-(t * t) / (2.0 * 1.5 * 1.5))
+    kernel /= kernel.sum()
+    mu_a = reference_valid_correlate_sep(pa, kernel)
+    mu_b = reference_valid_correlate_sep(pb, kernel)
+    var_a = reference_valid_correlate_sep(pa * pa, kernel) - mu_a * mu_a
+    var_b = reference_valid_correlate_sep(pb * pb, kernel) - mu_b * mu_b
+    cov_ab = reference_valid_correlate_sep(pa * pb, kernel) - mu_a * mu_b
+    score = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov_ab + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    )
+    return float(np.mean(score))
+
+
 def reference_edge_regularizer(guide: np.ndarray, radius: int, alpha: float, beta: float) -> np.ndarray:
     """alpha * window mean of |grad|^(2 - beta), one fresh array per step."""
     padded = np.pad(guide, 1, mode="edge")

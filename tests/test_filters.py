@@ -55,16 +55,20 @@ def test_box_mean_multichannel_matches_per_channel():
 
 TALL = 2 * _STRIP_ROWS + 5  # a partial third strip of the strip-wise correlation
 TALLER = 5 * _STRIP_ROWS + 3  # enough strips for the streamed box mean's ring to wrap several times
+WIDE = 2048  # rows wide enough that the correlation's own strips hold _STRIP_ROWS rows
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (20, 31), (20, 31, 1), (1, 1, 3), (1, 9, 3), (9, 1, 3),
                                    (20, 31, 3), (TALL, 13), (TALL, 13, 1), (TALL, 13, 3),
-                                   (TALLER, 13), (TALLER, 13, 3), (TALLER, 1), (1, TALLER, 3)])
+                                   (TALLER, 13), (TALLER, 13, 3), (TALLER, 1), (1, TALLER, 3),
+                                   (TALLER, 9), (TALL, WIDE), (TALL, WIDE, 3)])
 @pytest.mark.parametrize("radius", [1, 3, 15, 40])
 def test_window_kernels_bitwise_equal_reference(shape, radius):
     # The streamed and strip-wise kernels must reproduce the straightforward
     # formulation bit for bit, including radii past a strip and past the
-    # image side (40), and outputs that span several row strips.
+    # image side (40), and outputs that span several row strips.  Narrow
+    # images run the correlation in one tall strip, WIDE ones in strips of
+    # _STRIP_ROWS rows.
     rng = np.random.default_rng(sum(shape) * 31 + radius)
     arr = rng.uniform(-50.0, 300.0, shape)
     want = reference_box_mean(arr, radius)

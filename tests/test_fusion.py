@@ -241,11 +241,13 @@ def test_refine_relocates_transition_to_guide_edge():
     assert mid_row[7] - mid_row[4] > 0.2
 
 
-def _refine_scratch_bytes(height, width, count, params):
-    # Peak traced bytes of refine_weights beyond its ``count`` output planes.
+def _refine_scratch_bytes(height, width, count, params, shared_bytes):
+    # Peak bytes of refine_weights beyond its ``count`` output planes: the
+    # traced peak plus every shared plane, which tracemalloc does not see.
     rng = np.random.default_rng(height)
     binary = binary_weight_maps([Image(rng.uniform(0, 1, (height, width))) for _ in range(count)])
     guides = [Image(rng.uniform(0, 255, (height, width))) for _ in range(count)]
+    shared_bytes.clear()
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
@@ -254,25 +256,25 @@ def _refine_scratch_bytes(height, width, count, params):
     finally:
         tracemalloc.stop()
     assert len(refined) == count
-    return peak - start - count * height * width * 8
+    return peak - start + sum(shared_bytes) - count * height * width * 8
 
 
 @pytest.mark.parametrize("cpus", [1, 64])
 @pytest.mark.parametrize("params", [FusionConfig().base_params, FusionConfig().detail_params])
-def test_refine_holds_strip_scratch(monkeypatch, cpus, params):
+def test_refine_holds_strip_scratch(monkeypatch, shared_bytes, cpus, params):
     """Beyond its output maps, the calling process refines its share of the
     maps in one scratch set of a few strips of rows, whatever the CPU
     count: at most 1.5 planes at 512^2 with the default radii, and no more
     for an image twice as tall (up to interpreter bookkeeping, far below
-    the 2 MiB of one more plane).  tracemalloc sees neither a forked
-    process's scratch nor the shared buffers it writes."""
+    the 2 MiB of one more plane).  tracemalloc sees no forked process's
+    scratch."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
     count, side = 2, 512
     before = threading.active_count()
-    scratch = _refine_scratch_bytes(side, side, count, params)
+    scratch = _refine_scratch_bytes(side, side, count, params, shared_bytes)
     assert threading.active_count() == before
     assert scratch / (side * side * 8) <= 1.5
-    assert abs(_refine_scratch_bytes(2 * side, side, count, params) - scratch) <= 64 * 1024
+    assert abs(_refine_scratch_bytes(2 * side, side, count, params, shared_bytes) - scratch) <= 64 * 1024
 
 
 def test_refine_count_mismatch():
@@ -570,7 +572,7 @@ def test_threaded_refine_rejects_bad_guided_config(monkeypatch):
 
 def _job_pids(count):
     # The pid of the process that ran each job of _each_in_processes.
-    outs = [np.zeros(2) for _ in range(count)]
+    outs = lepfuse.fusion._shared_planes(count, (2,))
 
     def job(n, out, work):
         out[:] = os.getpid()
@@ -616,11 +618,28 @@ def test_failed_worker_process_raises(monkeypatch):
             raise MemoryError("worker out of memory")
         out[:] = 1.0
 
-    outs = [np.zeros(2) for _ in range(3)]
+    outs = lepfuse.fusion._shared_planes(3, (2,))
     with pytest.raises(RuntimeError, match="2 of 2 worker processes failed"):
         lepfuse.fusion._each_in_processes(3, lambda: None, job, outs)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 64])
+def test_private_outs_rejected(monkeypatch, cpus):
+    """A forked job writing a private array would write its own copy, so
+    outputs that are not views of shared planes are refused before any
+    job runs, whether or not the jobs would fork."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
+    ran = []
+    outs = lepfuse.fusion._shared_planes(2, (4, 3, 1))
+    outs.append(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="shared plane"):
+        lepfuse.fusion._each_in_processes(3, lambda: None, lambda n, out, work: ran.append(n), outs)
+    assert ran == []
+    lepfuse.fusion._each_in_processes(2, lambda: None, lambda n, out, work: out.fill(n),
+                                      [out[:, :, 0] for out in outs[:2]])
+    assert [float(out.max()) for out in outs[:2]] == [0.0, 1.0]
 
 
 def test_import_starts_no_thread():

@@ -17,7 +17,7 @@ from lepfuse import (
     ssim,
 )
 
-from oracles import constant_image, direct_ssim
+from oracles import constant_image, direct_ssim, reference_ssim
 
 
 def test_psnr_identical_is_infinite():
@@ -91,6 +91,15 @@ def test_ssim_matches_direct_window_implementation():
     slow = direct_ssim(a.plane(), b.plane(), 255.0)
     print(f"ssim fast {fast:.12f} vs direct {slow:.12f}")
     assert fast == pytest.approx(slow, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(20, 24), (83, 11), (37, 2048)])
+def test_ssim_bitwise_equal_reference(shape):
+    # Narrow images run the correlation in one tall strip, 2048-wide ones
+    # in strips of 16 rows; the value bits are the same either way.
+    rng = np.random.default_rng(sum(shape))
+    a, b = (rng.uniform(0, 255, shape) for _ in range(2))
+    assert ssim(Image(a), Image(b)) == reference_ssim(a, b, 255.0)
 
 
 def test_ssim_bounded():

@@ -174,3 +174,102 @@ def test_malformed_inputs_raise_netpbm_errors_never_crash(tmp_path, blob):
     path.write_bytes(blob)
     with pytest.raises(NetpbmError):
         read_image(path)
+
+
+_SEPARATORS = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n", b"  \n\t"]
+_PLAIN_CASES = ["clean", "zeros", "long", "plus", "minus", "underscore", "arabic", "comment", "junk", "short",
+                "over", "empty", "blank", "extra"]
+
+
+def _plain_blob(rng, magic, case):
+    # A small plain file of one fuzz case: the header, then a raster that
+    # is clean apart from that case's feature.
+    width, height = (int(v) for v in rng.integers(1, 6, 2))
+    maxval = int(rng.choice([1, 15, 100, 255]))
+    count = width * height * (3 if magic == b"P3" else 1)
+    tokens = [b"%d" % v for v in rng.integers(0, maxval + 1, count)]
+    at = int(rng.integers(0, count))
+    if case == "zeros":
+        tokens[at] = b"0" * int(rng.integers(1, 5)) + tokens[at]
+    elif case == "long":
+        digits = int(rng.integers(17, 26))
+        tokens[at] = (b"0" * (digits - len(tokens[at])) + tokens[at] if rng.random() < 0.5
+                      else bytes(rng.integers(ord("1"), ord("9") + 1, digits).astype(np.uint8)))
+    elif case in ("plus", "minus", "underscore", "arabic"):
+        tokens[at] = {"plus": b"+5", "minus": b"-0", "underscore": b"1_0", "arabic": "٥".encode()}[case]
+    elif case == "comment":
+        tokens[at] = tokens[at] + b"# note 12 34\n"
+    elif case == "junk":
+        tokens.append(rng.choice([b"x", b"abc", b"1.5", b"\x00"]))
+    elif case == "short":
+        tokens = tokens[:int(rng.integers(0, count))]
+    elif case == "over":
+        tokens[at] = b"%d" % rng.integers(maxval + 1, 1000)
+    elif case in ("empty", "blank"):
+        tokens = []
+    elif case == "extra":
+        tokens += [b"%d" % v for v in rng.integers(0, 1000, int(rng.integers(1, 4)))]
+    seps = [_SEPARATORS[i] for i in rng.integers(0, len(_SEPARATORS), len(tokens) + 1)]
+    raster = b"".join(sep + token for sep, token in zip(seps, tokens))
+    if case == "blank":
+        raster = seps[0] * int(rng.integers(1, 4))
+    elif case != "empty" and rng.random() < 0.5:
+        raster += seps[-1]
+    return b"%s %d %d %d" % (magic, width, height, maxval) + raster
+
+
+def _decode(path):
+    # The samples of a file, or the error it raises, in comparable form.
+    try:
+        img = read_image(path)
+    except NetpbmError as err:
+        return type(err), str(err), getattr(err, "offset", None)
+    return img.data.shape, img.max_val, img.data.tobytes()
+
+
+@pytest.mark.parametrize("magic", [b"P2", b"P3"])
+def test_plain_fast_path_decodes_as_the_tokenizer(tmp_path, monkeypatch, magic):
+    """Every plain file decodes to the same sample bits, or raises the same
+    error type, message and byte offset, whether or not the numpy parse
+    is allowed.  The numpy parse takes every raster of digits and
+    whitespace with enough samples in range, extra samples after them
+    included, and declines every other."""
+    import lepfuse.netpbm
+
+    rng = np.random.default_rng(7 if magic == b"P2" else 8)
+    fast_parse, taken = lepfuse.netpbm._plain_samples, {case: set() for case in _PLAIN_CASES}
+    path = tmp_path / "fuzz.pnm"
+    for trial in range(700):
+        case = _PLAIN_CASES[trial % len(_PLAIN_CASES)]
+        path.write_bytes(_plain_blob(rng, magic, case))
+
+        def counted(*args):
+            samples = fast_parse(*args)
+            taken[case].add(samples is not None)
+            return samples
+
+        monkeypatch.setattr(lepfuse.netpbm, "_plain_samples", counted)
+        fast = _decode(path)
+        monkeypatch.setattr(lepfuse.netpbm, "_plain_samples", lambda *args: None)
+        assert fast == _decode(path), (case, path.read_bytes())
+    assert {case for case, seen in taken.items() if seen == {True}} == {"clean", "zeros", "extra"}
+    assert taken["long"] == {True, False}  # zero-padded small samples pass, big ones do not
+
+
+@pytest.mark.parametrize("magic, side", [(b"P2", 64), (b"P3", 16)])
+def test_clean_plain_raster_has_no_per_sample_tokens(tmp_path, monkeypatch, magic, side):
+    import lepfuse.netpbm
+
+    channels = 3 if magic == b"P3" else 1
+    data = np.random.default_rng(side).integers(0, 256, (side, side, channels))
+    path = tmp_path / "clean.pnm"
+    path.write_bytes(b"%s\n%d %d\n255\n" % (magic, side, side) + b"\n".join(b"%d" % v for v in data.ravel()))
+    real_next_int, calls = lepfuse.netpbm._Tokenizer.next_int, []
+
+    def counted(self, what, low, high):
+        calls.append(what)
+        return real_next_int(self, what, low, high)
+
+    monkeypatch.setattr(lepfuse.netpbm._Tokenizer, "next_int", counted)
+    assert np.array_equal(read_image(path).data, data)
+    assert calls == ["width", "height", "maxval"]
