@@ -62,23 +62,14 @@ def _anchored(body: np.ndarray, block: np.ndarray, anchor: np.ndarray, radius: i
     body[:, :, radius + w:] = body[:, :, radius + w - 1:radius + w]
 
 
-def _stream_work(width: int, radius: int, channels: int) -> tuple:
-    # Buffers for one streamed window mean at a time (see _box_means): the
-    # ring, the carried prefix row and the padded edge row, and one strip
-    # of means.
-    k, m = 2 * radius + 1, _STRIP_ROWS
-    return (np.empty((-(-(m + k) // m) * m, channels, width + k)), np.empty((2, channels, width + 2 * radius)),
-            np.empty((m, channels, width)))
-
-
-def _box_means(blocks, radius: int, work: tuple, out: np.ndarray = None):
+def _box_means(blocks, radius: int, out: np.ndarray = None):
     # Mean over (2r+1)^2 replicate-padded windows of a stream of row blocks,
     # as a generator.  Each block is an (n, channels, w) array of the next
     # input rows; the generator yields (rows, means) for consecutive output
     # rows, each row as soon as the input rows within ``radius`` below it
     # have arrived.  ``means`` has shape (n, channels, w), n <= _STRIP_ROWS,
-    # and is written into ``out[rows]`` when ``out`` is given.  ``work``
-    # comes from _stream_work and may be reused once the generator is done.
+    # and is written into ``out[rows]`` when ``out`` is given.  The
+    # generator allocates its O(strip) buffers at the first block.
     #
     # The integral image is that of the whole replicate-padded plane,
     # anchored on the first sample of each channel, so constant regions
@@ -93,12 +84,7 @@ def _box_means(blocks, radius: int, work: tuple, out: np.ndarray = None):
     # so every mean is bitwise that of the whole-plane integral image.  Each
     # row holds its channels one after another, so every pass runs along
     # whole rows.
-    ring, (carry, edge), means = work
     k, m = 2 * radius + 1, _STRIP_ROWS
-    size, w = len(ring), means.shape[2]
-    ring[-1] = 0.0
-    ring[:, :, 0] = 0.0
-    lines = list(ring[:, :, 1:])
     written = summed = 1  # integral rows written and summed; row 0 is zero
     emitted, anchor = 0, None
 
@@ -151,7 +137,12 @@ def _box_means(blocks, radius: int, work: tuple, out: np.ndarray = None):
         np.copyto(body, edge)
 
     for block in blocks:
-        if anchor is None:
+        if anchor is None:  # the ring, the carried and edge rows, and a strip of means
+            channels, w = block.shape[1:]
+            ring = np.zeros((-(-(m + k) // m) * m, channels, w + k))
+            size, lines = len(ring), list(ring[:, :, 1:])
+            carry, edge = np.empty((2, channels, w + 2 * radius))
+            means = np.empty((m, channels, w))
             anchor = block[0, :, :1].copy()
             _anchored(edge[np.newaxis], block[:1], anchor, radius)
             yield from write(radius, copies)
@@ -190,8 +181,7 @@ def box_mean(img: Image, radius: int) -> Image:
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     out = np.empty(img.data.shape)
-    _drain(_box_means(_row_blocks(img.data), radius, _stream_work(img.width, radius, img.channels),
-                      out=out.transpose(0, 2, 1)))
+    _drain(_box_means(_row_blocks(img.data), radius, out=out.transpose(0, 2, 1)))
     return Image._adopt(out, img.max_val)
 
 
@@ -208,10 +198,10 @@ def _gaussian_kernel_1d(radius: int, sigma: float) -> np.ndarray:
 # 32, 198 ms in strips of 128 and 273 ms in whole-plane passes.
 _STRIP_ROWS = 16
 
-# Bytes per scratch strip when _valid_correlate_sep sizes its own: the
-# 16 rows above at 2048 wide.  Narrower rows get taller strips, so small
-# images make fewer, longer numpy calls; the 128^2 ssim measured 6.3 ms in
-# strips of 16 rows and 3.0 ms in one strip, with the same value bits.
+# Bytes per scratch strip of _valid_correlate_sep: the 16 rows above at
+# 2048 wide.  Narrower rows get taller strips, so small images make fewer,
+# longer numpy calls; the 128^2 ssim measured 6.3 ms in strips of 16 rows
+# and 3.0 ms in one strip, with the same value bits.
 _STRIP_BYTES = _STRIP_ROWS * 2048 * 8
 
 
@@ -220,26 +210,22 @@ def _strips(height: int, rows: int = _STRIP_ROWS):
     return (slice(i, min(i + rows, height)) for i in range(0, height, rows))
 
 
-def _valid_correlate_sep(arr: np.ndarray, kernel: np.ndarray, out: np.ndarray = None,
-                         scratch: np.ndarray = None) -> np.ndarray:
+def _valid_correlate_sep(arr: np.ndarray, kernel: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     # Separable valid-mode correlation over the two spatial axes; the output
     # shrinks by 2*radius per axis.  It runs one strip of output rows at a
     # time: the row pass sums the weighted taps into the first scratch
     # strip, then the column pass sums into the matching rows of ``out``,
     # with the second scratch strip holding each weighted tap.  Both sums
     # start from zero and add the taps in kernel order, so every sample is
-    # the same as from whole-plane passes, whatever the strip height.
-    # ``scratch`` is an optional (2, strip rows) + arr.shape[1:] buffer;
-    # without it the strips hold at least _STRIP_ROWS rows and about
-    # _STRIP_BYTES each.
+    # the same as from whole-plane passes, whatever the strip height.  The
+    # strips hold at least _STRIP_ROWS rows and about _STRIP_BYTES each.
     radius = len(kernel) // 2
     h, w = arr.shape[:2]
     oh, ow = h - 2 * radius, w - 2 * radius
     if out is None:
         out = np.empty((oh, ow) + arr.shape[2:])
-    if scratch is None:
-        rows = max(_STRIP_ROWS, _STRIP_BYTES // (8 * arr[0].size))
-        scratch = np.empty((2, min(oh, rows)) + arr.shape[1:])
+    rows = max(_STRIP_ROWS, _STRIP_BYTES // (8 * arr[0].size))
+    scratch = np.empty((2, min(oh, rows)) + arr.shape[1:])
     for rows in _strips(oh, scratch.shape[1]):
         n = rows.stop - rows.start
         acc, tmp = scratch[0, :n], scratch[1, :n]
@@ -306,17 +292,7 @@ def gradient_magnitude(img: Image) -> Image:
     return Image(_gradient_magnitude(np.pad(plane, 1, mode="edge")), img.max_val)
 
 
-def _fit_work(width: int, radius: int, sums: int = 5) -> tuple:
-    # Scratch for one streamed fit at a time: a window-mean stream for the
-    # ``sums`` first-stage sums and one for slope and intercept, the
-    # edge-padded guide band, a scratch strip, the first stream's input
-    # strip and a mask strip.
-    rows = _STRIP_ROWS
-    return (_stream_work(width, radius, sums), _stream_work(width, radius, 2), np.empty((rows + 2, width + 2)),
-            np.empty((rows, width)), np.empty((rows, sums, width)), np.empty((rows, width), dtype=bool))
-
-
-def _fit(out: np.ndarray, pp: np.ndarray, gg: np.ndarray, params: FilterParams, work: tuple, coeffs=None):
+def _fit(out: np.ndarray, pp: np.ndarray, gg: np.ndarray, params: FilterParams, coeffs=None):
     # The local linear fit of pp on the guide gg, as a generator that
     # writes box_mean(slope) * gg + box_mean(intercept) into ``out`` one
     # strip of rows at a time and yields each strip's rows once written.
@@ -328,17 +304,21 @@ def _fit(out: np.ndarray, pp: np.ndarray, gg: np.ndarray, params: FilterParams, 
     # The regularizer and the variance are clamped at 0, so rounding
     # residue can never make the denominator smaller than the variance.
     # Passing one array as both pp and gg reuses the variance as the
-    # covariance (``work`` then from _fit_work(..., sums=3)).  ``coeffs``,
-    # if given, is four planes that receive a, b and their window means.
+    # covariance.  ``coeffs``, if given, is four planes that receive a, b
+    # and their window means.
     #
     # Two window-mean streams run as a pipeline: the first takes the sums
     # |grad gg|^(2 - beta), gg, gg^2 (and pp, gg * pp) of each input strip
     # as channels, the second takes a and b of each strip the first
     # completes, r rows behind.  ``out`` may be ``pp``: output row i is
     # written only after every input row up to i + 2r has been read.
-    first, second, band, tmp, block, mask_buf = work
     h, w = gg.shape
     same = pp is gg
+    # The edge-padded guide band, a scratch strip, the first stream's input
+    # strip and a mask strip.
+    m = min(h, _STRIP_ROWS)
+    band, tmp, block = np.empty((m + 2, w + 2)), np.empty((m, w)), np.empty((m, 3 if same else 5, w))
+    mask_buf = np.empty((m, w), dtype=bool)
 
     def sums():
         for rows in _strips(h):
@@ -363,7 +343,7 @@ def _fit(out: np.ndarray, pp: np.ndarray, gg: np.ndarray, params: FilterParams, 
 
     def coefficients():
         # a and b of each strip, written over the strip's first two means.
-        for rows, means in _box_means(sums(), params.radius, first):
+        for rows, means in _box_means(sums(), params.radius):
             n = rows.stop - rows.start
             mean_g, var_g = means[:, 1], means[:, 2]
             reg = np.multiply(means[:, 0], params.alpha, out=means[:, 0])
@@ -385,7 +365,7 @@ def _fit(out: np.ndarray, pp: np.ndarray, gg: np.ndarray, params: FilterParams, 
                 np.copyto(coeffs[1][rows], intercept)
             yield means[:, :2]
 
-    for rows, means in _box_means(coefficients(), params.radius, second):
+    for rows, means in _box_means(coefficients(), params.radius):
         np.multiply(means[:, 0], gg[rows], out=out[rows])
         out[rows] += means[:, 1]
         if coeffs is not None:
@@ -415,8 +395,7 @@ def lep_filter(img: Image, params: FilterParams) -> tuple[Image, CoeffMaps]:
     """
     plane = _single_plane(img, "lep_filter")
     out, *coeffs = (np.empty(img.data.shape) for _ in range(5))
-    _drain(_fit(out[:, :, 0], plane, plane, params, _fit_work(img.width, params.radius, sums=3),
-                [c[:, :, 0] for c in coeffs]))
+    _drain(_fit(out[:, :, 0], plane, plane, params, [c[:, :, 0] for c in coeffs]))
     slope, intercept, slope_mean, intercept_mean = coeffs
     maps = CoeffMaps(
         slope=Image._adopt(slope, 1.0),
@@ -457,7 +436,7 @@ def lep_filter_guided(p: Image, guide: Image, params: FilterParams) -> Image:
     """
     pp, gg = _guided_planes(p, guide)
     out = np.empty(p.data.shape)
-    _drain(_fit(out[:, :, 0], pp, gg, params, _fit_work(p.width, params.radius)))
+    _drain(_fit(out[:, :, 0], pp, gg, params))
     return Image._adopt(out, p.max_val)
 
 

@@ -24,13 +24,11 @@ from .filters import (
     _box_means,
     _drain,
     _fit,
-    _fit_work,
     _gaussian_kernel_1d,
     _guided_params,
     _guided_planes,
     _laplacian_rows,
     _row_blocks,
-    _stream_work,
     _strips,
     _valid_correlate_sep,
 )
@@ -152,8 +150,7 @@ def _layers(data: np.ndarray, radius: int, planes=None):
     # strips land in ``planes`` (base, detail) when given, else in scratch.
     base_plane, detail_plane = (None, None) if planes is None else planes
     scratch = np.empty((min(len(data), _STRIP_ROWS),) + data.shape[1:]) if planes is None else None
-    work = _stream_work(data.shape[1], radius, data.shape[2])
-    for rows, base in _box_means(_row_blocks(data), radius, work,
+    for rows, base in _box_means(_row_blocks(data), radius,
                                  out=None if base_plane is None else base_plane.transpose(0, 2, 1)):
         base = base.transpose(0, 2, 1)
         detail = scratch[:len(base)] if detail_plane is None else detail_plane[rows]
@@ -174,54 +171,20 @@ def decompose(src: Image, avg_filter_size: int = FusionConfig.avg_filter_size) -
     return LayerPair(base=Image._adopt(base, src.max_val), detail=Image._adopt(detail, src.max_val))
 
 
-def _saliency_workspace(width: int, radius: int) -> tuple:
-    # Strip buffers for one saliency map at a time: the edge-padded source
-    # rows, the edge-padded response strip and the correlation scratch,
-    # whose first strip also holds the Laplacian's scratch.
-    rows = _STRIP_ROWS + 2 * radius
-    return (np.empty((rows + 2, width + 2)), np.empty((rows, width + 2 * radius)),
-            np.empty((2, rows, width + 2 * radius)))
-
-
-def _saliency(out: np.ndarray, plane: np.ndarray, kernel: np.ndarray, work: tuple) -> np.ndarray:
-    # The Gaussian-blurred |Laplacian| of ``plane``, both edge-padded, one
-    # strip of output rows at a time.  Each strip needs the response rows
-    # within ``radius`` of it, clipped at the borders and edge-padded past
-    # them, and those need one more source row on each side.
-    band, response, scratch = work
-    radius = len(kernel) // 2
-    h, w = plane.shape
-    for rows in _strips(h):
-        lo, hi = max(rows.start - radius, 0), min(rows.stop + radius, h)
-        src = band[:hi - lo + 2]
-        src[1:-1, 1:-1] = plane[lo:hi]
-        src[0, 1:-1] = plane[max(lo - 1, 0)]
-        src[-1, 1:-1] = plane[min(hi, h - 1)]
-        src[:, 0] = src[:, 1]
-        src[:, -1] = src[:, -2]
-        strip = response[:rows.stop - rows.start + 2 * radius]
-        top = lo - rows.start + radius
-        body = strip[top:top + hi - lo, radius:radius + w]
-        np.abs(_laplacian_rows(src, body, scratch[0, :hi - lo, :w]), out=body)
-        strip[:top, radius:radius + w] = body[0]
-        strip[top + hi - lo:, radius:radius + w] = body[-1]
-        strip[:, :radius] = strip[:, radius:radius + 1]
-        strip[:, radius + w:] = strip[:, radius + w - 1:radius + w]
-        _valid_correlate_sep(strip, kernel, out=out[rows], scratch=scratch)
-    return out
+def _saliency(out: np.ndarray, plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    # The Gaussian-blurred |Laplacian| of ``plane``, both edge-padded,
+    # written into ``out``, which holds the response in between.
+    _laplacian_rows(np.pad(plane, 1, mode="edge"), out, np.empty_like(out))
+    np.abs(out, out=out)
+    return _valid_correlate_sep(np.pad(out, len(kernel) // 2, mode="edge"), kernel, out=out)
 
 
 def _saliency_maps(guides, config: FusionConfig) -> list:
     # One (h, w, 1) saliency array per guide plane, one plane per process.
-    h, w = guides[0].shape
     kernel = _gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
-    outs = _shared_planes(len(guides), (h, w, 1))
-    _each_in_processes(
-        len(guides),
-        lambda: _saliency_workspace(w, config.saliency_radius),
-        lambda n, out, work: _saliency(out, guides[n], kernel, work),
-        [out[:, :, 0] for out in outs],
-    )
+    outs = _shared_planes(len(guides), guides[0].shape + (1,))
+    planes = [out[:, :, 0] for out in outs]
+    _each_in_processes(len(guides), lambda n: _saliency(planes[n], guides[n], kernel), planes)
     return outs
 
 
@@ -230,8 +193,10 @@ def saliency(src_luma: Image, config: FusionConfig = FusionConfig()) -> Image:
 
     The 4-neighbor Laplacian and the Gaussian of ``config.saliency_radius``
     and ``config.saliency_sigma`` both see an edge-padded input.  The map
-    is built in strips of rows with no full-size temporary, and equals the
-    whole-image laplacian_filter, abs and gaussian_filter bit for bit.
+    equals the whole-image laplacian_filter, abs and gaussian_filter bit
+    for bit; beyond it, the stage holds about two planes of scratch at a
+    time (the edge-padded source and the Laplacian's scratch, then the
+    edge-padded response).
     """
     if src_luma.channels != 1:
         raise ValueError(f"saliency requires a single-channel image, got {src_luma.channels} channels")
@@ -302,17 +267,17 @@ def _is_shared(arr: np.ndarray) -> bool:
     return isinstance(arr, memoryview) and isinstance(arr.obj, mmap.mmap)
 
 
-def _each_in_processes(count: int, workspace, job, outs) -> None:
-    # Runs job(n, outs[n], work) for every n < count.  Each outs[n] must be
-    # a view of a _shared_planes array, else ValueError: a forked process
-    # writing a private array would write its own copy, and the result
-    # would be lost.  With os.fork, more than one usable CPU and no other
-    # thread running, the jobs are split over min(count, usable CPUs)
-    # processes: this one takes n = 0, W, 2W, ... and forked child j takes
-    # n = j, j + W, ..., each writing straight into the shared outs[n].
-    # Each process builds its own ``work`` with workspace().  Every process
-    # sees the shared planes as they change and other arrays as they were
-    # at the fork, so job n may write over what job n alone reads.
+def _each_in_processes(count: int, job, outs) -> None:
+    # Runs job(n) for every n < count.  ``outs`` are every array the jobs
+    # write, and each must be a view of a _shared_planes array, else
+    # ValueError: a forked process writing a private array would write its
+    # own copy, and the result would be lost.  The jobs are split over
+    # W = min(count, usable CPUs) processes, or W = 1 without os.fork or
+    # while another thread runs: this one takes n = 0, W, 2W, ... and
+    # forked child j takes n = j, j + W, ..., each writing straight into
+    # the shared planes.  Each job allocates its own scratch.  Every
+    # process sees the shared planes as they change and other arrays as
+    # they were at the fork, so job n may write over what job n alone reads.
     #
     # Processes, not threads: the strip-wise stages make numpy calls of
     # tens of microseconds, so threads wait on each other's interpreter
@@ -327,12 +292,7 @@ def _each_in_processes(count: int, workspace, job, outs) -> None:
     # caller's frames.
     if not all(_is_shared(out) for out in outs):
         raise ValueError("every output of a job must be a view of a shared plane")
-    workers = min(count, _usable_cpus())
-    if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        work = workspace()
-        for n in range(count):
-            job(n, outs[n], work)
-        return
+    workers = min(count, _usable_cpus()) if hasattr(os, "fork") and threading.active_count() == 1 else 1
     children = []
     try:
         for worker in range(1, workers):
@@ -340,9 +300,8 @@ def _each_in_processes(count: int, workspace, job, outs) -> None:
             if pid == 0:  # the child runs its share and exits without cleanup
                 status = 1
                 try:
-                    work = workspace()
                     for n in range(worker, count, workers):
-                        job(n, outs[n], work)
+                        job(n)
                     status = 0
                 except BaseException:
                     import traceback
@@ -351,26 +310,27 @@ def _each_in_processes(count: int, workspace, job, outs) -> None:
                 finally:
                     os._exit(status)
             children.append(pid)
-        work = workspace()
         for n in range(0, count, workers):
-            job(n, outs[n], work)
+            job(n)
     finally:
         failed = [pid for pid in children if os.waitpid(pid, 0)[1]]
     if failed:
         raise RuntimeError(f"{len(failed)} of {len(children)} worker processes failed")
 
 
-def _refined(maps, guides, params: FilterParams, filter_kind: str, outs) -> None:
-    # outs[n] = the fit of maps[n] on guides[n], clamped to [0, 1], one map
-    # per process; ``outs`` are shared planes and may be ``maps`` itself.
+def _refined(maps, guides, fits, filter_kind: str) -> None:
+    # For each (params, outs) of ``fits`` in turn, outs[n] = the fit of
+    # maps[n] on guides[n], clamped to [0, 1], one source per process.
+    # The outs are shared planes; the last fit's may be ``maps`` itself.
     if filter_kind == "guided":
-        params = _guided_params(params.radius, params.alpha)
+        fits = [(_guided_params(params.radius, params.alpha), outs) for params, outs in fits]
 
-    def refine(n, out, work):
-        for rows in _fit(out, maps[n], guides[n], params, work):
-            np.clip(out[rows], 0.0, 1.0, out=out[rows])
+    def refine(n):
+        for params, outs in fits:
+            for rows in _fit(outs[n], maps[n], guides[n], params):
+                np.clip(outs[n][rows], 0.0, 1.0, out=outs[n][rows])
 
-    _each_in_processes(len(maps), lambda: _fit_work(guides[0].shape[1], params.radius), refine, outs)
+    _each_in_processes(len(maps), refine, [out for _, outs in fits for out in outs])
 
 
 def refine_weights(
@@ -389,12 +349,11 @@ def refine_weights(
 
     The maps are refined in min(maps, usable CPUs) processes where the
     system can fork and no other thread is running, else one after
-    another; each output is the same, bit for bit, either way.  Each
-    process refines its maps in one scratch set of its own, and each fit
-    streams over strips of rows, so the scratch is O(strip): rings of
-    about 2r + 17 integral-image rows and a few strips of 16 rows.  The
-    outputs live in shared memory maps, which a forked process writes in
-    place.
+    another; each output is the same, bit for bit, either way.  Each fit
+    streams over strips of rows and allocates its own scratch, which is
+    O(strip): rings of about 2r + 17 integral-image rows and a few strips
+    of 16 rows.  The outputs live in shared memory maps, which a forked
+    process writes in place.
     """
     guides = list(guides)
     if len(guides) != len(binary.maps):
@@ -405,7 +364,7 @@ def refine_weights(
         raise ValueError(f"filter_kind must be one of {REFINE_FILTERS}, got {filter_kind!r}")
     pairs = [_guided_planes(m, g) for m, g in zip(binary.maps, guides)]
     outs = _shared_planes(len(binary.maps), binary.maps[0].data.shape)
-    _refined([p for p, _ in pairs], [g for _, g in pairs], params, filter_kind, [out[:, :, 0] for out in outs])
+    _refined([p for p, _ in pairs], [g for _, g in pairs], [(params, [out[:, :, 0] for out in outs])], filter_kind)
     return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="refined")
 
 
@@ -478,7 +437,10 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
     Saliency and weight refinement run one source per process in up to
     min(sources, usable CPUs) processes (see refine_weights), which write
     the saliency and refined weight maps in place in shared memory maps.
-    Every stage works in strips of rows with O(strip) scratch: each
+    One job refines a source's base weights, then its detail weights, so
+    each of the two stages forks one child per extra process.  Saliency
+    works on whole planes, with about two planes of scratch per process.
+    The other stages work in strips of rows with O(strip) scratch: each
     weight fit streams through rings of integral-image rows, and each
     source's base and detail layers are built strip by strip inside the
     blend.  Every field of the result is the same, bit for bit, as from
@@ -516,8 +478,9 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
     _binary_maps([s[:, :, 0] for s in saliencies], [b[:, :, 0] for b in binary])
     refined_base = _shared_planes(len(sources), shape[:2] + (1,))
     refined_detail = _shared_planes(len(sources), shape[:2] + (1,)) if keep else binary
-    for params, outs in ((config.base_params, refined_base), (config.detail_params, refined_detail)):
-        _refined([b[:, :, 0] for b in binary], guides, params, config.refine_filter, [o[:, :, 0] for o in outs])
+    fits = ((config.base_params, refined_base), (config.detail_params, refined_detail))
+    _refined([b[:, :, 0] for b in binary], guides, [(p, [o[:, :, 0] for o in outs]) for p, outs in fits],
+             config.refine_filter)
     base_weights = planes() if keep else refined_base
     detail_weights = planes() if keep else refined_detail
     _normalized(refined_base, config.weight_floor, base_weights)

@@ -66,10 +66,9 @@ class _Tokenizer:
 
     def next_int(self, what: str, low: int, high: int) -> int:
         token, start = self.next_token(what)
-        try:
-            value = int(token)
-        except ValueError:
-            raise NetpbmParseError(f"expected integer {what}, got {token!r}", start) from None
+        if not token.isdigit():  # ASCII digits only: no sign, no underscore
+            raise NetpbmParseError(f"expected integer {what}, got {token!r}", start)
+        value = int(token)
         if not (low <= value <= high):
             raise NetpbmParseError(f"{what} {value} outside [{low}, {high}]", start)
         return value

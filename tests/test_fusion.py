@@ -130,6 +130,25 @@ def test_saliency_bitwise_equal_reference(height, width, radius):
     assert _same_bits(got, reference_saliency(plane, radius, 0.8 * radius))
 
 
+def test_saliency_holds_two_planes_of_scratch(shared_bytes):
+    """Beyond its output, saliency holds the edge-padded source and the
+    Laplacian's scratch plane, then the edge-padded response: at most
+    2.25 planes at 512^2."""
+    side = 512
+    src = Image(np.random.default_rng(4).uniform(0, 255, (side, side)))
+    shared_bytes.clear()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        sal = saliency(src)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    plane = side * side * 8
+    assert sal.data.nbytes == plane
+    assert (peak - start + sum(shared_bytes) - plane) / plane <= 2.25
+
+
 def test_saliency_rejects_color():
     with pytest.raises(ValueError):
         saliency(constant_image(8, 8, 3, 1.0))
@@ -570,14 +589,35 @@ def test_threaded_refine_rejects_bad_guided_config(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("keep", [True, False])
+def test_fuse_forks_twice_per_extra_process(monkeypatch, keep):
+    """fuse forks W - 1 children for saliency and W - 1 for refinement,
+    which fits both the base and the detail map in each job, with or
+    without intermediates."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    real_fork, forks = os.fork, []
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    sources = [_random_image(s, (24, 20)) for s in (1, 2, 3)]
+    fuse(sources, _keep_intermediates=keep)
+    assert len(forks) == 2 * (len(sources) - 1)
+
+
 def _job_pids(count):
     # The pid of the process that ran each job of _each_in_processes.
     outs = lepfuse.fusion._shared_planes(count, (2,))
 
-    def job(n, out, work):
-        out[:] = os.getpid()
+    def job(n):
+        outs[n][:] = os.getpid()
 
-    lepfuse.fusion._each_in_processes(count, lambda: None, job, outs)
+    lepfuse.fusion._each_in_processes(count, job, outs)
     return [int(out[0]) for out in outs]
 
 
@@ -613,14 +653,15 @@ def test_failed_worker_process_raises(monkeypatch):
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
     parent = os.getpid()
 
-    def job(n, out, work):
+    outs = lepfuse.fusion._shared_planes(3, (2,))
+
+    def job(n):
         if os.getpid() != parent:
             raise MemoryError("worker out of memory")
-        out[:] = 1.0
+        outs[n][:] = 1.0
 
-    outs = lepfuse.fusion._shared_planes(3, (2,))
     with pytest.raises(RuntimeError, match="2 of 2 worker processes failed"):
-        lepfuse.fusion._each_in_processes(3, lambda: None, job, outs)
+        lepfuse.fusion._each_in_processes(3, job, outs)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -635,10 +676,10 @@ def test_private_outs_rejected(monkeypatch, cpus):
     outs = lepfuse.fusion._shared_planes(2, (4, 3, 1))
     outs.append(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="shared plane"):
-        lepfuse.fusion._each_in_processes(3, lambda: None, lambda n, out, work: ran.append(n), outs)
+        lepfuse.fusion._each_in_processes(3, ran.append, outs)
     assert ran == []
-    lepfuse.fusion._each_in_processes(2, lambda: None, lambda n, out, work: out.fill(n),
-                                      [out[:, :, 0] for out in outs[:2]])
+    planes = [out[:, :, 0] for out in outs[:2]]
+    lepfuse.fusion._each_in_processes(2, lambda n: planes[n].fill(n), planes)
     assert [float(out.max()) for out in outs[:2]] == [0.0, 1.0]
 
 

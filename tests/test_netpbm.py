@@ -1,5 +1,7 @@
 """PGM/PPM codec: decoding, round trips, quantization, malformed inputs."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,20 @@ def test_parse_errors_carry_byte_offsets(tmp_path):
     path.write_bytes(b"P2 2 2 0 0 0 0 0")  # maxval below 1
     with pytest.raises(NetpbmParseError):
         read_image(path)
+
+
+@pytest.mark.parametrize("token", [b"+5", b"-0", b"1_0"])
+@pytest.mark.parametrize("at", range(5), ids=["width", "height", "maxval", "sample", "last-sample"])
+def test_signed_or_underscored_integers_rejected(tmp_path, at, token):
+    """Netpbm integers are ASCII digits alone, in the header and in plain
+    samples alike: a sign or an underscore is a parse error at the token."""
+    fields = [b"2", b"1", b"255", b"7", b"8"]
+    fields[at] = token
+    path = tmp_path / "signed.pgm"
+    path.write_bytes(b" ".join([b"P2"] + fields))
+    with pytest.raises(NetpbmParseError, match=f"expected integer .*, got {re.escape(repr(token))}") as info:
+        read_image(path)
+    assert info.value.offset == len(b" ".join([b"P2"] + fields[:at])) + 1
 
 
 def test_binary_sample_above_maxval_rejected(tmp_path):
