@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Window kernel timing: box filter across radii, the Gaussian filter,
-saliency, weight normalization, weight refinement and plain PGM decoding.
+saliency, weight normalization, weight refinement, a whole fuse and plain
+PGM decoding.
 
 The integral-image formulation should make box filter runtime flat in the
 radius.  Prints the median wall time of the saliency-sized Gaussian filter
 (radius 5, sigma 5), of saliency with the default configuration, of
 normalize_weights and of refine_weights with the default base-layer
-parameters on a seeded two-source stack, of read_image on a plain P2 file,
-and of the box filter per radius, all on fixed random images, with the
+parameters on a seeded two-source stack, of fuse on five seeded colour
+sources with every intermediate kept (as ``lepfuse fuse
+--dump-intermediates`` runs it), of read_image on a plain P2 file, and of
+the box filter per radius, all on fixed random images, with the
 numpy version and CPU count in the header.  Every timed row follows one
 untimed call of the same work.  The refine_weights line also gives the
 call's peak memory in planes of the image size, its two output maps
@@ -32,6 +35,7 @@ from lepfuse import (
     WeightStack,
     binary_weight_maps,
     box_mean,
+    fuse,
     gaussian_filter,
     normalize_weights,
     read_image,
@@ -100,6 +104,9 @@ def main(argv=None) -> int:
     planes = traced_peak(lambda: refine_weights(binary, guides, params)) / (args.side * args.side * 8)
     print(f"refine_weights 2 maps radius {params.radius} alpha {params.alpha}: {ms:.2f} ms, "
           f"peak {planes:.2f} planes")
+    colour = [Image(rng.uniform(0, 255, (args.side, args.side, 3))) for _ in range(5)]
+    ms = median_ms(lambda: fuse(colour), args.repeats)
+    print(f"fuse 5 colour sources, intermediates kept: {ms:.2f} ms")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plain.pgm"
         samples = rng.integers(0, 256, args.side * args.side)

@@ -15,6 +15,7 @@ import mmap
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -179,13 +180,16 @@ def _saliency(out: np.ndarray, plane: np.ndarray, kernel: np.ndarray) -> np.ndar
     return _valid_correlate_sep(np.pad(out, len(kernel) // 2, mode="edge"), kernel, out=out)
 
 
-def _saliency_maps(guides, config: FusionConfig) -> list:
-    # One (h, w, 1) saliency array per guide plane, one plane per process.
+def _saliency_maps(guides, config: FusionConfig, jobs=(), outs=()) -> list:
+    # One (h, w, 1) saliency array per guide plane, one plane per job.  The
+    # callables ``jobs``, which write only the shared planes ``outs``, come
+    # first in the same forked stage.
     kernel = _gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
-    outs = _shared_planes(len(guides), guides[0].shape + (1,))
-    planes = [out[:, :, 0] for out in outs]
-    _each_in_processes(len(guides), lambda n: _saliency(planes[n], guides[n], kernel), planes)
-    return outs
+    maps = _shared_planes(len(guides), guides[0].shape + (1,))
+    planes = [m[:, :, 0] for m in maps]
+    jobs = [*jobs, *(partial(_saliency, plane, guide, kernel) for plane, guide in zip(planes, guides))]
+    _each_in_processes(len(jobs), lambda k: jobs[k](), [*outs, *planes])
+    return maps
 
 
 def saliency(src_luma: Image, config: FusionConfig = FusionConfig()) -> Image:
@@ -275,9 +279,15 @@ def _each_in_processes(count: int, job, outs) -> None:
     # W = min(count, usable CPUs) processes, or W = 1 without os.fork or
     # while another thread runs: this one takes n = 0, W, 2W, ... and
     # forked child j takes n = j, j + W, ..., each writing straight into
-    # the shared planes.  Each job allocates its own scratch.  Every
+    # the shared planes.  Should os.fork fail (EAGAIN, ENOMEM), this one
+    # also takes the shares of the children not started, so the outputs
+    # are the same.  Each job allocates its own scratch.  Every
     # process sees the shared planes as they change and other arrays as
     # they were at the fork, so job n may write over what job n alone reads.
+    #
+    # The split is static, so a stage keeps every process busy only when
+    # its jobs cost about the same: fuse hands out one job per weight fit
+    # where it can (see _refined).
     #
     # Processes, not threads: the strip-wise stages make numpy calls of
     # tens of microseconds, so threads wait on each other's interpreter
@@ -296,7 +306,10 @@ def _each_in_processes(count: int, job, outs) -> None:
     children = []
     try:
         for worker in range(1, workers):
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                break
             if pid == 0:  # the child runs its share and exits without cleanup
                 status = 1
                 try:
@@ -310,8 +323,9 @@ def _each_in_processes(count: int, job, outs) -> None:
                 finally:
                     os._exit(status)
             children.append(pid)
-        for n in range(0, count, workers):
-            job(n)
+        for n in range(count):
+            if n % workers == 0 or n % workers > len(children):
+                job(n)
     finally:
         failed = [pid for pid in children if os.waitpid(pid, 0)[1]]
     if failed:
@@ -319,18 +333,25 @@ def _each_in_processes(count: int, job, outs) -> None:
 
 
 def _refined(maps, guides, fits, filter_kind: str) -> None:
-    # For each (params, outs) of ``fits`` in turn, outs[n] = the fit of
-    # maps[n] on guides[n], clamped to [0, 1], one source per process.
-    # The outs are shared planes; the last fit's may be ``maps`` itself.
+    # For each (params, outs) of ``fits``, outs[n] = the fit of maps[n] on
+    # guides[n], clamped to [0, 1].  The outs are shared planes; the last
+    # fit's outs[n] may be maps[n] itself.  Each fit is a job of its own,
+    # in fit-major order, except that a source whose map some fit writes
+    # over is one job that runs its fits in order, so that every fit has
+    # read the map before it is overwritten.
     if filter_kind == "guided":
         fits = [(_guided_params(params.radius, params.alpha), outs) for params, outs in fits]
+    chained = [any(np.may_share_memory(outs[n], m) for _, outs in fits) for n, m in enumerate(maps)]
+    jobs = [(n, fits) for n in range(len(maps)) if chained[n]]
+    jobs += [(n, [fit]) for fit in fits for n in range(len(maps)) if not chained[n]]
 
-    def refine(n):
-        for params, outs in fits:
+    def refine(k):
+        n, chain = jobs[k]
+        for params, outs in chain:
             for rows in _fit(outs[n], maps[n], guides[n], params):
                 np.clip(outs[n][rows], 0.0, 1.0, out=outs[n][rows])
 
-    _each_in_processes(len(maps), refine, [out for _, outs in fits for out in outs])
+    _each_in_processes(len(jobs), refine, [out for _, outs in fits for out in outs])
 
 
 def refine_weights(
@@ -403,16 +424,21 @@ def normalize_weights(stack: WeightStack, weight_floor: float = FusionConfig.wei
     return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="normalized")
 
 
-def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, layers=None) -> np.ndarray:
+def _layer_strips(base: np.ndarray, detail: np.ndarray):
+    # The (rows, base, detail) strips of filled layer planes.
+    return ((rows, base[rows], detail[rows]) for rows in _strips(len(base)))
+
+
+def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, layers) -> np.ndarray:
     # sum(wb * base) + sum(wd * detail) over the sources, clipped to
-    # [0, max_val], in strips of rows.  Each source's layers are streamed
-    # alongside (see _layers), into ``layers`` (one (base, detail) pair of
-    # planes per source) when given.  Both sums start from zero and add the
-    # sources in order.
+    # [0, max_val], in strips of rows.  Each source's layers are read from
+    # ``layers``, one filled (base, detail) pair of planes per source, or,
+    # if it is empty, streamed alongside (see _layers).  Both sums start
+    # from zero and add the sources in order.
     h, w, c = sources[0].data.shape
     fused = np.empty((h, w, c))
     fb, fd, tmp = np.empty((3, min(h, _STRIP_ROWS), w, c))
-    streams = [_layers(src.data, radius, None if layers is None else layers[n]) for n, src in enumerate(sources)]
+    streams = [_layer_strips(*pair) for pair in layers] or [_layers(src.data, radius) for src in sources]
     for strips in zip(*streams):
         rows = strips[0][0]
         n = rows.stop - rows.start
@@ -434,18 +460,20 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
     clamped to [0, max_val] at the very end; everything upstream keeps its
     raw values, which the result exposes for inspection.
 
-    Saliency and weight refinement run one source per process in up to
-    min(sources, usable CPUs) processes (see refine_weights), which write
-    the saliency and refined weight maps in place in shared memory maps.
-    One job refines a source's base weights, then its detail weights, so
-    each of the two stages forks one child per extra process.  Saliency
-    works on whole planes, with about two planes of scratch per process.
-    The other stages work in strips of rows with O(strip) scratch: each
-    weight fit streams through rings of integral-image rows, and each
-    source's base and detail layers are built strip by strip inside the
-    blend.  Every field of the result is the same, bit for bit, as from
-    the public stages composed on whole planes, whatever the number of
-    processes.
+    Saliency and weight refinement are forked stages: each splits its jobs
+    over min(jobs, usable CPUs) processes (see refine_weights), which
+    write their planes in place in shared memory maps.  With the
+    intermediates kept, each stage has two jobs per source: the first
+    builds each source's base and detail layers beside its saliency map,
+    the second fits each base and each detail weight map on its own.
+    Without them, each has one job per source, which refines the base
+    weights and then the detail weights over the binary map, and the
+    blend builds the layers strip by strip.  Saliency works on whole
+    planes, with about two planes of scratch per process; the other
+    stages work in strips of rows with O(strip) scratch, and each weight
+    fit streams through rings of integral-image rows.  Every field of the
+    result is the same, bit for bit, as from the public stages composed on
+    whole planes, whatever the number of processes.
 
     Memory: the result holds every stage's planes.  The command line
     passes the private ``_keep_intermediates=False`` unless they are to be
@@ -469,11 +497,15 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
     keep = _keep_intermediates
     lumas = [_luma(src) for src in sources]
     guides = [luma.plane() for luma in lumas]
+    radius = (config.avg_filter_size - 1) // 2
+    layers = [_shared_planes(2, shape) for _ in sources] if keep else []
 
     def planes():
         return [np.empty(shape[:2] + (1,)) for _ in sources]
 
-    saliencies = _saliency_maps(guides, config)
+    # Kept layers depend only on the sources: one job each beside saliency.
+    fills = [partial(_drain, _layers(src.data, radius, pair)) for src, pair in zip(sources, layers)]
+    saliencies = _saliency_maps(guides, config, fills, [plane for pair in layers for plane in pair])
     binary = planes() if keep else saliencies
     _binary_maps([s[:, :, 0] for s in saliencies], [b[:, :, 0] for b in binary])
     refined_base = _shared_planes(len(sources), shape[:2] + (1,))
@@ -485,9 +517,7 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
     detail_weights = planes() if keep else refined_detail
     _normalized(refined_base, config.weight_floor, base_weights)
     _normalized(refined_detail, config.weight_floor, detail_weights)
-    layers = [(np.empty(shape), np.empty(shape)) for _ in sources] if keep else None
-    fused = Image._adopt(_blend(sources, base_weights, detail_weights, (config.avg_filter_size - 1) // 2,
-                                max_val, layers), max_val)
+    fused = Image._adopt(_blend(sources, base_weights, detail_weights, radius, max_val, layers), max_val)
     if not keep:
         return FusionResult(fused=fused)
 

@@ -5,6 +5,8 @@ file cannot be read, 2 when validation fails.  Non-zero exits must leave
 no output files behind.
 """
 
+import errno
+import os
 import threading
 import tracemalloc
 
@@ -151,7 +153,7 @@ def test_fuse_dump_intermediates_file_count(workdir):
             assert f"dumped_{tag}_{n}.pgm" in produced
 
 
-@pytest.mark.parametrize("cpus", [1, 64])
+@pytest.mark.parametrize("cpus", [1, 2, 64])
 @pytest.mark.parametrize("refine_filter", ["lep", "guided"])
 @pytest.mark.parametrize("count", [1, 2, 5])
 @pytest.mark.parametrize("ext", [".pgm", ".ppm"])
@@ -176,6 +178,31 @@ def test_fuse_output_same_with_and_without_intermediates(tmp_path, monkeypatch, 
         assert threading.active_count() == before
         outputs[mode] = out.read_bytes(), capsys.readouterr().out
     assert outputs["lean"] == outputs["dump"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("dump", [False, True])
+def test_fuse_survives_a_failed_fork(workdir, monkeypatch, capsys, dump):
+    """When os.fork fails, fuse runs the jobs in this process instead, and
+    exits 0 with the same files and report as with working forks."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    extra = ["--dump-intermediates"] if dump else []
+    outputs, tries = {}, []
+    for mode in ("forked", "unforked"):
+        if mode == "unforked":
+            def failing_fork():
+                tries.append(None)
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+            monkeypatch.setattr(os, "fork", failing_fork)
+        out = workdir / mode / "fused.pgm"
+        out.parent.mkdir()
+        assert main(["fuse", str(workdir / "a.pgm"), str(workdir / "b.pgm"), "-o", str(out), *extra]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
+        outputs[mode] = files, capsys.readouterr()
+    assert len(tries) == 2  # one per forked stage
+    assert len(outputs["forked"][0]) == (11 if dump else 1)
+    assert outputs["forked"] == outputs["unforked"]
 
 
 def test_lean_fuse_holds_few_planes(tmp_path, monkeypatch, shared_bytes):

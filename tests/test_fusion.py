@@ -1,9 +1,11 @@
 """Fusion pipeline stages and the end-to-end contracts."""
 
+import errno
 import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -560,15 +562,16 @@ def _assert_fuse_matches_serial(monkeypatch, cpus, refine_filter, channels, coun
             assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64)), name
 
 
-@pytest.mark.parametrize("cpus", [1, 64])
+@pytest.mark.parametrize("cpus", [1, 2, 64])
 @pytest.mark.parametrize("refine_filter", ["lep", "guided"])
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("count", [1, 2, 3, 5])
 def test_fuse_bit_identical_for_any_thread_count(monkeypatch, cpus, refine_filter, channels, count):
-    """One process, or more processes than cores (up to one per source),
-    gives every FusionResult field bit for bit as the serial whole-plane
-    composition of the stages, on sources several row strips tall, and
-    leaves no thread behind."""
+    """One process, two processes that each run several jobs (layers,
+    saliency, base and detail fits of several sources), or more processes
+    than cores (up to one per job) gives every FusionResult field bit for
+    bit as the serial whole-plane composition of the stages, on sources
+    several row strips tall, and leaves no thread behind."""
     _assert_fuse_matches_serial(monkeypatch, cpus, refine_filter, channels, count, 3 * _STRIP_ROWS + 13)
 
 
@@ -592,10 +595,10 @@ def test_threaded_refine_rejects_bad_guided_config(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("keep", [True, False])
 def test_fuse_forks_twice_per_extra_process(monkeypatch, keep):
-    """fuse forks W - 1 children for saliency and W - 1 for refinement,
-    which fits both the base and the detail map in each job, with or
-    without intermediates."""
-    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    """fuse forks min(jobs, CPUs) - 1 children for each of its two forked
+    stages.  With N = 3 sources and intermediates kept, each stage has
+    2N jobs (layers beside saliency, then one job per fit); without, N
+    (one job fits a source's base and then its detail map)."""
     real_fork, forks = os.fork, []
 
     def counted_fork():
@@ -606,8 +609,75 @@ def test_fuse_forks_twice_per_extra_process(monkeypatch, keep):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     sources = [_random_image(s, (24, 20)) for s in (1, 2, 3)]
-    fuse(sources, _keep_intermediates=keep)
-    assert len(forks) == 2 * (len(sources) - 1)
+    for cpus, want in ((64, 10 if keep else 4), (2, 2)):
+        monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
+        forks.clear()
+        fuse(sources, _keep_intermediates=keep)
+        assert len(forks) == want, cpus
+
+
+def _stage_counts(monkeypatch):
+    # The job count of every _each_in_processes call, in call order.
+    real, counts = lepfuse.fusion._each_in_processes, []
+
+    def counted(count, job, outs):
+        counts.append(count)
+        return real(count, job, outs)
+
+    monkeypatch.setattr(lepfuse.fusion, "_each_in_processes", counted)
+    return counts
+
+
+def _fit_log(monkeypatch, sources):
+    # A shared (2, N, 3) plane that receives, for fit f (0 base, 1 detail)
+    # of gray source n, the pid that ran it and its start and end times.
+    log = lepfuse.fusion._shared_planes(1, (2, len(sources), 3))[0]
+    real, base_radius = lepfuse.fusion._fit, FusionConfig().base_params.radius
+
+    def logged(out, pp, gg, params, coeffs=None):
+        entry = log[int(params.radius != base_radius),
+                    next(n for n, src in enumerate(sources) if np.shares_memory(gg, src.data))]
+        entry[:2] = os.getpid(), time.perf_counter()
+        yield from real(out, pp, gg, params, coeffs)
+        entry[2] = time.perf_counter()
+
+    monkeypatch.setattr(lepfuse.fusion, "_fit", logged)
+    return log
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_stages_split_jobs_by_fit(monkeypatch):
+    """Kept intermediates give each forked stage 2N jobs (each source's
+    layers beside its saliency, then one job per weight fit), so two
+    processes run five fits each at N = 5.  Lean mode keeps N jobs per
+    stage: its detail fit writes over the binary map that the base fit
+    reads, so both run in one process, base first.  refine_weights runs
+    one job per map."""
+    sources = [_random_image(s, (24, 20)) for s in range(5)]
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 2)
+    counts = _stage_counts(monkeypatch)
+    log = _fit_log(monkeypatch, sources)
+    fuse(sources)
+    pids = log[:, :, 0].ravel().tolist()
+    assert counts == [10, 10]
+    assert sorted(pids.count(pid) for pid in set(pids)) == [5, 5] and os.getpid() in pids
+
+    counts.clear()
+    fuse(sources, _keep_intermediates=False)
+    assert counts == [5, 5]
+
+    binary = binary_weight_maps([saliency(src) for src in sources])
+    counts.clear()
+    refine_weights(binary, sources, FusionConfig().base_params)
+    assert counts == [5]
+
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    log[:] = 0.0
+    fuse(sources[:3], _keep_intermediates=False)
+    base, detail = log[:, :3]
+    assert len(set(base[:, 0])) == 3
+    assert np.array_equal(base[:, 0], detail[:, 0])
+    assert np.all(base[:, 2] <= detail[:, 1])
 
 
 def _job_pids(count):
@@ -662,6 +732,34 @@ def test_failed_worker_process_raises(monkeypatch):
 
     with pytest.raises(RuntimeError, match="2 of 2 worker processes failed"):
         lepfuse.fusion._each_in_processes(3, job, outs)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_failed_fork_runs_the_share_here(monkeypatch):
+    """When os.fork fails, the jobs of the workers not started run in this
+    process: every job runs once, and the one child started is reaped."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    real_fork, real_waitpid, forks, reaped = os.fork, os.waitpid, [], []
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    def waitpid(pid, options):
+        reaped.append(pid)
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    pids = _job_pids(3)
+    monkeypatch.undo()
+    assert len(forks) == 2
+    assert pids[0] == pids[2] == os.getpid() != pids[1]
+    assert reaped == [pids[1]]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -39,6 +39,8 @@ def test_box_filter_timing_runs(capsys):
     assert timing.endswith(" ms")
     assert peak.startswith("peak ") and peak.endswith(" planes")
     assert float(peak.split()[1]) >= 2.0  # the two output maps
-    assert lines[5].startswith("read_image plain P2 64x64: ")
+    assert lines[5].startswith("fuse 5 colour sources, intermediates kept: ")
     assert lines[5].endswith(" ms")
-    assert [line.split()[0] for line in lines[7:]] == ["1", "2"]
+    assert lines[6].startswith("read_image plain P2 64x64: ")
+    assert lines[6].endswith(" ms")
+    assert [line.split()[0] for line in lines[8:]] == ["1", "2"]
