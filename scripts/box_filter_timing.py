@@ -8,8 +8,10 @@ radius.  Prints the median wall time of the saliency-sized Gaussian filter
 (radius 5, sigma 5), of saliency with the default configuration, of
 normalize_weights and of refine_weights with the default base-layer
 parameters on a seeded two-source stack, of fuse on five seeded colour
-sources with every intermediate kept (as ``lepfuse fuse
---dump-intermediates`` runs it), of read_image on a plain P2 file, and of
+sources with every intermediate kept (as a FusionResult caller gets it),
+of ``lepfuse fuse --dump-intermediates`` on the same five sources (read,
+fuse from the lean pipeline, and the 26 writes), of read_image on a plain
+P2 file, and of
 the box filter per radius, all on fixed random images, with the
 numpy version and CPU count in the header.  Every timed row follows one
 untimed call of the same work.  The refine_weights line also gives the
@@ -19,6 +21,8 @@ processes write into, which tracemalloc does not see.
 """
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 import tempfile
@@ -28,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+import lepfuse.cli
 import lepfuse.fusion
 from lepfuse import (
     FusionConfig,
@@ -41,6 +46,7 @@ from lepfuse import (
     read_image,
     refine_weights,
     saliency,
+    write_image,
 )
 
 
@@ -107,6 +113,19 @@ def main(argv=None) -> int:
     colour = [Image(rng.uniform(0, 255, (args.side, args.side, 3))) for _ in range(5)]
     ms = median_ms(lambda: fuse(colour), args.repeats)
     print(f"fuse 5 colour sources, intermediates kept: {ms:.2f} ms")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(Path(tmp) / f"src{n}.ppm") for n in range(len(colour))]
+        for src, path in zip(colour, paths):
+            write_image(src, path)
+        argv = ["fuse", *paths, "-o", str(Path(tmp) / "fused.ppm"), "--dump-intermediates"]
+
+        def dump():
+            with contextlib.redirect_stdout(io.StringIO()):  # the report lines
+                if lepfuse.cli.main(argv) != 0:
+                    raise RuntimeError("lepfuse fuse --dump-intermediates failed")
+
+        ms = median_ms(dump, args.repeats)
+    print(f"CLI fuse --dump-intermediates, 5 colour sources: {ms:.2f} ms")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plain.pgm"
         samples = rng.integers(0, 256, args.side * args.side)

@@ -1,10 +1,14 @@
 """Command-line front end: fuse, zoom, decompose, metrics.
 
 Exit codes: 0 success, 1 I/O failure (unreadable/unwritable/undecodable
-files), 2 validation failure (bad arguments, dimension mismatches).  All
-validation runs before any output file is created, and every output is
-written under a temporary name and renamed into place only after all of a
-command's writes succeeded, so a non-zero exit leaves no outputs behind.
+files, or memory exhausted), 2 validation failure (bad arguments,
+dimension mismatches).  All validation, the fusion parameters' included,
+runs before any output file is created or any work is forked, and every
+output is written under a temporary name and renamed into place only
+after all of a command's writes succeeded, so a non-zero exit leaves no
+outputs behind.  ``fuse --dump-intermediates`` writes each intermediate
+as its stage ends, under its temporary name, so a failure at a later
+stage removes those files too.
 """
 
 import argparse
@@ -13,11 +17,12 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import FUSE_FLAGS, CliConfig, _PARSERS, apply_values, parse_config_text, parse_rect
 from .fusion import decompose, fuse
-from .image import Image
 from .metrics import MetricsReport, psnr, report
-from .netpbm import NetpbmError, read_image, write_image
+from .netpbm import NetpbmError, _encode, _write_raster, read_image, write_image
 from .zoom import zoom_region
 
 EXIT_OK = 0
@@ -103,33 +108,60 @@ def _check_encodable(path: Path, channels: int) -> None:
         )
 
 
-def _shift_for_encoding(detail: Image) -> Image:
-    # Detail layers are signed; recenter on mid-gray so structure survives
-    # quantization.
-    return Image(detail.data + detail.max_val / 2.0, detail.max_val)
+def _encoding(kind: str, data, max_val: float):
+    # The (op, operand) that maps a dumped plane of ``kind`` onto [0,
+    # max_val] for _encode.  Detail layers are signed, so they are
+    # recentered on mid-gray; saliency is scaled by its own peak, which
+    # ``data`` must hold; weights in [0, 1] are scaled by max_val.
+    if kind == "base":
+        return None, None
+    if kind == "detail":
+        return np.add, max_val / 2.0
+    if kind == "sal":
+        peak = float(data.max())
+        return np.multiply, max_val / peak if peak > 0.0 else 0.0
+    return np.multiply, max_val
 
 
-def _scale_to_range(img: Image) -> Image:
-    peak = float(img.data.max())
-    if peak <= 0.0:
-        return Image(img.data * 0.0, img.max_val)
-    return Image(img.data * (img.max_val / peak), img.max_val)
+def _dump_writer(write, out_path: Path, shape: tuple, max_val: float):
+    # The _dump hook of fuse for --dump-intermediates: each plane is
+    # quantized as it arrives into a uint8 raster, which goes to ``write``
+    # once its last row is in, as <stem>_<kind>_<n>.
+    rasters, maxval = {}, int(max_val)
+    stem = out_path.with_suffix("")
+    layer_ext = ".pgm" if shape[2] == 1 else ".ppm"
+
+    def dump(kind: str, n: int, rows: slice, data) -> None:
+        if (kind, n) not in rasters:
+            rasters[kind, n] = np.empty(shape[:2] + data.shape[2:], dtype=np.uint8)
+        _encode(data, maxval, rasters[kind, n][rows], *_encoding(kind, data, max_val))
+        if rows.stop == shape[0]:
+            ext = layer_ext if kind in ("base", "detail") else ".pgm"
+            write(rasters.pop((kind, n)), stem.with_name(f"{stem.name}_{kind}_{n + 1}{ext}"), maxval)
+
+    return dump
 
 
 @contextlib.contextmanager
 def _atomic_outputs():
-    """Yields write(img, path); the files appear only if the block succeeds.
+    """Yields write(img, path, maxval=None); the files appear only if the
+    block succeeds.
 
-    Each image goes to a hidden temporary file beside its target.  On
-    success every temporary file is renamed onto its target; on any failure
-    the temporary files, and targets already renamed, are removed.
+    ``img`` is an Image, or with ``maxval`` a uint8 raster from
+    netpbm._encode.  Each goes to a hidden temporary file beside its
+    target.  On success every temporary file is renamed onto its target;
+    on any failure the temporary files, and targets already renamed, are
+    removed.
     """
     pending, done = [], []
 
-    def write(img: Image, path: Path) -> None:
+    def write(img, path: Path, maxval: int = None) -> None:
         tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp{path.suffix}")
         pending.append((tmp, path))
-        write_image(img, tmp)
+        if maxval is None:
+            write_image(img, tmp)
+        else:
+            _write_raster(img, maxval, tmp)
 
     try:
         yield write
@@ -157,23 +189,13 @@ def _cmd_fuse(args, cfg: CliConfig) -> int:
     out_path = _resolve_output(args, cfg)
     _check_encodable(out_path, sources[0].channels)
 
-    # Intermediates are kept only when they are to be written.
-    result = fuse(sources, fusion_config, _keep_intermediates=bool(cfg.dump_intermediates))
+    # fuse keeps no intermediates; the dumped ones are written as their
+    # stages end, so fuse runs inside the block that removes them on failure.
     with _atomic_outputs() as write:
-        write(result.fused, out_path)
-        if cfg.dump_intermediates:
-            layer_ext = ".pgm" if sources[0].channels == 1 else ".ppm"
-            for n, (pair, sal, wb, wd) in enumerate(
-                zip(result.layers, result.saliencies, result.base_weights.maps, result.detail_weights.maps),
-                start=1,
-            ):
-                stem = out_path.with_suffix("")
-                write(pair.base, stem.with_name(f"{stem.name}_base_{n}{layer_ext}"))
-                write(_shift_for_encoding(pair.detail), stem.with_name(f"{stem.name}_detail_{n}{layer_ext}"))
-                write(_scale_to_range(sal), stem.with_name(f"{stem.name}_sal_{n}.pgm"))
-                write(Image(wb.data * result.fused.max_val, result.fused.max_val), stem.with_name(f"{stem.name}_wb_{n}.pgm"))
-                write(Image(wd.data * result.fused.max_val, result.fused.max_val), stem.with_name(f"{stem.name}_wd_{n}.pgm"))
-    for line in report(result.fused, None, cfg.naturalness_priors()).to_lines():
+        dump = _dump_writer(write, out_path, first_shape, sources[0].max_val) if cfg.dump_intermediates else None
+        fused = fuse(sources, fusion_config, _keep_intermediates=False, _dump=dump).fused
+        write(fused, out_path)
+    for line in report(fused, None, cfg.naturalness_priors()).to_lines():
         print(line)
     return EXIT_OK
 
@@ -208,9 +230,11 @@ def _cmd_decompose(args, cfg: CliConfig) -> int:
     pair = decompose(img, cfg.avg_filter_size)
     stem = out_path.with_suffix("")
     suffix = out_path.suffix
+    detail = np.empty(img.data.shape, dtype=np.uint8)
+    _encode(pair.detail.data, int(img.max_val), detail, *_encoding("detail", None, img.max_val))
     with _atomic_outputs() as write:
         write(pair.base, stem.with_name(f"{stem.name}_base{suffix}"))
-        write(_shift_for_encoding(pair.detail), stem.with_name(f"{stem.name}_detail{suffix}"))
+        write(detail, stem.with_name(f"{stem.name}_detail{suffix}"), int(img.max_val))
     return EXIT_OK
 
 
@@ -243,6 +267,9 @@ def main(argv=None) -> int:
         return args.handler(args, cfg)
     except (OSError, NetpbmError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, IndexError) as err:
         print(f"error: {err}", file=sys.stderr)

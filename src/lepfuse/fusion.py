@@ -271,6 +271,9 @@ def _is_shared(arr: np.ndarray) -> bool:
     return isinstance(arr, memoryview) and isinstance(arr.obj, mmap.mmap)
 
 
+_NO_MEMORY = 3  # the exit status of a forked child that ran out of memory
+
+
 def _each_in_processes(count: int, job, outs) -> None:
     # Runs job(n) for every n < count.  ``outs`` are every array the jobs
     # write, and each must be a view of a _shared_planes array, else
@@ -300,6 +303,10 @@ def _each_in_processes(count: int, job, outs) -> None:
     # other Python threads alive could deadlock, hence the fallback; the
     # child only runs numpy's elementwise loops and never returns into the
     # caller's frames.
+    #
+    # A child that runs out of memory exits with _NO_MEMORY and prints
+    # nothing, and this process then raises MemoryError; any other failure
+    # prints the child's traceback and raises RuntimeError.
     if not all(_is_shared(out) for out in outs):
         raise ValueError("every output of a job must be a view of a shared plane")
     workers = min(count, _usable_cpus()) if hasattr(os, "fork") and threading.active_count() == 1 else 1
@@ -316,6 +323,8 @@ def _each_in_processes(count: int, job, outs) -> None:
                     for n in range(worker, count, workers):
                         job(n)
                     status = 0
+                except MemoryError:
+                    status = _NO_MEMORY
                 except BaseException:
                     import traceback
 
@@ -327,7 +336,10 @@ def _each_in_processes(count: int, job, outs) -> None:
             if n % workers == 0 or n % workers > len(children):
                 job(n)
     finally:
-        failed = [pid for pid in children if os.waitpid(pid, 0)[1]]
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    if _NO_MEMORY in statuses:
+        raise MemoryError(f"{statuses.count(_NO_MEMORY)} of {len(children)} worker processes ran out of memory")
+    failed = [status for status in statuses if status]
     if failed:
         raise RuntimeError(f"{len(failed)} of {len(children)} worker processes failed")
 
@@ -429,11 +441,12 @@ def _layer_strips(base: np.ndarray, detail: np.ndarray):
     return ((rows, base[rows], detail[rows]) for rows in _strips(len(base)))
 
 
-def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, layers) -> np.ndarray:
+def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, layers, dump=None) -> np.ndarray:
     # sum(wb * base) + sum(wd * detail) over the sources, clipped to
     # [0, max_val], in strips of rows.  Each source's layers are read from
     # ``layers``, one filled (base, detail) pair of planes per source, or,
-    # if it is empty, streamed alongside (see _layers).  Both sums start
+    # if it is empty, streamed alongside (see _layers), and each strip is
+    # handed to ``dump`` (see fuse) when it is given.  Both sums start
     # from zero and add the sources in order.
     h, w, c = sources[0].data.shape
     fused = np.empty((h, w, c))
@@ -445,14 +458,18 @@ def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, l
         b, d, t = fb[:n], fd[:n], tmp[:n]
         b.fill(0.0)
         d.fill(0.0)
-        for (_, base, detail), wb, wd in zip(strips, base_weights, detail_weights):
+        for index, ((_, base, detail), wb, wd) in enumerate(zip(strips, base_weights, detail_weights)):
+            if dump is not None:
+                dump("base", index, rows, base)
+                dump("detail", index, rows, detail)
             b += np.multiply(wb[rows], base, out=t)
             d += np.multiply(wd[rows], detail, out=t)
         np.clip(np.add(b, d, out=fused[rows]), 0.0, max_val, out=fused[rows])
     return fused
 
 
-def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates: bool = True) -> FusionResult:
+def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates: bool = True,
+         _dump=None) -> FusionResult:
     """Run the full two-scale fusion pipeline.
 
     Sources must share dimensions, channel count and max_val.  Weights are computed
@@ -475,13 +492,22 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
     result is the same, bit for bit, as from the public stages composed on
     whole planes, whatever the number of processes.
 
-    Memory: the result holds every stage's planes.  The command line
-    passes the private ``_keep_intermediates=False`` unless they are to be
-    written; then fuse returns only ``fused`` (the other fields are None),
-    and each stage overwrites the planes of the one before it: binary maps
-    over saliency, detail weights over the binary maps, normalized over
-    refined weights.  Its peak is then about two planes per source and the
-    fused image beyond the sources (and their luminance, for color).
+    Memory: the result holds every stage's planes, for callers that want
+    them.  The command line always passes the private
+    ``_keep_intermediates=False``; then fuse returns only ``fused`` (the
+    other fields are None), and each stage overwrites the planes of the
+    one before it: binary maps over saliency, detail weights over the
+    binary maps, normalized over refined weights.  Its peak is then about
+    two planes per source and the fused image beyond the sources (and
+    their luminance, for color).
+
+    For ``--dump-intermediates`` the command line also passes the private
+    hook ``_dump``, which this process calls as ``_dump(kind, n, rows,
+    data)``: ``data`` is rows ``rows`` of source n's plane of ``kind``,
+    handed over before a later stage overwrites it.  "sal" comes after
+    saliency and "wb" and "wd" after normalizing, each as a whole plane;
+    "base" and "detail" come strip by strip from the blend, in order of
+    rows.  The hook must not keep ``data``.
     """
     sources = list(sources)
     if not sources:
@@ -493,6 +519,9 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
             raise ValueError(f"source dimensions differ: {src.data.shape} vs {shape}")
         if src.max_val != max_val:
             raise ValueError(f"source max_val differs: {src.max_val:g} vs {max_val:g}")
+    if config.refine_filter == "guided":  # epsilon > 0, checked before any stage runs
+        for params in (config.base_params, config.detail_params):
+            _guided_params(params.radius, params.alpha)
 
     keep = _keep_intermediates
     lumas = [_luma(src) for src in sources]
@@ -506,6 +535,13 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
     # Kept layers depend only on the sources: one job each beside saliency.
     fills = [partial(_drain, _layers(src.data, radius, pair)) for src, pair in zip(sources, layers)]
     saliencies = _saliency_maps(guides, config, fills, [plane for pair in layers for plane in pair])
+
+    def dump(kind, maps):
+        for n, m in enumerate(maps):
+            _dump(kind, n, slice(0, len(m)), m)
+
+    if _dump is not None:
+        dump("sal", saliencies)
     binary = planes() if keep else saliencies
     _binary_maps([s[:, :, 0] for s in saliencies], [b[:, :, 0] for b in binary])
     refined_base = _shared_planes(len(sources), shape[:2] + (1,))
@@ -517,7 +553,10 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
     detail_weights = planes() if keep else refined_detail
     _normalized(refined_base, config.weight_floor, base_weights)
     _normalized(refined_detail, config.weight_floor, detail_weights)
-    fused = Image._adopt(_blend(sources, base_weights, detail_weights, radius, max_val, layers), max_val)
+    if _dump is not None:
+        dump("wb", base_weights)
+        dump("wd", detail_weights)
+    fused = Image._adopt(_blend(sources, base_weights, detail_weights, radius, max_val, layers, _dump), max_val)
     if not keep:
         return FusionResult(fused=fused)
 

@@ -169,14 +169,38 @@ def read_image(path) -> Image:
     return Image._adopt(samples.reshape(shape), float(maxval))
 
 
+_ENCODE_ROWS = 16  # rows per block of _encode's float scratch
+
+
+def _encode(data: np.ndarray, maxval: int, out: np.ndarray, op=None, operand=None) -> None:
+    # out = the uint8 quantization of op(data, operand), or of ``data`` if
+    # ``op`` is None: clamp to [0, maxval], add 0.5, floor, in that order,
+    # one block of rows at a time through one block of float scratch.
+    # Every step is elementwise, so the bytes do not depend on the blocks.
+    scratch = np.empty((min(len(data), _ENCODE_ROWS),) + data.shape[1:])
+    for start in range(0, len(data), _ENCODE_ROWS):
+        block = data[start:start + _ENCODE_ROWS]
+        tmp = scratch[:len(block)]
+        if op is not None:
+            block = op(block, operand, out=tmp)
+        np.clip(block, 0.0, float(maxval), out=tmp)
+        tmp += 0.5
+        out[start:start + _ENCODE_ROWS] = np.floor(tmp, out=tmp)
+
+
 def quantize(img: Image) -> np.ndarray:
     """Clamp to [0, max_val] and round half-up to uint8."""
-    maxval = int(round(img.max_val))
-    # One float plane, rounded in place: fresh full-size temporaries cost
-    # as much in page faults as the arithmetic does.
-    rounded = np.clip(img.data, 0.0, float(maxval))
-    rounded += 0.5
-    return np.floor(rounded, out=rounded).astype(np.uint8)
+    out = np.empty(img.data.shape, dtype=np.uint8)
+    _encode(img.data, int(round(img.max_val)), out)
+    return out
+
+
+def _write_raster(raster: np.ndarray, maxval: int, path) -> None:
+    # Writes an (h, w, c) uint8 raster as binary PGM (c = 1) or PPM (c = 3).
+    h, w, c = raster.shape
+    with open(path, "wb") as f:
+        f.write(b"%s\n%d %d\n%d\n" % (b"P5" if c == 1 else b"P6", w, h, maxval))
+        f.write(raster)
 
 
 def write_image(img: Image, path, format: str = None) -> None:
@@ -205,6 +229,4 @@ def write_image(img: Image, path, format: str = None) -> None:
         raise ValueError(
             f"netpbm encoding requires an integer max_val in [1, 255], got {img.max_val}"
         )
-    magic = b"P5" if format == "pgm-binary" else b"P6"
-    header = b"%s\n%d %d\n%d\n" % (magic, img.width, img.height, maxval)
-    path.write_bytes(header + quantize(img).tobytes())
+    _write_raster(quantize(img), maxval, path)

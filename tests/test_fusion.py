@@ -727,13 +727,33 @@ def test_failed_worker_process_raises(monkeypatch):
 
     def job(n):
         if os.getpid() != parent:
-            raise MemoryError("worker out of memory")
+            raise ZeroDivisionError("worker failed")
         outs[n][:] = 1.0
 
     with pytest.raises(RuntimeError, match="2 of 2 worker processes failed"):
         lepfuse.fusion._each_in_processes(3, job, outs)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_worker_out_of_memory_raises_memory_error(monkeypatch, capfd):
+    """A forked child that runs out of memory prints no traceback, and the
+    caller raises MemoryError rather than RuntimeError."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    parent = os.getpid()
+    outs = lepfuse.fusion._shared_planes(3, (2,))
+
+    def job(n):
+        if os.getpid() != parent:
+            raise MemoryError("worker out of memory")
+        outs[n][:] = 1.0
+
+    with pytest.raises(MemoryError, match="2 of 2 worker processes ran out of memory"):
+        lepfuse.fusion._each_in_processes(3, job, outs)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert "Traceback" not in capfd.readouterr().err
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -41,6 +41,8 @@ def test_box_filter_timing_runs(capsys):
     assert float(peak.split()[1]) >= 2.0  # the two output maps
     assert lines[5].startswith("fuse 5 colour sources, intermediates kept: ")
     assert lines[5].endswith(" ms")
-    assert lines[6].startswith("read_image plain P2 64x64: ")
+    assert lines[6].startswith("CLI fuse --dump-intermediates, 5 colour sources: ")
     assert lines[6].endswith(" ms")
-    assert [line.split()[0] for line in lines[8:]] == ["1", "2"]
+    assert lines[7].startswith("read_image plain P2 64x64: ")
+    assert lines[7].endswith(" ms")
+    assert [line.split()[0] for line in lines[9:]] == ["1", "2"]
