@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 I/O failure (unreadable/unwritable/undecodable
 files, or memory exhausted), 2 validation failure (bad arguments,
-dimension mismatches).  All validation, the fusion parameters' included,
+dimension mismatches).  All validation, of the fusion parameters too,
 runs before any output file is created or any work is forked, and every
 output is written under a temporary name and renamed into place only
 after all of a command's writes succeeded, so a non-zero exit leaves no

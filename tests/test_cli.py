@@ -308,13 +308,11 @@ def test_out_of_memory_exits_1_without_traceback(tmp_path, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
 
 
-def test_dump_fuse_holds_few_planes(tmp_path, monkeypatch, shared_bytes):
-    """With --dump-intermediates, the fuse call of a gray N = 2 512^2 job
-    holds at most 7 planes beyond its sources, as without: its traced
-    peak (which includes the uint8 rasters and encoding scratch of the
-    files it writes) plus every shared plane it allocates.  It measured
-    6.07 planes on numpy 2.4; keeping the intermediates, as before, took
-    17.1 planes before any file was encoded."""
+def _fuse_peak_planes(tmp_path, monkeypatch, shared_bytes, extra) -> float:
+    # The peak of the one fuse call of a gray N = 2 512^2 job, in planes
+    # beyond its sources: the traced peak, which includes any uint8 raster
+    # and encoding scratch of files written inside it, plus every shared
+    # plane it allocates.
     side = 512
     rng = np.random.default_rng(3)
     for name in ("a.pgm", "b.pgm"):
@@ -334,37 +332,26 @@ def test_dump_fuse_holds_few_planes(tmp_path, monkeypatch, shared_bytes):
 
     monkeypatch.setattr(lepfuse.cli, "fuse", traced_fuse)
     out = tmp_path / "fused.pgm"
-    assert main(["fuse", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"), "-o", str(out),
-                 "--dump-intermediates"]) == 0
+    assert main(["fuse", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"), "-o", str(out), *extra]) == 0
+    assert len(peaks) == 1
+    return peaks[0]
+
+
+def test_dump_fuse_holds_few_planes(tmp_path, monkeypatch, shared_bytes):
+    """With --dump-intermediates, the fuse call of a gray N = 2 512^2 job
+    holds at most 7 planes beyond its sources, as without.  It measured
+    6.07 planes on numpy 2.4, the same as without; keeping the
+    intermediates, as the dump did before, took 17.1 planes before any
+    file was encoded."""
+    assert _fuse_peak_planes(tmp_path, monkeypatch, shared_bytes, ["--dump-intermediates"]) <= 7
     assert len(list(tmp_path.glob("fused*"))) == 11
-    assert len(peaks) == 1 and peaks[0] <= 7
 
 
 def test_lean_fuse_holds_few_planes(tmp_path, monkeypatch, shared_bytes):
     """Without intermediates, the fuse call of a gray N = 2 512^2 job
     holds at most 7 planes beyond its sources, counting every shared plane
     it allocates on top of the traced peak."""
-    side = 512
-    rng = np.random.default_rng(3)
-    for name in ("a.pgm", "b.pgm"):
-        write_image(Image(rng.integers(0, 256, (side, side)).astype(float)), tmp_path / name)
-    real_fuse, peaks = lepfuse.cli.fuse, []
-
-    def traced_fuse(*args, **kwargs):
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            result = real_fuse(*args, **kwargs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        peaks.append((peak - start + sum(shared_bytes)) / (side * side * 8))
-        return result
-
-    monkeypatch.setattr(lepfuse.cli, "fuse", traced_fuse)
-    out = tmp_path / "fused.pgm"
-    assert main(["fuse", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"), "-o", str(out)]) == 0
-    assert len(peaks) == 1 and peaks[0] <= 7
+    assert _fuse_peak_planes(tmp_path, monkeypatch, shared_bytes, []) <= 7
 
 
 # The file that each case's failing write was to make.  fuse with
