@@ -13,7 +13,9 @@ of ``lepfuse fuse --dump-intermediates`` on the same five sources (read,
 fuse from the lean pipeline, and the 26 writes), of read_image on a plain
 P2 file, and of
 the box filter per radius, all on fixed random images, with the
-numpy version and CPU count in the header.  Every timed row follows one
+numpy version, the CPU count and the line and code-line counts of the
+lepfuse package in the header; a code line is neither blank, a comment
+nor part of a docstring.  Every timed row follows one
 untimed call of the same work.  The refine_weights line also gives the
 call's peak memory in planes of the image size, its two output maps
 included: the tracemalloc peak plus the shared memory maps that forked
@@ -21,6 +23,7 @@ processes write into, which tracemalloc does not see.
 """
 
 import argparse
+import ast
 import contextlib
 import io
 import os
@@ -32,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+import lepfuse
 import lepfuse.cli
 import lepfuse.fusion
 from lepfuse import (
@@ -82,6 +86,23 @@ def traced_peak(run) -> int:
     return peak - start + sum(shared)
 
 
+def source_lines(package: Path) -> tuple:
+    # (lines, code lines) of the .py files in ``package``.
+    lines = code = 0
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, documented) and ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        for number, line in enumerate(text.splitlines(), start=1):
+            stripped = line.strip()
+            lines += 1
+            code += bool(stripped) and not stripped.startswith("#") and number not in docstrings
+    return lines, code
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--side", type=int, default=1024)
@@ -98,8 +119,9 @@ def main(argv=None) -> int:
                           kind="refined")
     params = FusionConfig().base_params
 
+    lines, code = source_lines(Path(lepfuse.__file__).parent)
     print(f"image {args.side}x{args.side}, median of {args.repeats} runs, "
-          f"numpy {np.__version__}, {os.cpu_count()} CPUs")
+          f"numpy {np.__version__}, {os.cpu_count()} CPUs, src/lepfuse {lines} lines, {code} code lines")
     ms = median_ms(lambda: gaussian_filter(img, 5, 5.0), args.repeats)
     print(f"gaussian_filter radius 5 sigma 5.0: {ms:.2f} ms")
     ms = median_ms(lambda: saliency(img), args.repeats)

@@ -35,12 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--output", help="output image path (.pgm or .ppm)")
     common.add_argument("--config", help="key=value configuration file")
     common.add_argument("--verbose", action="store_true", help="print the effective configuration to stderr")
-    common.add_argument(
-        "--dump-intermediates",
-        action="store_true",
-        default=None,
-        help="also write per-source base/detail/saliency/weight images",
-    )
 
     parser = argparse.ArgumentParser(
         prog="lepfuse",
@@ -50,6 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fuse = sub.add_parser("fuse", parents=[common], help="fuse source images")
     p_fuse.add_argument("inputs", nargs="+", help="source images (PGM/PPM, equal dimensions)")
+    p_fuse.add_argument(
+        "--dump-intermediates",
+        action="store_true",
+        default=None,
+        help="also write per-source base/detail/saliency/weight images",
+    )
     for key, options in FUSE_FLAGS.items():
         p_fuse.add_argument("--" + key.replace("_", "-"), type=_PARSERS[key], **options)
     p_fuse.set_defaults(handler=_cmd_fuse)
@@ -124,14 +124,16 @@ def _encoding(kind: str, data, max_val: float):
 
 
 def _dump_writer(write, out_path: Path, shape: tuple, max_val: float):
-    # The _dump hook of fuse for --dump-intermediates: each plane is
-    # quantized as it arrives into a uint8 raster, which goes to ``write``
-    # once its last row is in, as <stem>_<kind>_<n>.
+    # The _dump hook of fuse for --dump-intermediates: each plane of a
+    # dumped kind is quantized as it arrives into a uint8 raster, which
+    # goes to ``write`` once its last row is in, as <stem>_<kind>_<n>.
     rasters, maxval = {}, int(max_val)
     stem = out_path.with_suffix("")
     layer_ext = ".pgm" if shape[2] == 1 else ".ppm"
 
     def dump(kind: str, n: int, rows: slice, data) -> None:
+        if kind in ("binary", "refined_base", "refined_detail"):  # stages that have no file
+            return
         if (kind, n) not in rasters:
             rasters[kind, n] = np.empty(shape[:2] + data.shape[2:], dtype=np.uint8)
         _encode(data, maxval, rasters[kind, n][rows], *_encoding(kind, data, max_val))
@@ -189,11 +191,13 @@ def _cmd_fuse(args, cfg: CliConfig) -> int:
     out_path = _resolve_output(args, cfg)
     _check_encodable(out_path, sources[0].channels)
 
-    # fuse keeps no intermediates; the dumped ones are written as their
-    # stages end, so fuse runs inside the block that removes them on failure.
+    # With a hook fuse keeps no intermediates; the dumped ones are written
+    # as their stages end, so fuse runs inside the block that removes them
+    # on failure.
     with _atomic_outputs() as write:
-        dump = _dump_writer(write, out_path, first_shape, sources[0].max_val) if cfg.dump_intermediates else None
-        fused = fuse(sources, fusion_config, _keep_intermediates=False, _dump=dump).fused
+        dump = (_dump_writer(write, out_path, first_shape, sources[0].max_val) if cfg.dump_intermediates
+                else lambda kind, n, rows, data: None)
+        fused = fuse(sources, fusion_config, _dump=dump).fused
         write(fused, out_path)
     for line in report(fused, None, cfg.naturalness_priors()).to_lines():
         print(line)

@@ -186,8 +186,12 @@ def box_mean(img: Image, radius: int) -> Image:
 
 
 def _gaussian_kernel_1d(radius: int, sigma: float) -> np.ndarray:
+    # A sigma so small that 2 sigma^2 underflows to 0 gets the delta
+    # kernel, the sigma -> 0 limit; where t^2 / (2 sigma^2) overflows,
+    # exp(-inf) is that limit's 0.
     t = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(t * t) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):
+        k = np.exp(-(t * t) / (2.0 * sigma * sigma)) if 2.0 * sigma * sigma > 0.0 else (t == 0.0) * 1.0
     return k / k.sum()
 
 

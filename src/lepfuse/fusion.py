@@ -15,7 +15,6 @@ import mmap
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .filters import (
     _STRIP_ROWS,
     FilterParams,
     _box_means,
-    _drain,
     _fit,
     _gaussian_kernel_1d,
     _guided_params,
@@ -132,7 +130,7 @@ class WeightStack:
 class FusionResult:
     """Fused image plus every pipeline intermediate, in pipeline order.
 
-    The intermediates are None when ``fuse`` was told not to keep them.
+    The intermediates are None when ``fuse`` was handed a ``_dump`` hook.
     """
 
     fused: Image
@@ -145,17 +143,14 @@ class FusionResult:
     detail_weights: WeightStack = None
 
 
-def _layers(data: np.ndarray, radius: int, planes=None):
+def _layers(data: np.ndarray, radius: int):
     # The base layer (box mean) and detail residual (data - base) of an
-    # (h, w, c) array, as a generator of (rows, base, detail) strips.  The
-    # strips land in ``planes`` (base, detail) when given, else in scratch.
-    base_plane, detail_plane = (None, None) if planes is None else planes
-    scratch = np.empty((min(len(data), _STRIP_ROWS),) + data.shape[1:]) if planes is None else None
-    for rows, base in _box_means(_row_blocks(data), radius,
-                                 out=None if base_plane is None else base_plane.transpose(0, 2, 1)):
+    # (h, w, c) array, as a generator of (rows, base, detail) strips in
+    # O(strip) scratch that the next strip overwrites.
+    scratch = np.empty((min(len(data), _STRIP_ROWS),) + data.shape[1:])
+    for rows, base in _box_means(_row_blocks(data), radius):
         base = base.transpose(0, 2, 1)
-        detail = scratch[:len(base)] if detail_plane is None else detail_plane[rows]
-        yield rows, base, np.subtract(data[rows], base, out=detail)
+        yield rows, base, np.subtract(data[rows], base, out=scratch[:len(base)])
 
 
 def decompose(src: Image, avg_filter_size: int = FusionConfig.avg_filter_size) -> LayerPair:
@@ -168,7 +163,8 @@ def decompose(src: Image, avg_filter_size: int = FusionConfig.avg_filter_size) -
         raise ValueError(f"avg_filter_size must be odd and >= 3, got {avg_filter_size}")
     radius = (avg_filter_size - 1) // 2
     base, detail = np.empty(src.data.shape), np.empty(src.data.shape)
-    _drain(_layers(src.data, radius, (base, detail)))
+    for rows, base_strip, detail_strip in _layers(src.data, radius):
+        base[rows], detail[rows] = base_strip, detail_strip
     return LayerPair(base=Image._adopt(base, src.max_val), detail=Image._adopt(detail, src.max_val))
 
 
@@ -180,15 +176,12 @@ def _saliency(out: np.ndarray, plane: np.ndarray, kernel: np.ndarray) -> np.ndar
     return _valid_correlate_sep(np.pad(out, len(kernel) // 2, mode="edge"), kernel, out=out)
 
 
-def _saliency_maps(guides, config: FusionConfig, jobs=(), outs=()) -> list:
-    # One (h, w, 1) saliency array per guide plane, one plane per job.  The
-    # callables ``jobs``, which write only the shared planes ``outs``, come
-    # first in the same forked stage.
+def _saliency_maps(guides, config: FusionConfig) -> list:
+    # One shared (h, w, 1) saliency array per guide plane, one job each.
     kernel = _gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
     maps = _shared_planes(len(guides), guides[0].shape + (1,))
     planes = [m[:, :, 0] for m in maps]
-    jobs = [*jobs, *(partial(_saliency, plane, guide, kernel) for plane, guide in zip(planes, guides))]
-    _each_in_processes(len(jobs), lambda k: jobs[k](), [*outs, *planes])
+    _each_in_processes(len(planes), lambda n: _saliency(planes[n], guides[n], kernel), planes)
     return maps
 
 
@@ -289,8 +282,8 @@ def _each_in_processes(count: int, job, outs) -> None:
     # they were at the fork, so job n may write over what job n alone reads.
     #
     # The split is static, so a stage keeps every process busy only when
-    # its jobs cost about the same: fuse hands out one job per weight fit
-    # where it can (see _refined).
+    # its jobs cost about the same and divide evenly: fuse runs one job
+    # per source in each forked stage, so N = 5 on two CPUs splits 3:2.
     #
     # Processes, not threads: the strip-wise stages make numpy calls of
     # tens of microseconds, so threads wait on each other's interpreter
@@ -347,23 +340,18 @@ def _each_in_processes(count: int, job, outs) -> None:
 def _refined(maps, guides, fits, filter_kind: str) -> None:
     # For each (params, outs) of ``fits``, outs[n] = the fit of maps[n] on
     # guides[n], clamped to [0, 1].  The outs are shared planes; the last
-    # fit's outs[n] may be maps[n] itself.  Each fit is a job of its own,
-    # in fit-major order, except that a source whose map some fit writes
-    # over is one job that runs its fits in order, so that every fit has
-    # read the map before it is overwritten.
+    # fit's outs[n] may be maps[n] itself.  Each source is one job that
+    # runs its fits in order, so every fit has read the map before the
+    # last one overwrites it.
     if filter_kind == "guided":
         fits = [(_guided_params(params.radius, params.alpha), outs) for params, outs in fits]
-    chained = [any(np.may_share_memory(outs[n], m) for _, outs in fits) for n, m in enumerate(maps)]
-    jobs = [(n, fits) for n in range(len(maps)) if chained[n]]
-    jobs += [(n, [fit]) for fit in fits for n in range(len(maps)) if not chained[n]]
 
-    def refine(k):
-        n, chain = jobs[k]
-        for params, outs in chain:
+    def refine(n):
+        for params, outs in fits:
             for rows in _fit(outs[n], maps[n], guides[n], params):
                 np.clip(outs[n][rows], 0.0, 1.0, out=outs[n][rows])
 
-    _each_in_processes(len(jobs), refine, [out for _, outs in fits for out in outs])
+    _each_in_processes(len(maps), refine, [out for _, outs in fits for out in outs])
 
 
 def refine_weights(
@@ -418,6 +406,15 @@ def _normalized(maps, weight_floor: float, outs) -> None:
             np.divide(out[rows], acc, out=out[rows])
 
 
+def _check_weight_floor(weight_floor: float, count: int) -> None:
+    # The floor must be positive, and the sum of ``count`` shifted maps in
+    # [0, 1] finite: a floor near the largest float makes it inf, and then
+    # every weight 0.
+    if not (weight_floor > 0.0 and np.isfinite(count * (1.0 + weight_floor))):
+        raise ValueError(f"weight_floor must be positive and keep the sum of {count} weights finite, "
+                         f"got {weight_floor}")
+
+
 def normalize_weights(stack: WeightStack, weight_floor: float = FusionConfig.weight_floor) -> WeightStack:
     """Scale the maps so they sum to one at every pixel.
 
@@ -425,51 +422,41 @@ def normalize_weights(stack: WeightStack, weight_floor: float = FusionConfig.wei
     zero; such pixels fall back to a uniform split.  Each map becomes
     (map + floor) / sum of (map + floor), summed in source order.  It is
     computed in strips of rows, so beyond the returned maps it holds only
-    one strip of the sum.
+    one strip of the sum.  A floor so large that the sum overflows is
+    refused.
     """
     if stack.kind != "refined":
         raise ValueError(f"can only normalize refined weight stacks, got kind {stack.kind!r}")
-    if not (np.isfinite(weight_floor) and weight_floor > 0.0):
-        raise ValueError(f"weight_floor must be positive, got {weight_floor}")
+    _check_weight_floor(weight_floor, len(stack))
     outs = [np.empty(m.data.shape) for m in stack.maps]
     _normalized([m.data for m in stack.maps], weight_floor, outs)
     return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="normalized")
 
 
-def _layer_strips(base: np.ndarray, detail: np.ndarray):
-    # The (rows, base, detail) strips of filled layer planes.
-    return ((rows, base[rows], detail[rows]) for rows in _strips(len(base)))
-
-
-def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, layers, dump=None) -> np.ndarray:
+def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, dump) -> np.ndarray:
     # sum(wb * base) + sum(wd * detail) over the sources, clipped to
-    # [0, max_val], in strips of rows.  Each source's layers are read from
-    # ``layers``, one filled (base, detail) pair of planes per source, or,
-    # if it is empty, streamed alongside (see _layers), and each strip is
-    # handed to ``dump`` (see fuse) when it is given.  Both sums start
-    # from zero and add the sources in order.
+    # [0, max_val], in strips of rows.  Each source's layers are streamed
+    # alongside (see _layers), and each strip is handed to ``dump`` (see
+    # fuse).  Both sums start from zero and add the sources in order.
     h, w, c = sources[0].data.shape
     fused = np.empty((h, w, c))
     fb, fd, tmp = np.empty((3, min(h, _STRIP_ROWS), w, c))
-    streams = [_layer_strips(*pair) for pair in layers] or [_layers(src.data, radius) for src in sources]
-    for strips in zip(*streams):
+    for strips in zip(*(_layers(src.data, radius) for src in sources)):
         rows = strips[0][0]
         n = rows.stop - rows.start
         b, d, t = fb[:n], fd[:n], tmp[:n]
         b.fill(0.0)
         d.fill(0.0)
         for index, ((_, base, detail), wb, wd) in enumerate(zip(strips, base_weights, detail_weights)):
-            if dump is not None:
-                dump("base", index, rows, base)
-                dump("detail", index, rows, detail)
+            dump("base", index, rows, base)
+            dump("detail", index, rows, detail)
             b += np.multiply(wb[rows], base, out=t)
             d += np.multiply(wd[rows], detail, out=t)
         np.clip(np.add(b, d, out=fused[rows]), 0.0, max_val, out=fused[rows])
     return fused
 
 
-def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates: bool = True,
-         _dump=None) -> FusionResult:
+def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> FusionResult:
     """Run the full two-scale fusion pipeline.
 
     Sources must share dimensions, channel count and max_val.  Weights are computed
@@ -477,37 +464,35 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
     clamped to [0, max_val] at the very end; everything upstream keeps its
     raw values, which the result exposes for inspection.
 
-    Saliency and weight refinement are forked stages: each splits its jobs
-    over min(jobs, usable CPUs) processes (see refine_weights), which
-    write their planes in place in shared memory maps.  With the
-    intermediates kept, each stage has two jobs per source: the first
-    builds each source's base and detail layers beside its saliency map,
-    the second fits each base and each detail weight map on its own.
-    Without them, each has one job per source, which refines the base
-    weights and then the detail weights over the binary map, and the
-    blend builds the layers strip by strip.  Saliency works on whole
-    planes, with about two planes of scratch per process; the other
-    stages work in strips of rows with O(strip) scratch, and each weight
-    fit streams through rings of integral-image rows.  Every field of the
-    result is the same, bit for bit, as from the public stages composed on
-    whole planes, whatever the number of processes.
+    Saliency and weight refinement are forked stages: each splits its one
+    job per source over min(sources, usable CPUs) processes (see
+    refine_weights), which write their planes in place in shared memory
+    maps.  A refinement job fits the source's base weights and then its
+    detail weights over its binary map.  Each stage overwrites the planes
+    of the one before it: binary maps over saliency, detail weights over
+    the binary maps, normalized over refined weights; the blend builds the
+    layers strip by strip.  Saliency works on whole planes, with about
+    two planes of scratch per process; the other stages work in strips of
+    rows with O(strip) scratch, and each weight fit streams through rings
+    of integral-image rows.  Every field of the result is the same, bit
+    for bit, as from the public stages composed on whole planes, whatever
+    the number of processes.
 
-    Memory: the result holds every stage's planes, for callers that want
-    them.  The command line always passes the private
-    ``_keep_intermediates=False``; then fuse returns only ``fused`` (the
-    other fields are None), and each stage overwrites the planes of the
-    one before it: binary maps over saliency, detail weights over the
-    binary maps, normalized over refined weights.  Its peak is then about
-    two planes per source and the fused image beyond the sources (and
-    their luminance, for color).
+    The stages hand their planes to the private hook ``_dump``, which
+    this process calls as ``_dump(kind, n, rows, data)``: ``data`` is rows
+    ``rows`` of source n's plane of ``kind``, handed over before a later
+    stage overwrites it.  "sal", "binary", "refined_base",
+    "refined_detail", "wb" and "wd" come in that order, each as a whole
+    plane, and then "base" and "detail" strip by strip from the blend, in
+    order of rows.  The hook must not keep ``data``.  The command line
+    always passes one, for ``--dump-intermediates`` or doing nothing; then
+    fuse returns only ``fused`` (the other fields are None), and its peak
+    is about two planes per source and the fused image beyond the sources
+    (and their luminance, for color).
 
-    For ``--dump-intermediates`` the command line also passes the private
-    hook ``_dump``, which this process calls as ``_dump(kind, n, rows,
-    data)``: ``data`` is rows ``rows`` of source n's plane of ``kind``,
-    handed over before a later stage overwrites it.  "sal" comes after
-    saliency and "wb" and "wd" after normalizing, each as a whole plane;
-    "base" and "detail" come strip by strip from the blend, in order of
-    rows.  The hook must not keep ``data``.
+    Without a hook, fuse collects every intermediate for the result: a
+    private copy of each plane that a later stage overwrites, and the
+    normalized weights' own planes.
     """
     sources = list(sources)
     if not sources:
@@ -522,54 +507,53 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _keep_intermediates:
     if config.refine_filter == "guided":  # epsilon > 0, checked before any stage runs
         for params in (config.base_params, config.detail_params):
             _guided_params(params.radius, params.alpha)
+    _check_weight_floor(config.weight_floor, len(sources))
 
-    keep = _keep_intermediates
-    lumas = [_luma(src) for src in sources]
-    guides = [luma.plane() for luma in lumas]
-    radius = (config.avg_filter_size - 1) // 2
-    layers = [_shared_planes(2, shape) for _ in sources] if keep else []
-
-    def planes():
-        return [np.empty(shape[:2] + (1,)) for _ in sources]
-
-    # Kept layers depend only on the sources: one job each beside saliency.
-    fills = [partial(_drain, _layers(src.data, radius, pair)) for src, pair in zip(sources, layers)]
-    saliencies = _saliency_maps(guides, config, fills, [plane for pair in layers for plane in pair])
+    kept = {} if _dump is None else None
+    if kept is not None:  # collect the result: copies of the planes that a later stage overwrites
+        def _dump(kind, n, rows, data):
+            if kind in ("wb", "wd"):  # the final planes, which no stage writes again
+                kept[kind, n] = data
+                return
+            if (kind, n) not in kept:
+                kept[kind, n] = np.empty(shape[:2] + data.shape[2:])
+            kept[kind, n][rows] = data
 
     def dump(kind, maps):
         for n, m in enumerate(maps):
             _dump(kind, n, slice(0, len(m)), m)
 
-    if _dump is not None:
-        dump("sal", saliencies)
-    binary = planes() if keep else saliencies
+    guides = [_luma(src).plane() for src in sources]
+    radius = (config.avg_filter_size - 1) // 2
+    saliencies = _saliency_maps(guides, config)
+    dump("sal", saliencies)
+    binary = saliencies
     _binary_maps([s[:, :, 0] for s in saliencies], [b[:, :, 0] for b in binary])
-    refined_base = _shared_planes(len(sources), shape[:2] + (1,))
-    refined_detail = _shared_planes(len(sources), shape[:2] + (1,)) if keep else binary
+    dump("binary", binary)
+    refined_base, refined_detail = _shared_planes(len(sources), shape[:2] + (1,)), binary
     fits = ((config.base_params, refined_base), (config.detail_params, refined_detail))
     _refined([b[:, :, 0] for b in binary], guides, [(p, [o[:, :, 0] for o in outs]) for p, outs in fits],
              config.refine_filter)
-    base_weights = planes() if keep else refined_base
-    detail_weights = planes() if keep else refined_detail
-    _normalized(refined_base, config.weight_floor, base_weights)
-    _normalized(refined_detail, config.weight_floor, detail_weights)
-    if _dump is not None:
-        dump("wb", base_weights)
-        dump("wd", detail_weights)
-    fused = Image._adopt(_blend(sources, base_weights, detail_weights, radius, max_val, layers, _dump), max_val)
-    if not keep:
+    dump("refined_base", refined_base)
+    dump("refined_detail", refined_detail)
+    _normalized(refined_base, config.weight_floor, refined_base)
+    _normalized(refined_detail, config.weight_floor, refined_detail)
+    dump("wb", refined_base)
+    dump("wd", refined_detail)
+    fused = Image._adopt(_blend(sources, refined_base, refined_detail, radius, max_val, _dump), max_val)
+    if kept is None:
         return FusionResult(fused=fused)
 
-    def stack(arrays, kind):
-        return WeightStack(maps=tuple(Image._adopt(a, 1.0) for a in arrays), kind=kind)
+    def images(kind, peak=1.0):
+        return tuple(Image._adopt(kept[kind, n], peak) for n in range(len(sources)))
 
     return FusionResult(
         fused=fused,
-        layers=tuple(LayerPair(Image._adopt(base, max_val), Image._adopt(detail, max_val)) for base, detail in layers),
-        saliencies=tuple(Image._adopt(s, luma.max_val) for s, luma in zip(saliencies, lumas)),
-        binary_maps=stack(binary, "binary"),
-        refined_base=stack(refined_base, "refined"),
-        refined_detail=stack(refined_detail, "refined"),
-        base_weights=stack(base_weights, "normalized"),
-        detail_weights=stack(detail_weights, "normalized"),
+        layers=tuple(map(LayerPair, images("base", max_val), images("detail", max_val))),
+        saliencies=images("sal", max_val),
+        binary_maps=WeightStack(images("binary"), "binary"),
+        refined_base=WeightStack(images("refined_base"), "refined"),
+        refined_detail=WeightStack(images("refined_detail"), "refined"),
+        base_weights=WeightStack(images("wb"), "normalized"),
+        detail_weights=WeightStack(images("wd"), "normalized"),
     )

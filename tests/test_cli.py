@@ -238,7 +238,7 @@ def _write_kept_result(result, out_path):
 def test_dump_matches_kept_result(tmp_path, monkeypatch, cpus, refine_filter, count, ext):
     """--dump-intermediates writes each file from the lean pipeline as its
     stage ends, byte for byte as the kept FusionResult encodes, and runs
-    fuse without keeping the intermediates."""
+    fuse with a hook, so that it keeps no intermediates."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
     rng = np.random.default_rng(10 + count)
     inputs = []
@@ -249,18 +249,19 @@ def test_dump_matches_kept_result(tmp_path, monkeypatch, cpus, refine_filter, co
     (tmp_path / "kept").mkdir()
     _write_kept_result(fuse([read_image(p) for p in inputs], FusionConfig(refine_filter=refine_filter)),
                        tmp_path / "kept" / f"fused{ext}")
-    real_fuse, keeps = lepfuse.cli.fuse, []
+    real_fuse, results = lepfuse.cli.fuse, []
 
     def recorded_fuse(*args, **kwargs):
-        keeps.append(kwargs.get("_keep_intermediates", True))
-        return real_fuse(*args, **kwargs)
+        assert callable(kwargs["_dump"])
+        results.append(real_fuse(*args, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(lepfuse.cli, "fuse", recorded_fuse)
     out = tmp_path / "dump" / f"fused{ext}"
     out.parent.mkdir()
     assert main(["fuse", *map(str, inputs), "-o", str(out), "--refine-filter", refine_filter,
                  "--dump-intermediates"]) == 0
-    assert keeps == [False]
+    assert len(results) == 1 and results[0].layers is results[0].base_weights is None
     kept = {p.name: p.read_bytes() for p in sorted((tmp_path / "kept").iterdir())}
     dumped = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
     assert len(kept) == 5 * count + 1
@@ -279,6 +280,47 @@ def test_fuse_bad_guided_epsilon_exits_2_before_any_work(workdir, monkeypatch, c
                  "--refine-filter", "guided", "--detail-alpha", "0", "--dump-intermediates"]) == 2
     assert forks == [] and writes == []
     assert "epsilon" in capsys.readouterr().err
+    assert sorted(p.name for p in workdir.iterdir()) == before
+
+
+def test_fuse_overflowing_weight_floor_exits_2_before_any_work(workdir, monkeypatch, capsys):
+    """A weight floor for which the sum of the shifted weights overflows
+    to inf, which would make every weight 0 and the output black, is
+    refused before fuse forks or writes anything."""
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None))
+    out = workdir / "never.pgm"
+    assert main(["fuse", str(workdir / "a.pgm"), str(workdir / "b.pgm"), "-o", str(out),
+                 "--weight-floor", "1e308"]) == 2
+    assert forks == [] and not out.exists()
+    assert "weight_floor" in capsys.readouterr().err
+
+
+def test_fuse_tiny_saliency_sigma_takes_the_limit(workdir, capsys):
+    """A saliency sigma whose 2 sigma^2 underflows to 0 fuses, without a
+    warning, as the smallest sigma that does not: its Gaussian is the
+    delta kernel, so every source still competes."""
+    outputs = []
+    for sigma in ("1e-300", "1e-160"):
+        out = workdir / f"fused_{sigma}.pgm"
+        assert main(["fuse", str(workdir / "a.pgm"), str(workdir / "b.pgm"), "-o", str(out),
+                     "--saliency-sigma", sigma]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert read_image(workdir / "fused_1e-300.pgm").data.tobytes() != read_image(workdir / "a.pgm").data.tobytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["zoom", "a.pgm", "--rect", "0,0,5,5", "--scale", "2", "-o", "z.pgm"],
+    ["decompose", "a.pgm", "-o", "z.pgm"],
+    ["metrics", "a.pgm", "-o", "z.pgm"],
+])
+def test_dump_intermediates_only_for_fuse(workdir, monkeypatch, command):
+    """--dump-intermediates belongs to fuse alone; the other commands
+    refuse it as an unknown flag and write nothing."""
+    monkeypatch.chdir(workdir)
+    before = sorted(p.name for p in workdir.iterdir())
+    assert main([*command, "--dump-intermediates"]) == 2
     assert sorted(p.name for p in workdir.iterdir()) == before
 
 

@@ -98,6 +98,15 @@ def test_gaussian_preserves_constants_and_mass():
     assert np.allclose(out.data, 80.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 1e-160])
+def test_gaussian_tiny_sigma_is_identity(sigma):
+    """A sigma whose 2 sigma^2 underflows to 0 (1e-300), or whose taps
+    overflow t^2 / (2 sigma^2) (1e-160), gets the delta kernel, the sigma
+    -> 0 limit, without a warning."""
+    img = Image(np.random.default_rng(3).uniform(0, 255, (9, 7, 3)))
+    assert _same_bits(gaussian_filter(img, 2, sigma).data, img.data)
+
+
 def test_gaussian_validates_arguments():
     img = constant_image(8, 8, 1, 0.0)
     with pytest.raises(ValueError):

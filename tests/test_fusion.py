@@ -371,6 +371,22 @@ def test_normalize_requires_refined_kind():
         normalize_weights(stack, 1e-12)
 
 
+def test_overflowing_weight_floor_refused(monkeypatch):
+    """A floor for which the sum of N shifted weights overflows to inf is
+    refused, by fuse before any stage runs; a single map's sum stays
+    finite, so one source still takes it."""
+    maps = tuple(Image(np.full((3, 3), 0.5), 1.0) for _ in range(2))
+    with pytest.raises(ValueError, match="weight_floor"):
+        normalize_weights(WeightStack(maps=maps, kind="refined"), 1e308)
+    assert np.all(normalize_weights(WeightStack(maps=maps[:1], kind="refined"), 1e308).maps[0].data == 1.0)
+    stages = []
+    monkeypatch.setattr(lepfuse.fusion, "_each_in_processes", lambda *args: stages.append(args))
+    sources = [_random_image(s, (8, 8)) for s in (1, 2)]
+    with pytest.raises(ValueError, match="weight_floor"):
+        fuse(sources, FusionConfig(weight_floor=1e308))
+    assert stages == []
+
+
 # --- fuse --------------------------------------------------------------------
 
 def test_fuse_single_source_returns_source():
@@ -593,12 +609,10 @@ def test_threaded_refine_rejects_bad_guided_config(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("keep", [True, False])
-def test_fuse_forks_twice_per_extra_process(monkeypatch, keep):
+def test_fuse_forks_twice_per_extra_process(monkeypatch):
     """fuse forks min(jobs, CPUs) - 1 children for each of its two forked
-    stages.  With N = 3 sources and intermediates kept, each stage has
-    2N jobs (layers beside saliency, then one job per fit); without, N
-    (one job fits a source's base and then its detail map)."""
+    stages, which have N jobs each: at N = 3, one saliency map per job,
+    then one job that fits a source's base and then its detail map."""
     real_fork, forks = os.fork, []
 
     def counted_fork():
@@ -609,10 +623,10 @@ def test_fuse_forks_twice_per_extra_process(monkeypatch, keep):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     sources = [_random_image(s, (24, 20)) for s in (1, 2, 3)]
-    for cpus, want in ((64, 10 if keep else 4), (2, 2)):
+    for cpus, want in ((64, 4), (2, 2)):
         monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
         forks.clear()
-        fuse(sources, _keep_intermediates=keep)
+        fuse(sources)
         assert len(forks) == want, cpus
 
 
@@ -647,24 +661,22 @@ def _fit_log(monkeypatch, sources):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_stages_split_jobs_by_fit(monkeypatch):
-    """Kept intermediates give each forked stage 2N jobs (each source's
-    layers beside its saliency, then one job per weight fit), so two
-    processes run five fits each at N = 5.  Lean mode keeps N jobs per
-    stage: its detail fit writes over the binary map that the base fit
-    reads, so both run in one process, base first.  refine_weights runs
-    one job per map."""
+    """fuse gives each forked stage N jobs: one saliency map each, then
+    one job per source whose detail fit writes over the binary map that
+    its base fit reads, so both run in one process, base first; at N = 5
+    two processes split the sources 3:2.  refine_weights runs one job per
+    map."""
     sources = [_random_image(s, (24, 20)) for s in range(5)]
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 2)
     counts = _stage_counts(monkeypatch)
     log = _fit_log(monkeypatch, sources)
     fuse(sources)
-    pids = log[:, :, 0].ravel().tolist()
-    assert counts == [10, 10]
-    assert sorted(pids.count(pid) for pid in set(pids)) == [5, 5] and os.getpid() in pids
-
-    counts.clear()
-    fuse(sources, _keep_intermediates=False)
+    base, detail = log
     assert counts == [5, 5]
+    assert np.array_equal(base[:, 0], detail[:, 0])
+    assert sorted(base[:, 0].tolist().count(pid) for pid in set(base[:, 0].tolist())) == [2, 3]
+    assert base[0, 0] == os.getpid()
+    assert np.all(base[:, 2] <= detail[:, 1])
 
     binary = binary_weight_maps([saliency(src) for src in sources])
     counts.clear()
@@ -673,11 +685,53 @@ def test_forked_stages_split_jobs_by_fit(monkeypatch):
 
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
     log[:] = 0.0
-    fuse(sources[:3], _keep_intermediates=False)
+    fuse(sources[:3])
     base, detail = log[:, :3]
     assert len(set(base[:, 0])) == 3
     assert np.array_equal(base[:, 0], detail[:, 0])
     assert np.all(base[:, 2] <= detail[:, 1])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fuse_hook_sees_each_stage_in_order(monkeypatch, cpus):
+    """A caller's _dump hook gets every whole-plane kind for each source
+    in pipeline order, each plane as the result holds it, then the base
+    and detail strips, which cover rows 0..h in order; fuse then keeps no
+    intermediates.  Without a hook, the result holds private copies of the
+    planes that a later stage overwrites, and adopts the normalized
+    weights' own shared planes."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
+    h, w, count = 2 * _STRIP_ROWS + 5, 20, 3
+    sources = [Image(np.random.default_rng(s).uniform(0, 255, (h, w, 3))) for s in range(count)]
+    calls = []
+
+    def hook(kind, n, rows, data):
+        calls.append((kind, n, rows, data.copy()))
+
+    hooked = fuse(sources, _dump=hook)
+    assert hooked.layers is hooked.saliencies is hooked.binary_maps is hooked.detail_weights is None
+    result = fuse(sources)
+    assert _same_bits(hooked.fused.data, result.fused.data)
+    kinds = {"sal": result.saliencies, "binary": result.binary_maps.maps,
+             "refined_base": result.refined_base.maps, "refined_detail": result.refined_detail.maps,
+             "wb": result.base_weights.maps, "wd": result.detail_weights.maps}
+    whole, strips = calls[:len(kinds) * count], calls[len(kinds) * count:]
+    assert [(kind, n, rows) for kind, n, rows, _ in whole] == [
+        (kind, n, slice(0, h)) for kind in kinds for n in range(count)]
+    for kind, n, _, data in whole:
+        assert _same_bits(data, kinds[kind][n].data), (kind, n)
+    assert [(kind, n) for kind, n, _, _ in strips] == [
+        (kind, n) for _ in range(len(strips) // (2 * count)) for n in range(count) for kind in ("base", "detail")]
+    bounds = [0] + [rows.stop for _, _, rows, _ in strips[::2 * count]]
+    assert [rows.start for _, _, rows, _ in strips[::2 * count]] == bounds[:-1] and bounds[-1] == h
+    for kind, n, rows, data in strips:
+        pair = result.layers[n]
+        assert _same_bits(data, (pair.base if kind == "base" else pair.detail).data[rows]), (kind, n, rows)
+
+    private = [*result.saliencies, *result.binary_maps.maps, *result.refined_base.maps,
+               *result.refined_detail.maps, *(img for pair in result.layers for img in (pair.base, pair.detail))]
+    assert not any(lepfuse.fusion._is_shared(img.data) for img in private)
+    assert all(lepfuse.fusion._is_shared(img.data) for img in (*result.base_weights.maps, *result.detail_weights.maps))
 
 
 def _job_pids(count):

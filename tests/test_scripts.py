@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ def test_box_filter_timing_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert f"numpy {np.__version__}" in lines[0]
     assert f"{os.cpu_count()} CPUs" in lines[0]
+    counts = re.search(r"src/lepfuse (\d+) lines, (\d+) code lines", lines[0])
+    assert counts and 0 < int(counts[2]) < int(counts[1])
     assert lines[1].startswith("gaussian_filter radius 5 sigma 5.0: ")
     assert lines[1].endswith(" ms")
     assert lines[2].startswith("saliency: ")
