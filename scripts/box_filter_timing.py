@@ -10,16 +10,17 @@ normalize_weights and of refine_weights with the default base-layer
 parameters on a seeded two-source stack, of fuse on five seeded colour
 sources with every intermediate kept (as a FusionResult caller gets it),
 of ``lepfuse fuse --dump-intermediates`` on the same five sources (read,
-fuse from the lean pipeline, and the 26 writes), of read_image on a plain
-P2 file, and of
-the box filter per radius, all on fixed random images, with the
-numpy version, the CPU count and the line and code-line counts of the
-lepfuse package in the header; a code line is neither blank, a comment
-nor part of a docstring.  Every timed row follows one
-untimed call of the same work.  The refine_weights line also gives the
-call's peak memory in planes of the image size, its two output maps
-included: the tracemalloc peak plus the shared memory maps that forked
-processes write into, which tracemalloc does not see.
+fuse from the lean pipeline, and the 26 writes), of ``lepfuse fuse`` on
+two gray sources, of read_image on a plain P2 file, and of the box filter
+per radius, all on fixed random images, with the numpy version, the CPU
+count and the line and code-line counts of the lepfuse package in the
+header; a code line is neither blank, a comment nor part of a docstring.
+Every timed row follows one untimed call of the same work.  The
+refine_weights line and the two command lines also give the call's peak
+memory in planes of one channel of the image size (the refine_weights
+peak includes its two output maps, a command's peak its sources): the
+tracemalloc peak plus the shared memory maps that forked processes write
+into, which tracemalloc does not see.
 """
 
 import argparse
@@ -135,19 +136,24 @@ def main(argv=None) -> int:
     colour = [Image(rng.uniform(0, 255, (args.side, args.side, 3))) for _ in range(5)]
     ms = median_ms(lambda: fuse(colour), args.repeats)
     print(f"fuse 5 colour sources, intermediates kept: {ms:.2f} ms")
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [str(Path(tmp) / f"src{n}.ppm") for n in range(len(colour))]
-        for src, path in zip(colour, paths):
-            write_image(src, path)
-        argv = ["fuse", *paths, "-o", str(Path(tmp) / "fused.ppm"), "--dump-intermediates"]
+    gray = [Image(rng.uniform(0, 255, (args.side, args.side))) for _ in range(2)]
+    for label, sources, extra in (("CLI fuse --dump-intermediates, 5 colour sources", colour, ["--dump-intermediates"]),
+                                  ("CLI fuse, 2 gray sources", gray, [])):
+        ext = ".ppm" if sources[0].channels == 3 else ".pgm"
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [str(Path(tmp) / f"src{n}{ext}") for n in range(len(sources))]
+            for src, path in zip(sources, paths):
+                write_image(src, path)
+            argv = ["fuse", *paths, "-o", str(Path(tmp) / f"fused{ext}"), *extra]
 
-        def dump():
-            with contextlib.redirect_stdout(io.StringIO()):  # the report lines
-                if lepfuse.cli.main(argv) != 0:
-                    raise RuntimeError("lepfuse fuse --dump-intermediates failed")
+            def command():
+                with contextlib.redirect_stdout(io.StringIO()):  # the report lines
+                    if lepfuse.cli.main(argv) != 0:
+                        raise RuntimeError(f"lepfuse {' '.join(argv)} failed")
 
-        ms = median_ms(dump, args.repeats)
-    print(f"CLI fuse --dump-intermediates, 5 colour sources: {ms:.2f} ms")
+            ms = median_ms(command, args.repeats)
+            planes = traced_peak(command) / (args.side * args.side * 8)
+        print(f"{label}: {ms:.2f} ms, peak {planes:.2f} planes")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plain.pgm"
         samples = rng.integers(0, 256, args.side * args.side)

@@ -22,7 +22,7 @@ import numpy as np
 from .config import FUSE_FLAGS, CliConfig, _PARSERS, apply_values, parse_config_text, parse_rect
 from .fusion import decompose, fuse
 from .metrics import MetricsReport, psnr, report
-from .netpbm import NetpbmError, _encode, _write_raster, read_image, write_image
+from .netpbm import NetpbmError, _encode, _header, _write_raster, read_image, write_image
 from .zoom import zoom_region
 
 EXIT_OK = 0
@@ -124,46 +124,57 @@ def _encoding(kind: str, data, max_val: float):
 
 
 def _dump_writer(write, out_path: Path, shape: tuple, max_val: float):
-    # The _dump hook of fuse for --dump-intermediates: each plane of a
-    # dumped kind is quantized as it arrives into a uint8 raster, which
-    # goes to ``write`` once its last row is in, as <stem>_<kind>_<n>.
-    rasters, maxval = {}, int(max_val)
+    # The _dump hook of fuse for --dump-intermediates: each plane or strip
+    # of a dumped kind is quantized as it arrives into a uint8 raster of its
+    # rows, which ``write`` appends to <stem>_<kind>_<n>.
+    maxval = int(max_val)
     stem = out_path.with_suffix("")
     layer_ext = ".pgm" if shape[2] == 1 else ".ppm"
 
     def dump(kind: str, n: int, rows: slice, data) -> None:
         if kind in ("binary", "refined_base", "refined_detail"):  # stages that have no file
             return
-        if (kind, n) not in rasters:
-            rasters[kind, n] = np.empty(shape[:2] + data.shape[2:], dtype=np.uint8)
-        _encode(data, maxval, rasters[kind, n][rows], *_encoding(kind, data, max_val))
-        if rows.stop == shape[0]:
-            ext = layer_ext if kind in ("base", "detail") else ".pgm"
-            write(rasters.pop((kind, n)), stem.with_name(f"{stem.name}_{kind}_{n + 1}{ext}"), maxval)
+        raster = np.empty(data.shape, dtype=np.uint8)
+        _encode(data, maxval, raster, *_encoding(kind, data, max_val))
+        ext = layer_ext if kind in ("base", "detail") else ".pgm"
+        write(raster, stem.with_name(f"{stem.name}_{kind}_{n + 1}{ext}"), maxval, shape[0])
 
     return dump
 
 
 @contextlib.contextmanager
 def _atomic_outputs():
-    """Yields write(img, path, maxval=None); the files appear only if the
-    block succeeds.
+    """Yields write(img, path, maxval=None, height=None); the files appear
+    only if the block succeeds.
 
-    ``img`` is an Image, or with ``maxval`` a uint8 raster from
-    netpbm._encode.  Each goes to a hidden temporary file beside its
-    target.  On success every temporary file is renamed onto its target;
-    on any failure the temporary files, and targets already renamed, are
-    removed.
+    ``img`` is an Image, or with ``maxval`` rows of a uint8 raster from
+    netpbm._encode, of a raster ``height`` rows tall (by default, these
+    rows alone).  A raster's file is opened and given its header at the
+    first rows, each later call for the same path appends the next rows,
+    and the file is closed when the last row is in, so a raster written in
+    strips is never whole in memory.  Each file goes to a hidden temporary
+    file beside its target.  On success every temporary file is renamed
+    onto its target; on any failure the open files are closed, and the
+    temporary files and targets already renamed are removed.
     """
-    pending, done = [], []
+    pending, streams, done = [], {}, []
 
-    def write(img, path: Path, maxval: int = None) -> None:
-        tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp{path.suffix}")
-        pending.append((tmp, path))
-        if maxval is None:
-            write_image(img, tmp)
-        else:
-            _write_raster(img, maxval, tmp)
+    def write(img, path: Path, maxval: int = None, height: int = None) -> None:
+        header = b""
+        if path not in streams:
+            tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp{path.suffix}")
+            pending.append((tmp, path))
+            if maxval is None:
+                write_image(img, tmp)
+                return
+            height = len(img) if height is None else height
+            streams[path] = [open(tmp, "wb"), height]
+            header = _header((height,) + img.shape[1:], maxval)
+        stream = streams[path]
+        _write_raster(stream[0], header, img)
+        stream[1] -= len(img)
+        if stream[1] == 0:
+            streams.pop(path)[0].close()
 
     try:
         yield write
@@ -171,6 +182,8 @@ def _atomic_outputs():
             os.replace(tmp, path)
             done.append(path)
     except BaseException:
+        for f, _ in streams.values():
+            f.close()
         for path in [tmp for tmp, _ in pending] + done:
             with contextlib.suppress(OSError):
                 path.unlink()

@@ -350,7 +350,8 @@ def _fit(out: np.ndarray, pp: np.ndarray, gg: np.ndarray, params: FilterParams, 
         for rows, means in _box_means(sums(), params.radius):
             n = rows.stop - rows.start
             mean_g, var_g = means[:, 1], means[:, 2]
-            reg = np.multiply(means[:, 0], params.alpha, out=means[:, 0])
+            with np.errstate(over="ignore"):  # inf is the alpha -> inf limit: slope 0
+                reg = np.multiply(means[:, 0], params.alpha, out=means[:, 0])
             np.maximum(reg, 0.0, out=reg)
             var_g -= np.multiply(mean_g, mean_g, out=tmp[:n])
             np.maximum(var_g, 0.0, out=var_g)

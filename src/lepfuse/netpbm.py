@@ -195,12 +195,18 @@ def quantize(img: Image) -> np.ndarray:
     return out
 
 
-def _write_raster(raster: np.ndarray, maxval: int, path) -> None:
-    # Writes an (h, w, c) uint8 raster as binary PGM (c = 1) or PPM (c = 3).
-    h, w, c = raster.shape
-    with open(path, "wb") as f:
-        f.write(b"%s\n%d %d\n%d\n" % (b"P5" if c == 1 else b"P6", w, h, maxval))
-        f.write(raster)
+def _header(shape: tuple, maxval: int) -> bytes:
+    # The header of a binary PGM (c = 1) or PPM (c = 3) of an (h, w, c) raster.
+    h, w, c = shape
+    return b"%s\n%d %d\n%d\n" % (b"P5" if c == 1 else b"P6", w, h, maxval)
+
+
+def _write_raster(f, header: bytes, rows: np.ndarray) -> None:
+    # Appends ``header`` (empty after a file's first call) and then the
+    # uint8 ``rows`` to the binary file ``f``.  Every byte of every file
+    # this package writes goes through here.
+    f.write(header)
+    f.write(rows)
 
 
 def write_image(img: Image, path, format: str = None) -> None:
@@ -229,4 +235,6 @@ def write_image(img: Image, path, format: str = None) -> None:
         raise ValueError(
             f"netpbm encoding requires an integer max_val in [1, 255], got {img.max_val}"
         )
-    _write_raster(quantize(img), maxval, path)
+    raster = quantize(img)
+    with open(path, "wb") as f:
+        _write_raster(f, _header(raster.shape, maxval), raster)

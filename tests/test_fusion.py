@@ -734,6 +734,21 @@ def test_fuse_hook_sees_each_stage_in_order(monkeypatch, cpus):
     assert all(lepfuse.fusion._is_shared(img.data) for img in (*result.base_weights.maps, *result.detail_weights.maps))
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+def test_hooked_gray_fuse_writes_over_a_weight_plane(channels):
+    """With a caller's hook, a gray fuse writes the fused image over a
+    spent shared weight plane instead of allocating one.  A colour fuse,
+    and a fuse without a hook, whose result keeps the weights, get a
+    private plane.  The samples are the same bit for bit."""
+    h, w = 2 * _STRIP_ROWS + 5, 20
+    sources = [Image(np.random.default_rng(s).uniform(0, 255, (h, w, channels))) for s in range(2)]
+    hooked = fuse(sources, _dump=lambda kind, n, rows, data: None).fused
+    result = fuse(sources)
+    assert _same_bits(hooked.data, result.fused.data)
+    assert lepfuse.fusion._is_shared(hooked.data) == (channels == 1)
+    assert not lepfuse.fusion._is_shared(result.fused.data)
+
+
 def _job_pids(count):
     # The pid of the process that ran each job of _each_in_processes.
     outs = lepfuse.fusion._shared_planes(count, (2,))

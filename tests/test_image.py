@@ -86,3 +86,19 @@ def test_pad_replicate():
     assert np.array_equal(pad_replicate(img, 0).data, img.data)
     with pytest.raises(ValueError):
         pad_replicate(img, -1)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 3), (7, 5, 3), (64, 48, 3)])
+def test_rgb_to_luma_bit_identical_to_the_plain_expression(shape):
+    """rgb_to_luma builds its sum in place, yet every sample equals the
+    plain expression (wr * R + wg * G) + wb * B clamped to the observed
+    range, bit for bit, on signed samples from 1e-297 to 1e303."""
+    rng = np.random.default_rng(shape[0])
+    data = rng.uniform(-1e3, 1e3, shape) * rng.choice([1e-300, 1.0, 1e300], shape)
+    img = Image(data)
+    wr, wg, wb = 0.299, 0.587, 0.114
+    expected = np.clip(wr * data[:, :, 0] + wg * data[:, :, 1] + wb * data[:, :, 2], data.min(), data.max())
+    luma = rgb_to_luma(img)
+    assert luma.data.shape == shape[:2] + (1,)
+    assert luma.data[:, :, 0].tobytes() == expected.tobytes()
+    assert not luma.data.flags.writeable and luma.max_val == img.max_val
