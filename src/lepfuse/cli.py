@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 I/O failure (unreadable/unwritable/undecodable
 files, or memory exhausted), 2 validation failure (bad arguments,
-dimension mismatches).  All validation, of the fusion parameters too,
-runs before any output file is created or any work is forked, and every
-output is written under a temporary name and renamed into place only
-after all of a command's writes succeeded, so a non-zero exit leaves no
-outputs behind.  ``fuse --dump-intermediates`` writes each intermediate
-as its stage ends, under its temporary name, so a failure at a later
-stage removes those files too.
+dimension mismatches, radii or scales whose largest array would pass a
+bound that grows with the inputs).  All validation, of the fusion
+parameters too, runs before any output file is created or any work is
+forked, and every output is written under a temporary name and renamed
+into place only after all of a command's writes succeeded, so a non-zero
+exit leaves no outputs behind.  ``fuse --dump-intermediates`` writes
+each intermediate as its stage ends, under its temporary name, so a
+failure at a later stage removes those files too.
 """
 
 import argparse
@@ -20,14 +21,20 @@ from pathlib import Path
 import numpy as np
 
 from .config import FUSE_FLAGS, CliConfig, _PARSERS, apply_values, parse_config_text, parse_rect
-from .fusion import decompose, fuse
+from .fusion import _layers_bytes, _scratch_bytes, decompose, fuse
 from .metrics import MetricsReport, psnr, report
 from .netpbm import NetpbmError, _encode, _header, _write_raster, read_image, write_image
-from .zoom import zoom_region
+from .zoom import _zoomed_size, zoom_region
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
+
+# The largest array a command may allocate: 64 times its sources' float64
+# samples, and never less than 256 MiB.  Window radii and zoom scales ask
+# for arrays that grow with them rather than with the image, and a few
+# thousand pixels of radius on a small image would ask for gigabytes.
+_SCRATCH_FACTOR, _SCRATCH_FLOOR = 64, 256 << 20
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,6 +149,15 @@ def _dump_writer(write, out_path: Path, shape: tuple, max_val: float):
     return dump
 
 
+def _check_scratch(nbytes: float, sources) -> None:
+    # Refuses a command whose largest array, ``nbytes`` as estimated from
+    # the shapes, radii or scale, would pass the bound above.
+    bound = max(_SCRATCH_FACTOR * sum(src.data.nbytes for src in sources), _SCRATCH_FLOOR)
+    if nbytes > bound:
+        raise ValueError(f"these settings need an array of {nbytes / 2**20:.4g} MiB, more than the "
+                         f"{bound / 2**20:.4g} MiB allowed for these inputs; use smaller radii or scale")
+
+
 @contextlib.contextmanager
 def _atomic_outputs():
     """Yields write(img, path, maxval=None, height=None); the files appear
@@ -203,6 +219,7 @@ def _cmd_fuse(args, cfg: CliConfig) -> int:
     fusion_config = cfg.fusion_config()
     out_path = _resolve_output(args, cfg)
     _check_encodable(out_path, sources[0].channels)
+    _check_scratch(_scratch_bytes(first_shape, fusion_config), sources)
 
     # With a hook fuse keeps no intermediates; the dumped ones are written
     # as their stages end, so fuse runs inside the block that removes them
@@ -222,6 +239,8 @@ def _cmd_zoom(args, cfg: CliConfig) -> int:
     spec = cfg.zoom_spec()
     out_path = _resolve_output(args, cfg)
     _check_encodable(out_path, img.channels)
+    out_w, out_h = _zoomed_size(spec)
+    _check_scratch(8.0 * out_w * out_h * img.channels, [img])
     zoomed = zoom_region(img, spec)
     psnr_line = None
     if args.psnr_against:
@@ -244,6 +263,7 @@ def _cmd_decompose(args, cfg: CliConfig) -> int:
     img = read_image(args.input)
     out_path = _resolve_output(args, cfg)
     _check_encodable(out_path, img.channels)
+    _check_scratch(_layers_bytes(img.data.shape, cfg.avg_filter_size), [img])
     pair = decompose(img, cfg.avg_filter_size)
     stem = out_path.with_suffix("")
     suffix = out_path.suffix

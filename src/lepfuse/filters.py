@@ -139,7 +139,7 @@ def _box_means(blocks, radius: int, out: np.ndarray = None):
     for block in blocks:
         if anchor is None:  # the ring, the carried and edge rows, and a strip of means
             channels, w = block.shape[1:]
-            ring = np.zeros((-(-(m + k) // m) * m, channels, w + k))
+            ring = np.zeros(_ring_shape(radius, channels, w))
             size, lines = len(ring), list(ring[:, :, 1:])
             carry, edge = np.empty((2, channels, w + 2 * radius))
             means = np.empty((m, channels, w))
@@ -151,6 +151,14 @@ def _box_means(blocks, radius: int, out: np.ndarray = None):
     yield from write(radius, copies)
     if written > summed:
         yield from sum_rows(written - summed)
+
+
+def _ring_shape(radius: int, channels: int, width: int) -> tuple:
+    # The shape of _box_means' ring of integral-image rows: at least
+    # _STRIP_ROWS + 2r + 1 rows, a multiple of _STRIP_ROWS, each a zero
+    # column and the padded row of every channel.
+    k, m = 2 * radius + 1, _STRIP_ROWS
+    return (-(-(m + k) // m) * m, channels, width + k)
 
 
 def _row_blocks(arr: np.ndarray):

@@ -11,6 +11,7 @@ The Laplacian used by the saliency measure is the fixed 4-neighbor kernel
 from :func:`lepfuse.filters.laplacian_filter`; it is not configurable.
 """
 
+import math
 import mmap
 import os
 import threading
@@ -27,6 +28,7 @@ from .filters import (
     _guided_params,
     _guided_planes,
     _laplacian_rows,
+    _ring_shape,
     _row_blocks,
     _strips,
     _valid_correlate_sep,
@@ -153,6 +155,23 @@ def _layers(data: np.ndarray, radius: int):
         yield rows, base, np.subtract(data[rows], base, out=scratch[:len(base)])
 
 
+def _layers_bytes(shape: tuple, avg_filter_size: int) -> int:
+    # The bytes of the window-mean ring that _layers allocates for an
+    # (h, w, c) array.
+    return 8 * math.prod(_ring_shape((avg_filter_size - 1) // 2, shape[2], shape[1]))
+
+
+def _scratch_bytes(shape: tuple, config: FusionConfig) -> int:
+    # The bytes of the largest array that fuse allocates for sources of
+    # ``shape`` whose size grows with a radius rather than with the image:
+    # saliency's edge-padded response, the layers' ring, or the ring of
+    # the base fit's first stream, the widest fit (five channels).
+    h, w, _ = shape
+    pad = config.saliency_radius
+    return max(8 * (h + 2 * pad) * (w + 2 * pad), _layers_bytes(shape, config.avg_filter_size),
+               8 * math.prod(_ring_shape(config.base_params.radius, 5, w)))
+
+
 def decompose(src: Image, avg_filter_size: int = FusionConfig.avg_filter_size) -> LayerPair:
     """Split into a box-mean base layer and the detail residual.
 
@@ -180,13 +199,11 @@ def _saliency(out: np.ndarray, plane: np.ndarray, kernel: np.ndarray) -> np.ndar
     return _valid_correlate_sep(np.pad(out, len(kernel) // 2, mode="edge"), kernel, out=out)
 
 
-def _saliency_maps(guides, config: FusionConfig) -> list:
-    # One shared (h, w, 1) saliency array per guide plane, one job each.
+def _saliency_maps(images, config: FusionConfig, outs) -> None:
+    # outs[n] = the saliency map of image n's luminance, one job each.  A
+    # colour image's luminance is built inside its job and freed with it.
     kernel = _gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
-    maps = _shared_planes(len(guides), guides[0].shape + (1,))
-    planes = [m[:, :, 0] for m in maps]
-    _each_in_processes(len(planes), lambda n: _saliency(planes[n], guides[n], kernel), planes)
-    return maps
+    _each_in_processes(len(outs), lambda n: _saliency(outs[n], _luma(images[n]).plane(), kernel), outs)
 
 
 def saliency(src_luma: Image, config: FusionConfig = FusionConfig()) -> Image:
@@ -201,7 +218,9 @@ def saliency(src_luma: Image, config: FusionConfig = FusionConfig()) -> Image:
     """
     if src_luma.channels != 1:
         raise ValueError(f"saliency requires a single-channel image, got {src_luma.channels} channels")
-    return Image._adopt(_saliency_maps([src_luma.plane()], config)[0], src_luma.max_val)
+    out = _shared_planes(1, src_luma.data.shape)[0]
+    _saliency_maps([src_luma], config, [out[:, :, 0]])
+    return Image._adopt(out, src_luma.max_val)
 
 
 def _binary_maps(saliencies, outs) -> None:
@@ -343,16 +362,19 @@ def _each_in_processes(count: int, job, outs) -> None:
 
 def _refined(maps, guides, fits, filter_kind: str) -> None:
     # For each (params, outs) of ``fits``, outs[n] = the fit of maps[n] on
-    # guides[n], clamped to [0, 1].  The outs are shared planes; the last
-    # fit's outs[n] may be maps[n] itself.  Each source is one job that
-    # runs its fits in order, so every fit has read the map before the
-    # last one overwrites it.
+    # the luminance of the image guides[n], clamped to [0, 1].  The outs
+    # are shared planes; the last fit's outs[n] may be maps[n] itself.
+    # Each source is one job that runs its fits in order, so every fit has
+    # read the map before the last one overwrites it.  A colour guide's
+    # luminance is built inside its job, once for all its fits, and freed
+    # with it.
     if filter_kind == "guided":
         fits = [(_guided_params(params.radius, params.alpha), outs) for params, outs in fits]
 
     def refine(n):
+        guide = _luma(guides[n]).plane()
         for params, outs in fits:
-            for rows in _fit(outs[n], maps[n], guides[n], params):
+            for rows in _fit(outs[n], maps[n], guide, params):
                 np.clip(outs[n][rows], 0.0, 1.0, out=outs[n][rows])
 
     _each_in_processes(len(maps), refine, [out for _, outs in fits for out in outs])
@@ -387,9 +409,9 @@ def refine_weights(
         )
     if filter_kind not in REFINE_FILTERS:
         raise ValueError(f"filter_kind must be one of {REFINE_FILTERS}, got {filter_kind!r}")
-    pairs = [_guided_planes(m, g) for m, g in zip(binary.maps, guides)]
-    outs = _shared_planes(len(binary.maps), binary.maps[0].data.shape)
-    _refined([p for p, _ in pairs], [g for _, g in pairs], [(params, [out[:, :, 0] for out in outs])], filter_kind)
+    maps = [_guided_planes(m, g)[0] for m, g in zip(binary.maps, guides)]
+    outs = _shared_planes(len(maps), binary.maps[0].data.shape)
+    _refined(maps, guides, [(params, [out[:, :, 0] for out in outs])], filter_kind)
     return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="refined")
 
 
@@ -443,7 +465,8 @@ def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, d
     # streamed alongside (see _layers), and each strip is handed to
     # ``dump`` (see fuse).  Both sums start from zero and add the sources
     # in order.  A strip of ``fused`` is written only after every weight
-    # has been read there, so ``fused`` may be one of the weight planes.
+    # has been read there, so ``fused`` may share its rows with weight
+    # planes.
     h, w, c = sources[0].data.shape
     fb, fd, tmp = np.empty((3, min(h, _STRIP_ROWS), w, c))
     for strips in zip(*(_layers(src.data, radius) for src in sources)):
@@ -493,18 +516,22 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
     always passes one, for ``--dump-intermediates`` or doing nothing; then
     fuse returns only ``fused`` (the other fields are None).
 
-    Each plane is freed at its last use.  Color luminance is dropped once
-    refinement is done, so beyond the sources the peak is the two weight
-    planes per source plus the larger of the N luminance planes (during
-    refinement) and the fused image (during the blend).  With a hook, a
-    gray fused image is written over a spent detail-weight plane, so the
-    peak is the weight planes alone: 250 MB RSS for a 2048^2 gray pair
-    from the command line on a 2-vCPU Xeon VM, against 283 MB with a
-    fused plane of its own.
+    Each plane is freed at its last use, and beyond the sources fuse
+    holds the 2N weight planes plus O(strip) scratch, for any channel
+    count c.  A forked job also holds, while it runs, the luminance plane
+    of a colour source, which it builds for itself, and saliency's
+    edge-padded plane.  The first c weight planes, detail weights then
+    base weights (one more plane for a colour fuse of one source), are
+    the rows of one (h, c, w) mapping, which read as (h, w, c) is a
+    C-contiguous image.  With a hook, the blend writes the fused image
+    there over the spent weights: 250 MB RSS for a 2048^2 gray pair from
+    the command line on a 2-vCPU Xeon VM, against 283 MB with a fused
+    plane of its own.
 
     Without a hook, fuse collects every intermediate for the result: a
     private copy of each plane that a later stage overwrites, the
-    normalized weights' own planes, and a fused plane of its own.
+    normalized weights' own planes (copies of those that are rows of the
+    mapping) and a fused image of its own.
     """
     sources = list(sources)
     if not sources:
@@ -524,7 +551,7 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
     kept = {} if _dump is None else None
     if kept is not None:  # collect the result: copies of the planes that a later stage overwrites
         def _dump(kind, n, rows, data):
-            if kind in ("wb", "wd"):  # the final planes, which no stage writes again
+            if kind in ("wb", "wd") and data.flags.c_contiguous:  # final planes, which no stage writes again
                 kept[kind, n] = data
                 return
             if (kind, n) not in kept:
@@ -535,27 +562,34 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
         for n, m in enumerate(maps):
             _dump(kind, n, slice(0, len(m)), m)
 
-    guides = [_luma(src).plane() for src in sources]
+    # The weight planes, detail then base, the first c of them rows of one
+    # (h, c, w) mapping.  A page of a shared map takes memory only once it
+    # is written, so the base planes cost nothing before refinement.
+    h, w, c = shape
+    count = len(sources)
+    host = _shared_planes(1, (h, c, w))[0]
+    weights = [host[:, k, :, np.newaxis] for k in range(min(c, 2 * count))]
+    weights += _shared_planes(2 * count - len(weights), (h, w, 1))
+    saliencies, refined_base = weights[:count], weights[count:]
     radius = (config.avg_filter_size - 1) // 2
-    saliencies = _saliency_maps(guides, config)
+    _saliency_maps(sources, config, [s[:, :, 0] for s in saliencies])
     dump("sal", saliencies)
     binary = saliencies
     _binary_maps([s[:, :, 0] for s in saliencies], [b[:, :, 0] for b in binary])
     dump("binary", binary)
-    refined_base, refined_detail = _shared_planes(len(sources), shape[:2] + (1,)), binary
+    refined_detail = binary
     fits = ((config.base_params, refined_base), (config.detail_params, refined_detail))
-    _refined([b[:, :, 0] for b in binary], guides, [(p, [o[:, :, 0] for o in outs]) for p, outs in fits],
+    _refined([b[:, :, 0] for b in binary], sources, [(p, [o[:, :, 0] for o in outs]) for p, outs in fits],
              config.refine_filter)
-    del guides  # no later stage reads the luminance, which color sources own alone
     dump("refined_base", refined_base)
     dump("refined_detail", refined_detail)
     _normalized(refined_base, config.weight_floor, refined_base)
     _normalized(refined_detail, config.weight_floor, refined_detail)
     dump("wb", refined_base)
     dump("wd", refined_detail)
-    # No result keeps the weights when the caller has a hook, so a gray
-    # fused image is written over the detail weights of source 0.
-    out = refined_detail[0] if kept is None and shape[2] == 1 else np.empty(shape)
+    # No result keeps the weights when the caller has a hook, so the fused
+    # image is written over the rows of the mapping.
+    out = host.reshape(shape) if kept is None else np.empty(shape)
     fused = Image._adopt(_blend(sources, refined_base, refined_detail, radius, max_val, _dump, out), max_val)
     if kept is None:
         return FusionResult(fused=fused)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 BT601_WEIGHTS = (0.299, 0.587, 0.114)
+_LUMA_ROWS = 16  # rows per strip of rgb_to_luma's scratch
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +52,7 @@ class Image:
             raise ValueError(f"image dimensions must be positive, got {h}x{w}")
         if c not in (1, 3):
             raise ValueError(f"channel count must be 1 or 3, got {c}")
-        if not np.all(np.isfinite(arr)):
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # NaN propagates; no temporary
             raise ValueError("image samples must be finite")
         if not (np.isfinite(self.max_val) and self.max_val > 0):
             raise ValueError(f"max_val must be positive and finite, got {self.max_val}")
@@ -115,13 +116,18 @@ def rgb_to_luma(img: Image) -> Image:
     """
     if img.channels != 3:
         raise ValueError(f"rgb_to_luma requires 3 channels, got {img.channels}")
-    # (wr * R + wg * G) + wb * B, built in place in one fresh plane with
-    # one plane of scratch, then clamped in place and adopted.
+    # (wr * R + wg * G) + wb * B, built in place in one fresh plane a strip
+    # of rows at a time through one strip of scratch, then clamped in place
+    # and adopted.
     (wr, wg, wb), data = BT601_WEIGHTS, img.data
-    luma = np.multiply(data[:, :, 0], wr)
-    tmp = np.multiply(data[:, :, 1], wg)
-    luma += tmp
-    luma += np.multiply(data[:, :, 2], wb, out=tmp)
+    luma = np.empty(data.shape[:2])
+    tmp = np.empty((min(len(luma), _LUMA_ROWS), luma.shape[1]))
+    for start in range(0, len(luma), _LUMA_ROWS):
+        block, out = data[start:start + _LUMA_ROWS], luma[start:start + _LUMA_ROWS]
+        t = tmp[:len(out)]
+        np.multiply(block[:, :, 0], wr, out=out)
+        out += np.multiply(block[:, :, 1], wg, out=t)
+        out += np.multiply(block[:, :, 2], wb, out=t)
     np.clip(luma, data.min(), data.max(), out=luma)
     return Image._adopt(luma, img.max_val)
 

@@ -175,8 +175,10 @@ _ENCODE_ROWS = 16  # rows per block of _encode's float scratch
 def _encode(data: np.ndarray, maxval: int, out: np.ndarray, op=None, operand=None) -> None:
     # out = the uint8 quantization of op(data, operand), or of ``data`` if
     # ``op`` is None: clamp to [0, maxval], add 0.5, floor, in that order,
-    # one block of rows at a time through one block of float scratch.
-    # Every step is elementwise, so the bytes do not depend on the blocks.
+    # one block of rows at a time through one block of float scratch.  The
+    # floor is the cast to uint8, which truncates: every value is at least
+    # 0.5 there, where truncation is floor.  Every step is elementwise, so
+    # the bytes do not depend on the blocks.
     scratch = np.empty((min(len(data), _ENCODE_ROWS),) + data.shape[1:])
     for start in range(0, len(data), _ENCODE_ROWS):
         block = data[start:start + _ENCODE_ROWS]
@@ -185,7 +187,7 @@ def _encode(data: np.ndarray, maxval: int, out: np.ndarray, op=None, operand=Non
             block = op(block, operand, out=tmp)
         np.clip(block, 0.0, float(maxval), out=tmp)
         tmp += 0.5
-        out[start:start + _ENCODE_ROWS] = np.floor(tmp, out=tmp)
+        out[start:start + _ENCODE_ROWS] = tmp
 
 
 def quantize(img: Image) -> np.ndarray:

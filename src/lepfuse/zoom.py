@@ -68,6 +68,11 @@ def zoom_region(img: Image, spec: ZoomSpec) -> Image:
     half-up, never below 1.
     """
     region = crop(img, spec.region)
-    out_w = max(1, int(np.floor(spec.region.width * spec.scale + 0.5)))
-    out_h = max(1, int(np.floor(spec.region.height * spec.scale + 0.5)))
+    out_w, out_h = map(int, _zoomed_size(spec))
     return resize_bilinear(region, out_w, out_h)
+
+
+def _zoomed_size(spec: ZoomSpec) -> tuple:
+    # zoom_region's output width and height, as floats, which are inf when
+    # the scale overflows them.
+    return tuple(max(1.0, float(np.floor(n * spec.scale + 0.5))) for n in (spec.region.width, spec.region.height))

@@ -341,22 +341,30 @@ def test_dump_intermediates_only_for_fuse(workdir, monkeypatch, command):
     assert sorted(p.name for p in workdir.iterdir()) == before
 
 
-@pytest.mark.parametrize("command", [
-    ["zoom", "a.pgm", "--rect", "0,0,10,10", "--scale", "1e9", "-o", "out.pgm"],
-    ["fuse", "a.pgm", "b.pgm", "--base-radius", "100000", "-o", "out.pgm"],
-    ["fuse", "a.pgm", "b.pgm", "--base-radius", "100000", "-o", "out.pgm", "--dump-intermediates"],
-])
-def test_out_of_memory_exits_1_without_traceback(tmp_path, command):
-    """An allocation that fails exits 1 with a one-line message and no
-    traceback, from a forked stage too, and leaves no output.  The command
-    runs in a child interpreter whose address space is capped at 2 GiB,
-    so the allocations fail at once instead of reaching the host."""
+def _write_20x20_pair(tmp_path):
     rng = np.random.default_rng(5)
     for name in ("a.pgm", "b.pgm"):
         write_image(Image(rng.integers(0, 256, (20, 20)).astype(float)), tmp_path / name)
+
+
+@pytest.mark.parametrize("command", [
+    ["zoom", "a.pgm", "--rect", "0,0,10,10", "--scale", "400", "-o", "out.pgm"],
+    ["fuse", "a.pgm", "b.pgm", "--base-radius", "1100", "-o", "out.pgm"],
+    ["fuse", "a.pgm", "b.pgm", "--base-radius", "1100", "-o", "out.pgm", "--dump-intermediates"],
+])
+def test_out_of_memory_exits_1_without_traceback(tmp_path, command):
+    """An allocation that fails exits 1 with a one-line message and no
+    traceback, from a forked stage too, and leaves no output.  Each
+    command's largest array (128 MB for the zoom, a 198 MB window-mean
+    ring for the fuse) is within the bound that the commands check, so it
+    is allocated.  The command runs in a child interpreter whose address
+    space is capped at 96 MiB beyond what it holds after the import, so
+    the allocation fails at once instead of reaching the host."""
+    _write_20x20_pair(tmp_path)
     code = (
-        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-        "from lepfuse.cli import main; sys.exit(main(sys.argv[1:]))"
+        "import resource, sys; from lepfuse.cli import main; "
+        "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize() + (96 << 20); "
+        "resource.setrlimit(resource.RLIMIT_AS, (size, size)); sys.exit(main(sys.argv[1:]))"
     )
     src = Path(lepfuse.cli.__file__).resolve().parent.parent
     done = subprocess.run([sys.executable, "-c", code, *command], cwd=tmp_path, capture_output=True, text=True,
@@ -365,6 +373,86 @@ def test_out_of_memory_exits_1_without_traceback(tmp_path, command):
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
+
+
+@pytest.mark.parametrize("command", [
+    ["zoom", "a.pgm", "--rect", "0,0,10,10", "--scale", "1e9", "-o", "out.pgm"],
+    ["zoom", "a.pgm", "--rect", "0,0,10,10", "--scale", "1e308", "-o", "out.pgm"],
+    ["fuse", "a.pgm", "b.pgm", "--base-radius", "100000", "-o", "out.pgm"],
+    ["fuse", "a.pgm", "b.pgm", "--saliency-radius", "100000000", "-o", "out.pgm"],
+    ["fuse", "a.pgm", "b.pgm", "--avg-filter-size", "200001", "-o", "out.pgm"],
+    ["fuse", "a.pgm", "b.pgm", "--base-radius", "3000", "-o", "out.pgm", "--dump-intermediates"],
+    ["decompose", "a.pgm", "--avg-filter-size", "200001", "-o", "out.pgm"],
+])
+def test_oversized_scratch_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command):
+    """A radius or scale whose largest array would pass 64 times the
+    sources' samples (at least 256 MiB) is refused with exit 2 and one
+    line, before any file is created or any work is forked: the command
+    forks nothing and traces under 1 MiB.  It runs in this process, with
+    no limit on its memory.  Each of these once asked the host for
+    gigabytes or more, or raised OverflowError."""
+    _write_20x20_pair(tmp_path)
+    monkeypatch.chdir(tmp_path)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    tracemalloc.start()
+    try:
+        code = main(command)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "MiB" in err
+    assert peak < 1 << 20
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
+
+
+@pytest.mark.parametrize("command", [
+    ["zoom", "a.pgm", "--rect", "0,0,20,20", "--scale", "50", "-o", "out.pgm"],
+    ["fuse", "a.pgm", "b.pgm", "--base-radius", "21", "--detail-radius", "20", "--saliency-radius", "21",
+     "--avg-filter-size", "43", "-o", "out.pgm", "--dump-intermediates"],
+    ["decompose", "a.pgm", "--avg-filter-size", "43", "-o", "out.pgm"],
+])
+def test_radii_past_the_image_still_run(tmp_path, monkeypatch, command):
+    """Radii one past the image size, and a large zoom of a small image,
+    stay within the bound and run."""
+    _write_20x20_pair(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 0
+    assert (tmp_path / ("out_base.pgm" if command[0] == "decompose" else "out.pgm")).exists()
+
+
+@pytest.mark.parametrize("maxval", [1, 200, 255])
+@pytest.mark.parametrize("op, operand", [(None, None), (np.add, 0.5), (np.multiply, 1.0), (np.multiply, 2.7)],
+                         ids=["base", "detail", "weight", "saliency"])
+def test_encode_casts_as_the_floor_did(op, operand, maxval):
+    """_encode lets the cast to uint8 take the floor: after the clamp to
+    [0, maxval] and the +0.5 every value is at least 0.5, where the cast
+    truncates as floor does.  For each operand of a dumped kind (none for
+    base layers, + maxval/2 for details, * maxval for weights, * maxval /
+    peak for saliency), the bytes equal those of the clamp, +0.5 and
+    floor, on values whose op lands at, and one ulp either side of, every
+    k + 0.5, and below 0 and above maxval."""
+    operand = None if op is None else operand * maxval
+    halves = np.arange(-3, maxval + 4) + 0.5
+    targets = np.concatenate([halves, np.nextafter(halves, -np.inf), np.nextafter(halves, np.inf),
+                              [-1e300, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.25, maxval, maxval + 0.25, 1e300]])
+    if op is np.add:
+        data = np.concatenate([targets, targets - operand])
+    elif op is np.multiply:
+        data = np.concatenate([targets, targets / operand])
+    else:
+        data = targets
+    data = data.reshape(-1, 1, 1)
+    shifted = data if op is None else op(data, operand)
+    want = np.floor(np.clip(shifted, 0.0, float(maxval)) + 0.5).astype(np.uint8)
+    got = np.empty(data.shape, dtype=np.uint8)
+    lepfuse.netpbm._encode(data, maxval, got, op, operand)
+    assert got.tobytes() == want.tobytes()
 
 
 def _fuse_peak_planes(tmp_path, monkeypatch, shared_bytes, extra, count=2, channels=1) -> float:
@@ -417,13 +505,14 @@ def test_lean_fuse_holds_few_planes(tmp_path, monkeypatch, shared_bytes):
 
 def test_dump_fuse_of_colour_holds_few_planes(tmp_path, monkeypatch, shared_bytes):
     """With --dump-intermediates, the fuse call of an RGB N = 3 512^2 job
-    holds at most 12 planes beyond its sources.  It measured 10.95 planes
-    on numpy 2.4: six shared weight planes, the three-channel fused image,
-    the layer streams of the blend and, before them, the three luminance
-    planes, which are freed once refinement is done.  Keeping those
-    planes through the blend and buffering each dumped layer raster
-    whole, as before, took 16.18 planes."""
-    assert _fuse_peak_planes(tmp_path, monkeypatch, shared_bytes, ["--dump-intermediates"], 3, 3) <= 12
+    holds at most 9 planes beyond its sources.  It measured 8.42 planes
+    on numpy 2.4: six shared weight planes, the first three of which take
+    the fused image, and a saliency job's scratch, the luminance plane it
+    builds and the edge-padded response.  A private three-channel fused
+    image and three luminance planes built before saliency, as before,
+    took 10.95 planes; keeping those planes through the blend and
+    buffering each dumped layer raster whole took 16.18."""
+    assert _fuse_peak_planes(tmp_path, monkeypatch, shared_bytes, ["--dump-intermediates"], 3, 3) <= 9
     assert len(list(tmp_path.glob("fused*"))) == 16
 
 

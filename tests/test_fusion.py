@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -698,8 +699,10 @@ def test_fuse_hook_sees_each_stage_in_order(monkeypatch, cpus):
     in pipeline order, each plane as the result holds it, then the base
     and detail strips, which cover rows 0..h in order; fuse then keeps no
     intermediates.  Without a hook, the result holds private copies of the
-    planes that a later stage overwrites, and adopts the normalized
-    weights' own shared planes."""
+    planes that a later stage overwrites, adopts the normalized base
+    weights' own shared planes, and copies the detail weights, which at
+    N = 3 are the rows of the (h, 3, w) mapping that a hooked fuse writes
+    its fused image over."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
     h, w, count = 2 * _STRIP_ROWS + 5, 20, 3
     sources = [Image(np.random.default_rng(s).uniform(0, 255, (h, w, 3))) for s in range(count)]
@@ -731,22 +734,51 @@ def test_fuse_hook_sees_each_stage_in_order(monkeypatch, cpus):
     private = [*result.saliencies, *result.binary_maps.maps, *result.refined_base.maps,
                *result.refined_detail.maps, *(img for pair in result.layers for img in (pair.base, pair.detail))]
     assert not any(lepfuse.fusion._is_shared(img.data) for img in private)
-    assert all(lepfuse.fusion._is_shared(img.data) for img in (*result.base_weights.maps, *result.detail_weights.maps))
+    assert all(lepfuse.fusion._is_shared(img.data) for img in result.base_weights.maps)
+    assert not any(lepfuse.fusion._is_shared(img.data) for img in result.detail_weights.maps)
 
 
 @pytest.mark.parametrize("channels", [1, 3])
-def test_hooked_gray_fuse_writes_over_a_weight_plane(channels):
-    """With a caller's hook, a gray fuse writes the fused image over a
-    spent shared weight plane instead of allocating one.  A colour fuse,
-    and a fuse without a hook, whose result keeps the weights, get a
-    private plane.  The samples are the same bit for bit."""
+def test_hooked_fuse_writes_over_spent_weight_planes(channels):
+    """With a caller's hook, fuse writes the fused image over spent shared
+    weight planes instead of allocating one: the rows of the (h, c, w)
+    mapping that holds the first c of them, detail-weight plane 0 for
+    gray.  A colour fuse of one source has two weight planes, so the
+    mapping gets a third.  A fuse without a hook, whose result keeps the
+    weights, gets a private image.  The samples are the same bit for
+    bit."""
     h, w = 2 * _STRIP_ROWS + 5, 20
-    sources = [Image(np.random.default_rng(s).uniform(0, 255, (h, w, channels))) for s in range(2)]
-    hooked = fuse(sources, _dump=lambda kind, n, rows, data: None).fused
-    result = fuse(sources)
-    assert _same_bits(hooked.data, result.fused.data)
-    assert lepfuse.fusion._is_shared(hooked.data) == (channels == 1)
-    assert not lepfuse.fusion._is_shared(result.fused.data)
+    for count in (1, 2, 5):
+        sources = [Image(np.random.default_rng(s).uniform(0, 255, (h, w, channels))) for s in range(count)]
+        hooked = fuse(sources, _dump=lambda kind, n, rows, data: None).fused
+        result = fuse(sources)
+        assert _same_bits(hooked.data, result.fused.data), count
+        assert lepfuse.fusion._is_shared(hooked.data), count
+        assert not lepfuse.fusion._is_shared(result.fused.data), count
+
+
+def test_colour_fuse_holds_one_luma_plane_at_a_time(monkeypatch):
+    """Each forked job builds the luminance of its colour source for
+    itself and frees it when it ends, so a colour fuse of five sources in
+    one process never holds two luminance planes at once.  Building them
+    all before saliency and keeping them through refinement held five."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 1)
+    real, live, most = lepfuse.fusion._luma, set(), []
+
+    def tracked(img):
+        luma = real(img)
+        root = luma.data
+        while root.base is not None:
+            root = root.base
+        live.add(id(root))
+        most.append(len(live))
+        weakref.finalize(root, live.discard, id(root))
+        return luma
+
+    monkeypatch.setattr(lepfuse.fusion, "_luma", tracked)
+    sources = [Image(np.random.default_rng(s).uniform(0, 255, (24, 20, 3))) for s in range(5)]
+    fuse(sources, _dump=lambda kind, n, rows, data: None)
+    assert len(most) == 10 and max(most) == 1 and not live
 
 
 def _job_pids(count):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,20 @@ def test_rgb_to_luma_bit_identical_to_the_plain_expression(shape):
     assert luma.data.shape == shape[:2] + (1,)
     assert luma.data[:, :, 0].tobytes() == expected.tobytes()
     assert not luma.data.flags.writeable and luma.max_val == img.max_val
+
+
+def test_rgb_to_luma_holds_one_plane_and_a_strip():
+    """rgb_to_luma builds its sum in the returned plane through one strip
+    of scratch, so at 512^2 its traced peak is about 1.03 planes.  A whole
+    plane of scratch for the weighted channels, as before, read 2.13."""
+    side = 512
+    img = Image(np.random.default_rng(5).uniform(0, 255, (side, side, 3)))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        luma = rgb_to_luma(img)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert luma.data.shape == (side, side, 1)
+    assert (peak - start) / (side * side * 8) <= 1.1
