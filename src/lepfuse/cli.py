@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import FUSE_FLAGS, CliConfig, _PARSERS, apply_values, parse_config_text, parse_rect
 from .fusion import _layers_bytes, _scratch_bytes, decompose, fuse
+from .image import _check_inside
 from .metrics import MetricsReport, psnr, report
 from .netpbm import NetpbmError, _encode, _header, _write_raster, read_image, write_image
 from .zoom import _zoomed_size, zoom_region
@@ -30,10 +31,11 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 
-# The largest array a command may allocate: 64 times its sources' float64
-# samples, and never less than 256 MiB.  Window radii and zoom scales ask
-# for arrays that grow with them rather than with the image, and a few
-# thousand pixels of radius on a small image would ask for gigabytes.
+# The largest array a command may allocate: 64 times its sources' samples
+# at 8 bytes each, however they are held, and never less than 256 MiB.
+# Window radii and zoom scales ask for arrays that grow with them rather
+# than with the image, and a few thousand pixels of radius on a small
+# image would ask for gigabytes.
 _SCRATCH_FACTOR, _SCRATCH_FLOOR = 64, 256 << 20
 
 
@@ -152,7 +154,7 @@ def _dump_writer(write, out_path: Path, shape: tuple, max_val: float):
 def _check_scratch(nbytes: float, sources) -> None:
     # Refuses a command whose largest array, ``nbytes`` as estimated from
     # the shapes, radii or scale, would pass the bound above.
-    bound = max(_SCRATCH_FACTOR * sum(src.data.nbytes for src in sources), _SCRATCH_FLOOR)
+    bound = max(_SCRATCH_FACTOR * sum(8 * src.data.size for src in sources), _SCRATCH_FLOOR)
     if nbytes > bound:
         raise ValueError(f"these settings need an array of {nbytes / 2**20:.4g} MiB, more than the "
                          f"{bound / 2**20:.4g} MiB allowed for these inputs; use smaller radii or scale")
@@ -239,6 +241,7 @@ def _cmd_zoom(args, cfg: CliConfig) -> int:
     spec = cfg.zoom_spec()
     out_path = _resolve_output(args, cfg)
     _check_encodable(out_path, img.channels)
+    _check_inside(img, spec.region)  # before the estimate, which an absurd rect would fail first
     out_w, out_h = _zoomed_size(spec)
     _check_scratch(8.0 * out_w * out_h * img.channels, [img])
     zoomed = zoom_region(img, spec)

@@ -143,7 +143,7 @@ def _box_means(blocks, radius: int, out: np.ndarray = None):
             size, lines = len(ring), list(ring[:, :, 1:])
             carry, edge = np.empty((2, channels, w + 2 * radius))
             means = np.empty((m, channels, w))
-            anchor = block[0, :, :1].copy()
+            anchor = block[0, :, :1].astype(np.float64)
             _anchored(edge[np.newaxis], block[:1], anchor, radius)
             yield from write(radius, copies)
         yield from write(len(block), lambda body, i: _anchored(body, block[i:i + len(body)], anchor, radius))
@@ -271,7 +271,7 @@ def gaussian_filter(img: Image, radius: int, sigma: float) -> Image:
 def _laplacian_rows(padded: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     # 4-neighbor Laplacian of the interior of an edge-padded band of rows,
     # written into ``out``; ``tmp`` is scratch of the same shape.
-    np.add(padded[:-2, 1:-1], padded[2:, 1:-1], out=out)
+    np.add(padded[:-2, 1:-1], padded[2:, 1:-1], out=out, dtype=np.float64)
     out += padded[1:-1, :-2]
     out += padded[1:-1, 2:]
     out -= np.multiply(4.0, padded[1:-1, 1:-1], out=tmp)
@@ -288,9 +288,9 @@ def laplacian_filter(img: Image) -> Image:
 def _gradient_magnitude(plane: np.ndarray, out: np.ndarray = None, tmp: np.ndarray = None) -> np.ndarray:
     # Central differences at interior pixels; the output loses a border pixel.
     # ``out`` and ``tmp`` are optional scratch planes of the output shape.
-    dx = np.subtract(plane[1:-1, 2:], plane[1:-1, :-2], out=out)
+    dx = np.subtract(plane[1:-1, 2:], plane[1:-1, :-2], out=out, dtype=np.float64)
     dx *= 0.5
-    dy = np.subtract(plane[2:, 1:-1], plane[:-2, 1:-1], out=tmp)
+    dy = np.subtract(plane[2:, 1:-1], plane[:-2, 1:-1], out=tmp, dtype=np.float64)
     dy *= 0.5
     dx *= dx
     dy *= dy

@@ -33,7 +33,7 @@ from .filters import (
     _strips,
     _valid_correlate_sep,
 )
-from .image import Image, _luma
+from .image import Image, _luma, _rgb_to_luma
 
 REFINE_FILTERS = ("lep", "guided")
 
@@ -187,11 +187,20 @@ def decompose(src: Image, avg_filter_size: int = FusionConfig.avg_filter_size) -
     return LayerPair(base=Image._adopt(base, src.max_val), detail=Image._adopt(detail, src.max_val))
 
 
-def _saliency(out: np.ndarray, plane: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # The Gaussian-blurred |Laplacian| of ``plane``, both edge-padded,
-    # written into ``out``, which holds the response in between.  The
-    # Laplacian runs in strips of rows, so its scratch is one strip.
-    padded, tmp = np.pad(plane, 1, mode="edge"), np.empty((min(len(out), _STRIP_ROWS), out.shape[1]))
+def _saliency(out: np.ndarray, img: Image, kernel: np.ndarray) -> np.ndarray:
+    # The Gaussian-blurred |Laplacian| of the luminance of ``img``, both
+    # edge-padded, written into ``out``, which holds the response in
+    # between.  The luminance is built (or the gray plane widened) straight
+    # into the float64 padded plane, and the Laplacian runs in strips of
+    # rows, so beyond that plane its scratch is one strip.
+    h, w = out.shape
+    padded, tmp = np.empty((h + 2, w + 2)), np.empty((min(h, _STRIP_ROWS), w))
+    if img.channels == 3:
+        _rgb_to_luma(img.data, padded[1:-1, 1:-1])
+    else:
+        padded[1:-1, 1:-1] = img.plane()
+    padded[0], padded[-1] = padded[1], padded[-2]
+    padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
     for rows in _strips(len(out)):
         _laplacian_rows(padded[rows.start:rows.stop + 2], out[rows], tmp[:rows.stop - rows.start])
     del padded
@@ -200,10 +209,9 @@ def _saliency(out: np.ndarray, plane: np.ndarray, kernel: np.ndarray) -> np.ndar
 
 
 def _saliency_maps(images, config: FusionConfig, outs) -> None:
-    # outs[n] = the saliency map of image n's luminance, one job each.  A
-    # colour image's luminance is built inside its job and freed with it.
+    # outs[n] = the saliency map of image n's luminance, one job each.
     kernel = _gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
-    _each_in_processes(len(outs), lambda n: _saliency(outs[n], _luma(images[n]).plane(), kernel), outs)
+    _each_in_processes(len(outs), lambda n: _saliency(outs[n], images[n], kernel), outs)
 
 
 def saliency(src_luma: Image, config: FusionConfig = FusionConfig()) -> Image:
@@ -516,22 +524,16 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
     always passes one, for ``--dump-intermediates`` or doing nothing; then
     fuse returns only ``fused`` (the other fields are None).
 
-    Each plane is freed at its last use, and beyond the sources fuse
-    holds the 2N weight planes plus O(strip) scratch, for any channel
-    count c.  A forked job also holds, while it runs, the luminance plane
-    of a colour source, which it builds for itself, and saliency's
-    edge-padded plane.  The first c weight planes, detail weights then
-    base weights (one more plane for a colour fuse of one source), are
-    the rows of one (h, c, w) mapping, which read as (h, w, c) is a
+    Memory: beyond the sources, fuse holds the 2N weight planes plus
+    O(strip) scratch, for any channel count c; README's memory section
+    gives the rule in full.  The first c weight planes, detail weights
+    then base weights (one more plane for a colour fuse of one source),
+    are the rows of one (h, c, w) mapping, which read as (h, w, c) is a
     C-contiguous image.  With a hook, the blend writes the fused image
-    there over the spent weights: 250 MB RSS for a 2048^2 gray pair from
-    the command line on a 2-vCPU Xeon VM, against 283 MB with a fused
-    plane of its own.
-
-    Without a hook, fuse collects every intermediate for the result: a
-    private copy of each plane that a later stage overwrites, the
-    normalized weights' own planes (copies of those that are rows of the
-    mapping) and a fused image of its own.
+    there over the spent weights.  Without one, fuse collects every
+    intermediate for the result: a private copy of each plane that a
+    later stage overwrites, the normalized weights' own planes (copies
+    of those that are rows of the mapping) and a fused image of its own.
     """
     sources = list(sources)
     if not sources:

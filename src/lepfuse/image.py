@@ -1,9 +1,11 @@
 """Image value type and basic geometry: cropping, luminance.
 
 Every public operation is pure: inputs are never mutated and pixel data of
-returned images is read-only.  Samples are stored as float64 regardless of
-the file bit depth; quantization to integers happens only when a file is
-written.
+returned images is read-only.  ``read_image`` keeps the decoded uint8
+samples; every other image holds float64.  Each operation widens uint8
+samples to float64 as it reads them, so its result bits do not depend on
+which of the two an image holds.  Quantization to integers happens only
+when a file is written.
 """
 
 from dataclasses import dataclass
@@ -18,10 +20,12 @@ _LUMA_ROWS = 16  # rows per strip of rgb_to_luma's scratch
 class Image:
     """An H x W x C raster of real-valued samples with a declared range.
 
-    ``data`` is an (H, W, C) float64 array with C in {1, 3}; 2-D input is
-    accepted and lifted to a single channel.  ``max_val`` declares the nominal
-    [0, max_val] range used for quantization and PSNR; intermediate results
-    (detail layers, filter overshoot) may fall outside it.
+    ``data`` is an (H, W, C) array with C in {1, 3}; 2-D input is accepted
+    and lifted to a single channel.  ``Image(...)`` copies its input to
+    float64; only ``read_image`` returns uint8 data.  ``max_val`` declares
+    the nominal [0, max_val] range used for quantization and PSNR;
+    intermediate results (detail layers, filter overshoot) may fall
+    outside it.
     """
 
     data: np.ndarray
@@ -32,10 +36,11 @@ class Image:
 
     @classmethod
     def _adopt(cls, arr: np.ndarray, max_val: float) -> "Image":
-        # Wraps a float64, C-contiguous array that the library allocated and
-        # no longer writes, without the copy; every other check still runs.
-        if arr.dtype != np.float64 or not arr.flags.c_contiguous:
-            raise ValueError("only float64, C-contiguous arrays can be adopted")
+        # Wraps a float64 or uint8, C-contiguous array that the library
+        # allocated and no longer writes, without the copy; every other
+        # check still runs.
+        if arr.dtype not in (np.float64, np.uint8) or not arr.flags.c_contiguous:
+            raise ValueError("only float64 or uint8, C-contiguous arrays can be adopted")
         img = object.__new__(cls)
         object.__setattr__(img, "max_val", max_val)
         img._own(arr)
@@ -52,7 +57,8 @@ class Image:
             raise ValueError(f"image dimensions must be positive, got {h}x{w}")
         if c not in (1, 3):
             raise ValueError(f"channel count must be 1 or 3, got {c}")
-        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # NaN propagates; no temporary
+        finite = arr.dtype == np.uint8 or np.isfinite(arr.min()) and np.isfinite(arr.max())  # NaN propagates
+        if not finite:
             raise ValueError("image samples must be finite")
         if not (np.isfinite(self.max_val) and self.max_val > 0):
             raise ValueError(f"max_val must be positive and finite, got {self.max_val}")
@@ -98,14 +104,16 @@ def crop(img: Image, region: Rect) -> Image:
 
     Raises IndexError if the region does not lie inside the image.
     """
-    if region.x0 + region.width > img.width or region.y0 + region.height > img.height:
-        raise IndexError(
-            f"rect {region} out of bounds for {img.width}x{img.height} image"
-        )
+    _check_inside(img, region)
     return Image(
         img.data[region.y0:region.y0 + region.height, region.x0:region.x0 + region.width],
         img.max_val,
     )
+
+
+def _check_inside(img: Image, region: Rect) -> None:
+    if region.x0 + region.width > img.width or region.y0 + region.height > img.height:
+        raise IndexError(f"rect {region} out of bounds for {img.width}x{img.height} image")
 
 
 def rgb_to_luma(img: Image) -> Image:
@@ -116,11 +124,14 @@ def rgb_to_luma(img: Image) -> Image:
     """
     if img.channels != 3:
         raise ValueError(f"rgb_to_luma requires 3 channels, got {img.channels}")
-    # (wr * R + wg * G) + wb * B, built in place in one fresh plane a strip
-    # of rows at a time through one strip of scratch, then clamped in place
-    # and adopted.
-    (wr, wg, wb), data = BT601_WEIGHTS, img.data
-    luma = np.empty(data.shape[:2])
+    return Image._adopt(_rgb_to_luma(img.data, np.empty(img.data.shape[:2])), img.max_val)
+
+
+def _rgb_to_luma(data: np.ndarray, luma: np.ndarray) -> np.ndarray:
+    # (wr * R + wg * G) + wb * B of an (h, w, 3) array, built in the float64
+    # (h, w) plane ``luma``, which may be a view, a strip of rows at a time
+    # through one strip of scratch, then clamped in place.
+    wr, wg, wb = BT601_WEIGHTS
     tmp = np.empty((min(len(luma), _LUMA_ROWS), luma.shape[1]))
     for start in range(0, len(luma), _LUMA_ROWS):
         block, out = data[start:start + _LUMA_ROWS], luma[start:start + _LUMA_ROWS]
@@ -128,8 +139,7 @@ def rgb_to_luma(img: Image) -> Image:
         np.multiply(block[:, :, 0], wr, out=out)
         out += np.multiply(block[:, :, 1], wg, out=t)
         out += np.multiply(block[:, :, 2], wb, out=t)
-    np.clip(luma, data.min(), data.max(), out=luma)
-    return Image._adopt(luma, img.max_val)
+    return np.clip(luma, data.min(), data.max(), out=luma)
 
 
 def _luma(img: Image) -> Image:

@@ -93,7 +93,7 @@ def psnr(a: Image, b: Image, max_val: float = None) -> float:
         max_val = a.max_val
     if not (np.isfinite(max_val) and max_val > 0.0):
         raise ValueError(f"max_val must be positive, got {max_val}")
-    diff = a.data - b.data
+    diff = np.subtract(a.data, b.data, dtype=np.float64)
     mse = float(np.mean(diff * diff))
     if mse == 0.0:
         return math.inf
@@ -122,8 +122,8 @@ def ssim(a: Image, b: Image, max_val: float = None) -> float:
     c1 = (0.01 * max_val) ** 2
     c2 = (0.03 * max_val) ** 2
     kernel = _gaussian_kernel_1d(SSIM_WINDOW_RADIUS, SSIM_SIGMA)
-    pa = a.plane()
-    pb = b.plane()
+    pa = a.plane().astype(np.float64, copy=False)
+    pb = b.plane().astype(np.float64, copy=False)
     mu_a = _valid_correlate_sep(pa, kernel)
     mu_b = _valid_correlate_sep(pb, kernel)
     var_a = _valid_correlate_sep(pa * pa, kernel) - mu_a * mu_a
@@ -153,8 +153,9 @@ def naturalness(img: Image, priors: NaturalnessPriors = NaturalnessPriors()) -> 
     """
     if img.channels != 1:
         raise ValueError(f"naturalness requires a single-channel image, got {img.channels} channels")
-    mu = float(np.mean(img.data))
-    sd = float(np.std(img.data))
+    data = img.data.astype(np.float64, copy=False)
+    mu = float(np.mean(data))
+    sd = float(np.std(data))
     p_mean = math.exp(-((mu - priors.mean_prior) ** 2) / (2.0 * priors.mean_tol ** 2))
     p_std = math.exp(-((sd - priors.std_prior) ** 2) / (2.0 * priors.std_tol ** 2))
     return p_mean * p_std

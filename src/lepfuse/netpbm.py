@@ -94,11 +94,11 @@ def _plain_samples(raster: bytes, count: int, maxval: int):
     values = np.fromstring(raster, dtype=np.int64, sep=" ")
     if len(values) != tokens or values[:count].max() > maxval:
         return None
-    return values[:count].astype(np.float64)
+    return values[:count].astype(np.uint8)
 
 
 def read_image(path) -> Image:
-    """Decode a PGM or PPM file into a float image.
+    """Decode a PGM or PPM file into an image of read-only uint8 samples.
 
     A plain (P2/P3) raster of ASCII digits and whitespace alone is parsed
     in one numpy call.  One with anything else in it (a comment, a sign, a
@@ -135,7 +135,7 @@ def read_image(path) -> Image:
         if samples is None:
             # A sample takes at least one byte, so never allocate more samples
             # than bytes remain; the loop reports where a too-short raster ends.
-            samples = np.empty(min(count, len(blob) - tok.pos), dtype=np.float64)
+            samples = np.empty(min(count, len(blob) - tok.pos), dtype=np.uint8)
             for i in range(count):
                 tok._skip_filler()
                 if tok.pos >= len(blob):
@@ -149,19 +149,17 @@ def read_image(path) -> Image:
         if tok.pos >= len(blob) or not blob[tok.pos:tok.pos + 1].isspace():
             raise NetpbmParseError("expected single whitespace before binary pixel data", tok.pos)
         start = tok.pos + 1
-        raster = blob[start:start + count]
-        if len(raster) < count:
+        if len(blob) - start < count:
             raise NetpbmParseError(
-                f"pixel data truncated: expected {count} bytes, got {len(raster)}", len(blob)
+                f"pixel data truncated: expected {count} bytes, got {len(blob) - start}", len(blob)
             )
-        raw = np.frombuffer(raster, dtype=np.uint8)
-        over = np.flatnonzero(raw > maxval)
+        samples = np.frombuffer(blob, np.uint8, count, offset=start)  # read-only: a view of the bytes
+        over = np.flatnonzero(samples > maxval)
         if over.size:
             raise NetpbmParseError(
-                f"sample value {int(raw[over[0]])} exceeds maxval {maxval}",
+                f"sample value {int(samples[over[0]])} exceeds maxval {maxval}",
                 start + int(over[0]),
             )
-        samples = raw.astype(np.float64)
 
     # The raster was built here and is not written again, so it is adopted
     # rather than copied.

@@ -26,39 +26,36 @@ class ZoomSpec:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
 
-def _axis_coords(out_size: int, in_size: int) -> np.ndarray:
-    # Corner-aligned: first output sample at 0, last at in_size - 1, exactly.
-    if out_size == 1:
-        return np.zeros(1)
-    return np.linspace(0.0, float(in_size - 1), out_size)
+def _axis_taps(out_size: int, in_size: int) -> tuple:
+    # The two input indices each output sample of one axis interpolates
+    # between, and its fraction of the way from the first to the second.
+    # Corner-aligned: the first output sample sits at 0, the last at
+    # in_size - 1, exactly.
+    coords = np.zeros(1) if out_size == 1 else np.linspace(0.0, float(in_size - 1), out_size)
+    if in_size == 1:
+        i0 = np.zeros(out_size, dtype=np.intp)
+    else:
+        i0 = np.minimum(np.floor(coords).astype(np.intp), in_size - 2)
+    return i0, np.minimum(i0 + 1, in_size - 1), coords - i0
 
 
 def resize_bilinear(img: Image, out_w: int, out_h: int) -> Image:
-    """Resize by bilinear interpolation with corner-aligned sampling."""
+    """Resize by bilinear interpolation with corner-aligned sampling.
+
+    Separable: the x pass runs once on every input row, and the y pass
+    blends the rows it gathers, so each sample is (1 - fy) * top +
+    fy * bottom of the x pass's (1 - fx) * left + fx * right.
+    """
     if out_w < 1 or out_h < 1:
         raise ValueError(f"output dimensions must be >= 1, got {out_w}x{out_h}")
-    xs = _axis_coords(out_w, img.width)
-    ys = _axis_coords(out_h, img.height)
-    if img.width == 1:
-        x0 = np.zeros(out_w, dtype=np.intp)
-    else:
-        x0 = np.minimum(np.floor(xs).astype(np.intp), img.width - 2)
-    if img.height == 1:
-        y0 = np.zeros(out_h, dtype=np.intp)
-    else:
-        y0 = np.minimum(np.floor(ys).astype(np.intp), img.height - 2)
-    fx = (xs - x0)[np.newaxis, :, np.newaxis]
-    fy = (ys - y0)[:, np.newaxis, np.newaxis]
-    x1 = np.minimum(x0 + 1, img.width - 1)
-    y1 = np.minimum(y0 + 1, img.height - 1)
-
-    rows0 = img.data[y0[:, np.newaxis], x0[np.newaxis, :]]
-    rows1 = img.data[y0[:, np.newaxis], x1[np.newaxis, :]]
-    top = (1.0 - fx) * rows0 + fx * rows1
-    rows0 = img.data[y1[:, np.newaxis], x0[np.newaxis, :]]
-    rows1 = img.data[y1[:, np.newaxis], x1[np.newaxis, :]]
-    bottom = (1.0 - fx) * rows0 + fx * rows1
-    return Image((1.0 - fy) * top + fy * bottom, img.max_val)
+    x0, x1, fx = _axis_taps(out_w, img.width)
+    y0, y1, fy = _axis_taps(out_h, img.height)
+    fx, fy = fx[:, np.newaxis], fy[:, np.newaxis, np.newaxis]
+    across = (1.0 - fx) * img.data[:, x0]
+    across += fx * img.data[:, x1]
+    out = (1.0 - fy) * across[y0]
+    out += fy * across[y1]
+    return Image._adopt(out, img.max_val)
 
 
 def zoom_region(img: Image, spec: ZoomSpec) -> Image:

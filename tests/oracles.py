@@ -281,6 +281,23 @@ def tensor_bilinear(data: np.ndarray, x: float, y: float) -> np.ndarray:
     return total
 
 
+def gathered_bilinear(data: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """Corner-aligned bilinear resize of an (h, w, c) array, gathering the
+    four corner samples of every output sample: (1 - fy) * top + fy *
+    bottom, with top and bottom (1 - fx) * left + fx * right."""
+    h, w = data.shape[:2]
+    xs = np.zeros(1) if out_w == 1 else np.linspace(0.0, float(w - 1), out_w)
+    ys = np.zeros(1) if out_h == 1 else np.linspace(0.0, float(h - 1), out_h)
+    x0 = np.zeros(out_w, dtype=np.intp) if w == 1 else np.minimum(np.floor(xs).astype(np.intp), w - 2)
+    y0 = np.zeros(out_h, dtype=np.intp) if h == 1 else np.minimum(np.floor(ys).astype(np.intp), h - 2)
+    fx = (xs - x0)[np.newaxis, :, np.newaxis]
+    fy = (ys - y0)[:, np.newaxis, np.newaxis]
+    x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+    top = (1.0 - fx) * data[y0[:, np.newaxis], x0] + fx * data[y0[:, np.newaxis], x1]
+    bottom = (1.0 - fx) * data[y1[:, np.newaxis], x0] + fx * data[y1[:, np.newaxis], x1]
+    return (1.0 - fy) * top + fy * bottom
+
+
 def constant_image(height: int, width: int, channels: int, value: float,
                    max_val: float = 255.0) -> Image:
     """Image of the given shape with every sample equal to ``value``."""

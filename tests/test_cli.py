@@ -142,7 +142,7 @@ def test_fuse_single_input_reproduces_source(workdir):
     source = read_image(workdir / "a.pgm")
     fused = read_image(out)
     # Rounding to integers is the only allowed difference.
-    assert np.abs(fused.data - source.data).max() <= 1.0
+    assert np.abs(fused.data.astype(np.float64) - source.data).max() <= 1.0
 
 
 def test_fuse_dump_intermediates_file_count(workdir):
@@ -674,6 +674,18 @@ def test_zoom_validation_paths(workdir):
     assert main(["zoom", str(workdir / "a.pgm"), "--scale", "1", "-o", str(workdir / "n4.pgm")]) == 2
     for name in ("n1.pgm", "n2.pgm", "n3.pgm", "n4.pgm"):
         assert not (workdir / name).exists()
+
+
+def test_zoom_rect_outside_the_image_is_refused_before_the_scratch_estimate(tmp_path, monkeypatch, capsys):
+    """A rect far outside the image gets the crop's out-of-bounds message,
+    not the scratch estimate's for the output it would zoom to."""
+    _write_20x20_pair(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code = main(["zoom", "a.pgm", "--rect", "0,0,99999999999999999999,10", "--scale", "1", "-o", "out.pgm"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: rect ") and "out of bounds for 20x20 image" in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
 
 
 def test_zoom_missing_input_exit_1(workdir):

@@ -152,6 +152,27 @@ def test_saliency_holds_two_planes_of_scratch(shared_bytes):
     assert (peak - start + sum(shared_bytes) - plane) / plane <= 2.25
 
 
+def test_colour_saliency_job_holds_no_luminance_plane(monkeypatch):
+    """A colour saliency job writes the luminance straight into its
+    edge-padded float plane, so it never holds a luminance plane of its
+    own: at 512^2 its traced peak is the padded plane, then the padded
+    response, about 1.38 planes.  Building the luminance first and
+    padding a copy of it held 2.38."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 1)
+    side = 512
+    src = Image(np.random.default_rng(6).uniform(0, 255, (side, side, 3)))
+    out = lepfuse.fusion._shared_planes(1, (side, side))[0]
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        lepfuse.fusion._saliency_maps([src], FusionConfig(), [out])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _same_bits(out, saliency(rgb_to_luma(src)).plane())
+    assert (peak - start) / (side * side * 8) <= 1.5
+
+
 def test_saliency_rejects_color():
     with pytest.raises(ValueError):
         saliency(constant_image(8, 8, 3, 1.0))
@@ -758,10 +779,12 @@ def test_hooked_fuse_writes_over_spent_weight_planes(channels):
 
 
 def test_colour_fuse_holds_one_luma_plane_at_a_time(monkeypatch):
-    """Each forked job builds the luminance of its colour source for
+    """Each refinement job builds the luminance of its colour source for
     itself and frees it when it ends, so a colour fuse of five sources in
     one process never holds two luminance planes at once.  Building them
-    all before saliency and keeping them through refinement held five."""
+    all before saliency and keeping them through refinement held five.
+    Saliency builds no luminance plane: it writes the luminance straight
+    into its padded plane."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 1)
     real, live, most = lepfuse.fusion._luma, set(), []
 
@@ -778,7 +801,7 @@ def test_colour_fuse_holds_one_luma_plane_at_a_time(monkeypatch):
     monkeypatch.setattr(lepfuse.fusion, "_luma", tracked)
     sources = [Image(np.random.default_rng(s).uniform(0, 255, (24, 20, 3))) for s in range(5)]
     fuse(sources, _dump=lambda kind, n, rows, data: None)
-    assert len(most) == 10 and max(most) == 1 and not live
+    assert len(most) == 5 and max(most) == 1 and not live
 
 
 def _job_pids(count):

@@ -12,7 +12,7 @@ from lepfuse import (
     zoom_region,
 )
 
-from oracles import bilinear_kernel, constant_image, sample_bilinear, tensor_bilinear
+from oracles import bilinear_kernel, constant_image, gathered_bilinear, sample_bilinear, tensor_bilinear
 
 
 def test_kernel_shape():
@@ -118,6 +118,20 @@ def test_resize_degenerate_output_sizes():
     assert out.plane()[0, 0] == img.plane()[0, 0]
     with pytest.raises(ValueError):
         resize_bilinear(img, 0, 4)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 9, 1), (9, 1, 3), (20, 3, 1), (37, 41, 3)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_resize_matches_gathered_oracle_bit_for_bit(shape, dtype):
+    """The separable resize equals the four-corner gather sample for
+    sample, on 1-pixel axes and scales above and below 1, for the uint8
+    samples of a decoded file and for float64 samples."""
+    data = np.random.default_rng(sum(shape)).uniform(0, 255, shape)
+    img = Image._adopt(data.astype(np.uint8), 255.0) if dtype == np.uint8 else Image(data)
+    h, w = shape[:2]
+    for out_w, out_h in [(1, 1), (w, h), (3 * w + 1, 2 * h), (max(1, w // 3), max(1, h // 2)), (w + 4, 1)]:
+        expected = gathered_bilinear(img.data, out_w, out_h)
+        assert resize_bilinear(img, out_w, out_h).data.tobytes() == expected.tobytes(), (out_w, out_h)
 
 
 def test_zoom_region_identity_scale_equals_crop():
