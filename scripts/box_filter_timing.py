@@ -19,8 +19,10 @@ Every timed row follows one untimed call of the same work.  The
 refine_weights line and the two command lines also give the call's peak
 memory in planes of one channel of the image size (the refine_weights
 peak includes its two output maps, a command's peak its sources): the
-tracemalloc peak plus the shared memory maps that forked processes write
-into, which tracemalloc does not see.
+highest sum, at any moment, of the bytes tracemalloc traces and of the
+shared memory maps that forked processes write into, which tracemalloc
+does not see, counting each map from when it is mapped until it is
+freed.
 """
 
 import argparse
@@ -32,6 +34,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +70,30 @@ def median_ms(run, repeats: int) -> float:
 
 def traced_peak(run) -> int:
     # Peak bytes allocated by one call, beyond what was allocated before it:
-    # the tracemalloc peak plus every shared plane the call allocates.
-    real_shared_planes, shared = lepfuse.fusion._shared_planes, []
+    # the highest sum, at any moment, of the bytes tracemalloc traces and of
+    # the shared planes mapped and not yet freed.  The traced peak is read
+    # and reset whenever a shared plane is mapped or freed, so each stretch
+    # between two such events adds the shared bytes live during it.
+    real_shared_planes, state, finalizers = lepfuse.fusion._shared_planes, {"live": 0, "peak": 0}, []
+
+    def fold():
+        top = tracemalloc.get_traced_memory()[1]
+        state["peak"] = max(state["peak"], top - start + state["live"])
+        tracemalloc.reset_peak()
+
+    def freed(nbytes):
+        fold()
+        state["live"] -= nbytes
 
     def counted(count, shape):
         planes = real_shared_planes(count, shape)
-        shared.extend(plane.nbytes for plane in planes)
+        fold()
+        for plane in planes:
+            root = plane
+            while isinstance(root, np.ndarray):
+                root = root.base
+            state["live"] += plane.nbytes
+            finalizers.append(weakref.finalize(root.obj, freed, plane.nbytes))
         return planes
 
     lepfuse.fusion._shared_planes = counted
@@ -80,11 +101,13 @@ def traced_peak(run) -> int:
     try:
         start, _ = tracemalloc.get_traced_memory()
         run()
-        _, peak = tracemalloc.get_traced_memory()
+        fold()
     finally:
         tracemalloc.stop()
         lepfuse.fusion._shared_planes = real_shared_planes
-    return peak - start + sum(shared)
+        for finalizer in finalizers:
+            finalizer.detach()
+    return state["peak"]
 
 
 def source_lines(package: Path) -> tuple:

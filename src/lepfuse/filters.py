@@ -173,6 +173,12 @@ def _drain(strips) -> None:
         pass
 
 
+def _fill(out: np.ndarray, strips) -> None:
+    # Writes each (rows, values) strip of a generator into out[rows].
+    for rows, values in strips:
+        out[rows] = values
+
+
 def _single_plane(img: Image, op: str) -> np.ndarray:
     if img.channels != 1:
         raise ValueError(f"{op} requires a single-channel image, got {img.channels} channels")
@@ -304,11 +310,12 @@ def gradient_magnitude(img: Image) -> Image:
     return Image(_gradient_magnitude(np.pad(plane, 1, mode="edge")), img.max_val)
 
 
-def _fit(out: np.ndarray, pp: np.ndarray, gg: np.ndarray, params: FilterParams, coeffs=None):
+def _fit(pp, gg, params: FilterParams, coeffs=None):
     # The local linear fit of pp on the guide gg, as a generator that
-    # writes box_mean(slope) * gg + box_mean(intercept) into ``out`` one
-    # strip of rows at a time and yields each strip's rows once written.
-    # Per window, with a regularizer from the guide's gradient,
+    # yields (rows, values): box_mean(slope) * gg + box_mean(intercept) of
+    # consecutive strips of at most _STRIP_ROWS rows, in scratch that the
+    # next strip overwrites.  Per window, with a regularizer from the
+    # guide's gradient,
     #
     #   a = cov(gg, pp) / (var(gg) + alpha * mean(|grad gg|^(2 - beta))),
     #
@@ -319,11 +326,12 @@ def _fit(out: np.ndarray, pp: np.ndarray, gg: np.ndarray, params: FilterParams, 
     # covariance.  ``coeffs``, if given, is four planes that receive a, b
     # and their window means.
     #
-    # Two window-mean streams run as a pipeline: the first takes the sums
-    # |grad gg|^(2 - beta), gg, gg^2 (and pp, gg * pp) of each input strip
-    # as channels, the second takes a and b of each strip the first
-    # completes, r rows behind.  ``out`` may be ``pp``: output row i is
-    # written only after every input row up to i + 2r has been read.
+    # pp and gg are read only as ``x[rows]`` for slices of rows, and gg's
+    # ``shape`` gives (h, w), so either may be any object that builds the
+    # rows asked for.  Two window-mean streams run as a pipeline: the first
+    # takes the sums |grad gg|^(2 - beta), gg, gg^2 (and pp, gg * pp) of
+    # each input strip as channels, the second takes a and b of each strip
+    # the first completes, r rows behind.
     h, w = gg.shape
     same = pp is gg
     # The edge-padded guide band, a scratch strip, the first stream's input
@@ -337,16 +345,17 @@ def _fit(out: np.ndarray, pp: np.ndarray, gg: np.ndarray, params: FilterParams, 
             n = rows.stop - rows.start
             # The guide rows and one more on each side, edge-padded.
             padded = band[:n + 2]
+            above, below = max(rows.start - 1, 0), min(rows.stop, h - 1)
             padded[1:-1, 1:-1] = gg[rows]
-            padded[0, 1:-1] = gg[max(rows.start - 1, 0)]
-            padded[-1, 1:-1] = gg[min(rows.stop, h - 1)]
+            padded[:1, 1:-1] = gg[above:above + 1]
+            padded[-1:, 1:-1] = gg[below:below + 1]
             padded[:, 0] = padded[:, 1]
             padded[:, -1] = padded[:, -2]
             blk = block[:n]
             grad = _gradient_magnitude(padded, out=blk[:, 0], tmp=tmp[:n])
             grad **= 2.0 - params.beta  # numpy's scalar-power fast path, as grad ** (2 - beta)
             g = blk[:, 1]
-            np.copyto(g, gg[rows])
+            np.copyto(g, padded[1:-1, 1:-1])
             np.multiply(g, g, out=blk[:, 2])
             if not same:
                 np.copyto(blk[:, 3], pp[rows])
@@ -379,12 +388,12 @@ def _fit(out: np.ndarray, pp: np.ndarray, gg: np.ndarray, params: FilterParams, 
             yield means[:, :2]
 
     for rows, means in _box_means(coefficients(), params.radius):
-        np.multiply(means[:, 0], gg[rows], out=out[rows])
-        out[rows] += means[:, 1]
         if coeffs is not None:
             np.copyto(coeffs[2][rows], means[:, 0])
             np.copyto(coeffs[3][rows], means[:, 1])
-        yield rows
+        values = np.multiply(means[:, 0], gg[rows], out=means[:, 0])
+        values += means[:, 1]
+        yield rows, values
 
 
 def lep_filter(img: Image, params: FilterParams) -> tuple[Image, CoeffMaps]:
@@ -408,7 +417,7 @@ def lep_filter(img: Image, params: FilterParams) -> tuple[Image, CoeffMaps]:
     """
     plane = _single_plane(img, "lep_filter")
     out, *coeffs = (np.empty(img.data.shape) for _ in range(5))
-    _drain(_fit(out[:, :, 0], plane, plane, params, [c[:, :, 0] for c in coeffs]))
+    _fill(out[:, :, 0], _fit(plane, plane, params, [c[:, :, 0] for c in coeffs]))
     slope, intercept, slope_mean, intercept_mean = coeffs
     maps = CoeffMaps(
         slope=Image._adopt(slope, 1.0),
@@ -449,7 +458,7 @@ def lep_filter_guided(p: Image, guide: Image, params: FilterParams) -> Image:
     """
     pp, gg = _guided_planes(p, guide)
     out = np.empty(p.data.shape)
-    _drain(_fit(out[:, :, 0], pp, gg, params))
+    _fill(out[:, :, 0], _fit(pp, gg, params))
     return Image._adopt(out, p.max_val)
 
 

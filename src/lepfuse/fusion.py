@@ -33,7 +33,7 @@ from .filters import (
     _strips,
     _valid_correlate_sep,
 )
-from .image import Image, _luma, _rgb_to_luma
+from .image import Image, _rgb_to_luma
 
 REFINE_FILTERS = ("lep", "guided")
 
@@ -196,7 +196,7 @@ def _saliency(out: np.ndarray, img: Image, kernel: np.ndarray) -> np.ndarray:
     h, w = out.shape
     padded, tmp = np.empty((h + 2, w + 2)), np.empty((min(h, _STRIP_ROWS), w))
     if img.channels == 3:
-        _rgb_to_luma(img.data, padded[1:-1, 1:-1])
+        _rgb_to_luma(img.data, padded[1:-1, 1:-1], img.data.min(), img.data.max())
     else:
         padded[1:-1, 1:-1] = img.plane()
     padded[0], padded[-1] = padded[1], padded[-2]
@@ -231,32 +231,32 @@ def saliency(src_luma: Image, config: FusionConfig = FusionConfig()) -> Image:
     return Image._adopt(out, src_luma.max_val)
 
 
-def _binary_maps(saliencies, outs) -> None:
-    # outs[n] = 1.0 where saliency n is the first strict maximum, else 0.0,
-    # as argmax picks, one strip of rows at a time.  ``outs`` may be the
-    # saliency planes themselves: a strip is written only after every map
-    # has been read there.
+def _winner_plane(saliencies) -> np.ndarray:
+    # The index of the first strict maximum of the saliency planes at each
+    # pixel, as argmax picks, one byte per pixel for up to 256 sources.  It
+    # is found one strip of rows at a time with a running maximum.
     h, w = saliencies[0].shape
-    best, winner, mask = (np.empty((min(h, _STRIP_ROWS), w), dtype=t) for t in (np.float64, np.intp, bool))
+    out = np.empty((h, w), dtype=np.min_scalar_type(len(saliencies) - 1))
+    best, mask = np.empty((min(h, _STRIP_ROWS), w)), np.empty((min(h, _STRIP_ROWS), w), dtype=bool)
     for rows in _strips(h):
         n = rows.stop - rows.start
-        top, win, greater = best[:n], winner[:n], mask[:n]
+        top, greater, win = best[:n], mask[:n], out[rows]
         np.copyto(top, saliencies[0][rows])
         win.fill(0)
         for index, sal in enumerate(saliencies[1:], start=1):
             np.greater(sal[rows], top, out=greater)
             np.copyto(top, sal[rows], where=greater)
             np.copyto(win, index, where=greater)
-        for index, out in enumerate(outs):
-            np.equal(win, index, out=out[rows])
+    return out
 
 
 def binary_weight_maps(saliencies) -> WeightStack:
     """Indicator maps of the per-pixel saliency winner.
 
     Exactly one map is 1 at each pixel; ties go to the lowest source index
-    so the maps always sum to one.  The maps are built in strips of rows
-    with a running maximum, without stacking the saliency maps.
+    so the maps always sum to one.  The winner of each pixel is found in
+    strips of rows with a running maximum, without stacking the saliency
+    maps.
     """
     saliencies = list(saliencies)
     if not saliencies:
@@ -267,8 +267,10 @@ def binary_weight_maps(saliencies) -> WeightStack:
             raise ValueError("saliency maps must be single-channel")
         if s.data.shape != shape:
             raise ValueError(f"saliency map dimensions differ: {s.data.shape} vs {shape}")
+    winner = _winner_plane([s.plane() for s in saliencies])
     outs = [np.empty(shape) for _ in saliencies]
-    _binary_maps([s.plane() for s in saliencies], [out[:, :, 0] for out in outs])
+    for n, out in enumerate(outs):
+        np.equal(winner, n, out=out[:, :, 0])
     return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="binary")
 
 
@@ -296,25 +298,39 @@ def _is_shared(arr: np.ndarray) -> bool:
 
 
 _NO_MEMORY = 3  # the exit status of a forked child that ran out of memory
+_STOPPED = 4  # the exit status of a forked child whose caller stopped first
 
 
-def _each_in_processes(count: int, job, outs) -> None:
-    # Runs job(n) for every n < count.  ``outs`` are every array the jobs
-    # write, and each must be a view of a _shared_planes array, else
-    # ValueError: a forked process writing a private array would write its
-    # own copy, and the result would be lost.  The jobs are split over
-    # W = min(count, usable CPUs) processes, or W = 1 without os.fork or
-    # while another thread runs: this one takes n = 0, W, 2W, ... and
-    # forked child j takes n = j, j + W, ..., each writing straight into
-    # the shared planes.  Should os.fork fail (EAGAIN, ENOMEM), this one
-    # also takes the shares of the children not started, so the outputs
-    # are the same.  Each job allocates its own scratch.  Every
-    # process sees the shared planes as they change and other arrays as
-    # they were at the fork, so job n may write over what job n alone reads.
+class _Lost(Exception):
+    # The process at the other end of a stream's pipe has gone.
+    pass
+
+
+def _in_processes(count: int, outs, run, lead=None) -> None:
+    # Splits n < count over W = min(count, usable CPUs) processes, or W = 1
+    # without os.fork or while another thread runs: worker j takes the
+    # share n = j, j + W, ...  Forked child j < W - 1 runs run(share, link)
+    # and this process, worker W - 1, whose share is the smallest, runs
+    # lead(share, links), or without ``lead`` run(share, None).  ``link``
+    # is a child's ends of two pipes, (go, ready), and ``links`` holds
+    # this process's ends, (ready, go), for each child started: a stage
+    # that streams from the children to this process (see _detail_stage)
+    # signals over them, and other stages ignore them.
+    # Should os.fork or os.pipe fail (EAGAIN, ENOMEM, EMFILE), this process
+    # also takes the shares of the children not started, in its own
+    # ``share``, so the outputs are the same.
     #
-    # The split is static, so a stage keeps every process busy only when
-    # its jobs cost about the same and divide evenly: fuse runs one job
-    # per source in each forked stage, so N = 5 on two CPUs splits 3:2.
+    # ``outs`` are every array the children write, and each must be a view
+    # of a _shared_planes array, else ValueError: a forked process writing
+    # a private array would write its own copy, and the result would be
+    # lost.  Every process sees the shared planes as they change and other
+    # arrays as they were at the fork, so job n may write over what job n
+    # alone reads.
+    #
+    # The split is static, so a stage of independent jobs keeps every
+    # process busy only when its jobs cost about the same and divide
+    # evenly: fuse runs one job per source, so N = 5 on two CPUs splits
+    # 3:2, the 2 here, where the streamed stage also blends.
     #
     # Processes, not threads: the strip-wise stages make numpy calls of
     # tens of microseconds, so threads wait on each other's interpreter
@@ -330,62 +346,122 @@ def _each_in_processes(count: int, job, outs) -> None:
     #
     # A child that runs out of memory exits with _NO_MEMORY and prints
     # nothing, and this process then raises MemoryError; any other failure
-    # prints the child's traceback and raises RuntimeError.
+    # prints the child's traceback and raises RuntimeError.  If this
+    # process fails, it closes its pipe ends, so a child waiting on them
+    # stops (_STOPPED) instead of waiting forever, and the failure is
+    # raised once every child has exited.
     if not all(_is_shared(out) for out in outs):
         raise ValueError("every output of a job must be a view of a shared plane")
     workers = min(count, _usable_cpus()) if hasattr(os, "fork") and threading.active_count() == 1 else 1
-    children = []
+    children, links, ends, lost = [], [], [], False
     try:
-        for worker in range(1, workers):
+        for worker in range(workers - 1):
+            pipes = []
             try:
+                pipes += os.pipe()
+                pipes += os.pipe()
                 pid = os.fork()
             except OSError:
+                for fd in pipes:
+                    os.close(fd)
                 break
+            go_out, go_in, ready_out, ready_in = pipes
             if pid == 0:  # the child runs its share and exits without cleanup
                 status = 1
                 try:
-                    for n in range(worker, count, workers):
-                        job(n)
+                    for fd in ends + [go_in, ready_out]:
+                        os.close(fd)
+                    run(range(worker, count, workers), (go_out, ready_in))
                     status = 0
                 except MemoryError:
                     status = _NO_MEMORY
+                except (_Lost, BrokenPipeError):
+                    status = _STOPPED
                 except BaseException:
                     import traceback
 
                     traceback.print_exc()
                 finally:
                     os._exit(status)
+            os.close(go_out)
+            os.close(ready_in)
+            ends += [ready_out, go_in]
             children.append(pid)
-        for n in range(count):
-            if n % workers == 0 or n % workers > len(children):
-                job(n)
+            links.append((ready_out, go_in))
+        share = [n for n in range(count) if n % workers >= len(children)]
+        if lead is None:
+            run(share, None)
+        else:
+            lead(share, links)
+    except _Lost:  # a child stopped early; its status says why
+        lost = True
     finally:
+        for fd in ends:
+            os.close(fd)
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
     if _NO_MEMORY in statuses:
         raise MemoryError(f"{statuses.count(_NO_MEMORY)} of {len(children)} worker processes ran out of memory")
-    failed = [status for status in statuses if status]
-    if failed:
+    failed = [status for status in statuses if status not in (0, _STOPPED)]
+    if failed or lost:
         raise RuntimeError(f"{len(failed)} of {len(children)} worker processes failed")
 
 
-def _refined(maps, guides, fits, filter_kind: str) -> None:
-    # For each (params, outs) of ``fits``, outs[n] = the fit of maps[n] on
-    # the luminance of the image guides[n], clamped to [0, 1].  The outs
-    # are shared planes; the last fit's outs[n] may be maps[n] itself.
-    # Each source is one job that runs its fits in order, so every fit has
-    # read the map before the last one overwrites it.  A colour guide's
-    # luminance is built inside its job, once for all its fits, and freed
-    # with it.
-    if filter_kind == "guided":
-        fits = [(_guided_params(params.radius, params.alpha), outs) for params, outs in fits]
+def _each_in_processes(count: int, job, outs) -> None:
+    # Runs job(n) for every n < count, split over processes by
+    # _in_processes, each share in order of n.
+    def run(share, _):
+        for n in share:
+            job(n)
 
+    _in_processes(count, outs, run)
+
+
+class _Rows:
+    # A plane that is built for the rows asked for: ``plane[rows]`` is
+    # ``build(rows)`` for a slice of rows, and ``shape`` is (h, w).  _fit
+    # reads its input and its guide this way.
+    def __init__(self, shape: tuple, build):
+        self.shape, self.build = shape, build
+
+    def __getitem__(self, rows):
+        return self.build(rows)
+
+
+def _guide(img: Image):
+    # The guide of a weight fit on ``img``: its plane if gray, else its
+    # luminance, built for the rows asked for, so no luminance plane is
+    # held.  Each sample is rgb_to_luma's, bit for bit.
+    if img.channels == 1:
+        return img.plane()
+    data = img.data
+    lo, hi = data.min(), data.max()
+
+    def luma(rows):
+        block = data[rows]
+        return _rgb_to_luma(block, np.empty(block.shape[:2]), lo, hi)
+
+    return _Rows(data.shape[:2], luma)
+
+
+def _winner_rows(winner: np.ndarray, n: int) -> _Rows:
+    # The binary weight map of source n, built from the winner plane for
+    # the rows asked for.
+    return _Rows(winner.shape, lambda rows: winner[rows] == n)
+
+
+def _fit_params(params: FilterParams, filter_kind: str) -> FilterParams:
+    # The parameters of the weight fit of ``filter_kind``, checked.
+    return _guided_params(params.radius, params.alpha) if filter_kind == "guided" else params
+
+
+def _refined(maps, guides, params: FilterParams, outs) -> None:
+    # outs[n] = the fit of maps[n] on guides[n], clamped to [0, 1], one
+    # forked job per map; the outs are shared planes.
     def refine(n):
-        guide = _luma(guides[n]).plane()
-        for params, outs in fits:
-            for rows in _fit(outs[n], maps[n], guide, params):
-                np.clip(outs[n][rows], 0.0, 1.0, out=outs[n][rows])
+        for rows, values in _fit(maps[n], guides[n], params):
+            np.clip(values, 0.0, 1.0, out=outs[n][rows])
 
-    _each_in_processes(len(maps), refine, [out for _, outs in fits for out in outs])
+    _each_in_processes(len(maps), refine, outs)
 
 
 def refine_weights(
@@ -419,7 +495,7 @@ def refine_weights(
         raise ValueError(f"filter_kind must be one of {REFINE_FILTERS}, got {filter_kind!r}")
     maps = [_guided_planes(m, g)[0] for m, g in zip(binary.maps, guides)]
     outs = _shared_planes(len(maps), binary.maps[0].data.shape)
-    _refined(maps, guides, [(params, [out[:, :, 0] for out in outs])], filter_kind)
+    _refined(maps, [g.plane() for g in guides], _fit_params(params, filter_kind), [out[:, :, 0] for out in outs])
     return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="refined")
 
 
@@ -471,10 +547,11 @@ def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, d
     # fused = sum(wb * base) + sum(wd * detail) over the sources, clipped
     # to [0, max_val], in strips of rows.  Each source's layers are
     # streamed alongside (see _layers), and each strip is handed to
-    # ``dump`` (see fuse).  Both sums start from zero and add the sources
-    # in order.  A strip of ``fused`` is written only after every weight
-    # has been read there, so ``fused`` may share its rows with weight
-    # planes.
+    # ``dump`` (see fuse).  detail_weights(rows) gives the detail weights
+    # of each strip, asked for in order of rows.  Both sums start from zero
+    # and add the sources in order.  A strip of ``fused`` is written only
+    # after every weight has been read there, so ``fused`` may share its
+    # rows with weight planes.
     h, w, c = sources[0].data.shape
     fb, fd, tmp = np.empty((3, min(h, _STRIP_ROWS), w, c))
     for strips in zip(*(_layers(src.data, radius) for src in sources)):
@@ -483,13 +560,127 @@ def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, d
         b, d, t = fb[:n], fd[:n], tmp[:n]
         b.fill(0.0)
         d.fill(0.0)
-        for index, ((_, base, detail), wb, wd) in enumerate(zip(strips, base_weights, detail_weights)):
+        for index, ((_, base, detail), wb, wd) in enumerate(zip(strips, base_weights, detail_weights(rows))):
             dump("base", index, rows, base)
             dump("detail", index, rows, detail)
             b += np.multiply(wb[rows], base, out=t)
-            d += np.multiply(wd[rows], detail, out=t)
+            d += np.multiply(wd, detail, out=t)
         np.clip(np.add(b, d, out=fused[rows]), 0.0, max_val, out=fused[rows])
     return fused
+
+
+_RING_STRIPS = 3  # strips of _STRIP_ROWS rows in the ring of each streamed fit
+
+
+def _lockstep(fits, rings, h: int, wait):
+    # Advances the _fit generators ``fits`` together, writing the rows of
+    # fit j, clamped to [0, 1], into rings[j]: row i at ring row i mod the
+    # ring's length, a multiple of _STRIP_ROWS.  Yields u once strip u,
+    # rows _STRIP_ROWS * u onwards, of every fit is written.  A fit's own
+    # strips need not be aligned with these, so a fit may write one strip
+    # ahead: wait(u) is called before any row of strip u is written, and
+    # returns once the ring may take it.
+    done = [0] * len(fits)
+    for u, strip in enumerate(_strips(h)):
+        for j, fit in enumerate(fits):
+            while done[j] < strip.stop:
+                rows, values = next(fit)
+                wait((rows.stop - 1) // _STRIP_ROWS)
+                ring, n = rings[j], len(values)
+                at = rows.start % len(ring)
+                k = min(n, len(ring) - at)
+                np.clip(values[:k], 0.0, 1.0, out=ring[at:at + k])
+                np.clip(values[k:], 0.0, 1.0, out=ring[:n - k])
+                done[j] = rows.stop
+        yield u
+
+
+def _detail_stage(maps, guides, params: FilterParams, weight_floor: float, dump, blend) -> None:
+    # Runs the detail fits of maps[n] on guides[n] as one stage streamed
+    # into blend(detail_weights) (see _blend), which runs in this process:
+    # detail_weights(rows) hands the binary, refined and normalized detail
+    # weights of its rows to ``dump`` and returns the normalized ones.
+    # Each process advances the fits of its share in lockstep (see
+    # _lockstep), writing them into a ring of _RING_STRIPS strips per
+    # source in one shared map, so no detail plane is ever whole.  This
+    # process takes the smallest share, since it also blends.
+    #
+    # A child writes a byte to its ``ready`` pipe for each strip it has
+    # written, and before it writes strip u >= _RING_STRIPS it reads a
+    # byte from its ``go`` pipe, which this process writes once it has
+    # copied strip u - _RING_STRIPS out of the rings.  A pipe read is a
+    # memory barrier, so the rows are complete when read, and it returns
+    # EOF once the other end has gone, so neither process waits on one
+    # that has failed.  Three strips are the fewest that cannot deadlock:
+    # a strip of the blend spans at most two ring strips, u - 1 and u, so
+    # when this process waits for strip u it has copied out every strip
+    # before u - 1, and a fit that completes strip u may write into u + 1.
+    count = len(maps)
+    h, w = guides[0].shape
+    strips = -(-h // _STRIP_ROWS)
+    rings = _shared_planes(1, (count, min(_RING_STRIPS, strips) * _STRIP_ROWS, w))[0]
+
+    def fits(share):
+        return [_fit(maps[n], guides[n], params) for n in share]
+
+    def child(share, link):
+        go, ready = link
+        granted = _RING_STRIPS  # the strips this child may write
+
+        def wait(u):
+            nonlocal granted
+            while u >= granted:
+                if not os.read(go, 1):
+                    raise _Lost
+                granted += 1
+
+        for _ in _lockstep(fits(share), [rings[n] for n in share], h, wait):
+            os.write(ready, b"\0")
+
+    def lead(share, links):
+        own = _lockstep(fits(share), [rings[n] for n in share], h, lambda u: None)
+        written = [0] * (len(links) + 1)  # strips written by this process, then by each child
+        freed = 0  # strips copied out of the rings
+        gathered, binary = np.empty((count, min(h, _STRIP_ROWS), w)), np.empty((min(h, _STRIP_ROWS), w))
+
+        def detail_weights(rows):
+            nonlocal freed
+            last = (rows.stop - 1) // _STRIP_ROWS
+            while written[0] <= last:
+                written[0] = next(own) + 1
+            for k, (ready, _) in enumerate(links, start=1):
+                while written[k] <= last:
+                    got = os.read(ready, last + 1 - written[k])
+                    if not got:
+                        raise _Lost
+                    written[k] += len(got)
+            n = rows.stop - rows.start
+            weights = [g[:n] for g in gathered]
+            for index in range(count):
+                np.take(rings[index], range(rows.start, rows.stop), axis=0, out=weights[index], mode="wrap")
+            done = strips if rows.stop == h else rows.stop // _STRIP_ROWS
+            grants = min(done, strips - _RING_STRIPS) - min(freed, strips - _RING_STRIPS)
+            freed = done
+            if grants > 0:
+                for _, go in links:
+                    try:
+                        os.write(go, b"\0" * grants)
+                    except BrokenPipeError:
+                        raise _Lost from None
+            for index in range(count):
+                np.copyto(binary[:n], maps[index][rows])
+                dump("binary", index, rows, binary[:n, :, np.newaxis])
+            weights = [weight[:, :, np.newaxis] for weight in weights]
+            for index in range(count):
+                dump("refined_detail", index, rows, weights[index])
+            _normalized(weights, weight_floor, weights)
+            for index in range(count):
+                dump("wd", index, rows, weights[index])
+            return weights
+
+        blend(detail_weights)
+
+    _in_processes(count, [rings], child, lead)
 
 
 def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> FusionResult:
@@ -500,39 +691,44 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
     clamped to [0, max_val] at the very end; everything upstream keeps its
     raw values, which the result exposes for inspection.
 
-    Saliency and weight refinement are forked stages: each splits its one
-    job per source over min(sources, usable CPUs) processes (see
-    refine_weights), which write their planes in place in shared memory
-    maps.  A refinement job fits the source's base weights and then its
-    detail weights over its binary map.  Each stage overwrites the planes
-    of the one before it: binary maps over saliency, detail weights over
-    the binary maps, normalized over refined weights; the blend builds the
-    layers strip by strip.  Saliency works on whole planes, with about
-    one plane of scratch per process; the other stages work in strips of
-    rows with O(strip) scratch, and each weight fit streams through rings
-    of integral-image rows.  Every field of the result is the same, bit
-    for bit, as from the public stages composed on whole planes, whatever
-    the number of processes.
+    Saliency, the base fits and the detail fits are forked stages, each
+    split over min(sources, usable CPUs) processes (see refine_weights),
+    one source's map or fit per job.  Saliency writes N shared planes.
+    The binary maps are one winner plane of a byte per pixel, from which
+    both fits of source n read its map, and a colour source's luminance
+    is built for the rows each fit reads.  The base fits write over the
+    spent saliency planes, which are then normalized in place.  The
+    detail fits are streamed: each process runs its share in lockstep,
+    strip by strip, and hands the rows to this process, which normalizes
+    each strip of detail weights and blends it with the layers, built
+    strip by strip, as it arrives.  Saliency works on whole planes, with
+    about one plane of scratch per process; the other stages work in
+    strips of rows with O(strip) scratch, and each weight fit streams
+    through rings of integral-image rows.  Every field of the result is
+    the same, bit for bit, as from the public stages composed on whole
+    planes, whatever the number of processes.
 
     The stages hand their planes to the private hook ``_dump``, which
     this process calls as ``_dump(kind, n, rows, data)``: ``data`` is rows
     ``rows`` of source n's plane of ``kind``, handed over before a later
-    stage overwrites it.  "sal", "binary", "refined_base",
-    "refined_detail", "wb" and "wd" come in that order, each as a whole
-    plane, and then "base" and "detail" strip by strip from the blend, in
-    order of rows.  The hook must not keep ``data``.  The command line
-    always passes one, for ``--dump-intermediates`` or doing nothing; then
-    fuse returns only ``fused`` (the other fields are None).
+    stage overwrites it.  "sal", "refined_base" and "wb" come first, in
+    that order, each as a whole plane.  Then, strip by strip from the
+    blend, in order of rows, come "binary", "refined_detail" and "wd" for
+    each source, then "base" and "detail" for each source.  The hook must
+    not keep ``data``.  The command line always passes one, for
+    ``--dump-intermediates`` or doing nothing; then fuse returns only
+    ``fused`` (the other fields are None).
 
-    Memory: beyond the sources, fuse holds the 2N weight planes plus
-    O(strip) scratch, for any channel count c; README's memory section
-    gives the rule in full.  The first c weight planes, detail weights
-    then base weights (one more plane for a colour fuse of one source),
-    are the rows of one (h, c, w) mapping, which read as (h, w, c) is a
+    Memory: beyond the sources, fuse holds max(N, c) weight planes for
+    channel count c, one byte per pixel for the winners and O(strip)
+    scratch per process; README's memory section gives the rule in full.
+    The first c weight planes (saliency, then base weights; one or two
+    more planes for a colour fuse of fewer than three sources) are the
+    rows of one (h, c, w) mapping, which read as (h, w, c) is a
     C-contiguous image.  With a hook, the blend writes the fused image
     there over the spent weights.  Without one, fuse collects every
-    intermediate for the result: a private copy of each plane that a
-    later stage overwrites, the normalized weights' own planes (copies
+    intermediate for the result: a private copy of each plane or strip
+    that a later stage overwrites, the base weights' own planes (copies
     of those that are rows of the mapping) and a fused image of its own.
     """
     sources = list(sources)
@@ -545,15 +741,15 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
             raise ValueError(f"source dimensions differ: {src.data.shape} vs {shape}")
         if src.max_val != max_val:
             raise ValueError(f"source max_val differs: {src.max_val:g} vs {max_val:g}")
-    if config.refine_filter == "guided":  # epsilon > 0, checked before any stage runs
-        for params in (config.base_params, config.detail_params):
-            _guided_params(params.radius, params.alpha)
+    # epsilon > 0 for the guided filter, checked before any stage runs
+    base_params, detail_params = (_fit_params(p, config.refine_filter) for p in (config.base_params,
+                                                                                   config.detail_params))
     _check_weight_floor(config.weight_floor, len(sources))
 
     kept = {} if _dump is None else None
     if kept is not None:  # collect the result: copies of the planes that a later stage overwrites
         def _dump(kind, n, rows, data):
-            if kind in ("wb", "wd") and data.flags.c_contiguous:  # final planes, which no stage writes again
+            if kind == "wb" and data.flags.c_contiguous:  # a final plane, which no stage writes again
                 kept[kind, n] = data
                 return
             if (kind, n) not in kept:
@@ -564,35 +760,29 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
         for n, m in enumerate(maps):
             _dump(kind, n, slice(0, len(m)), m)
 
-    # The weight planes, detail then base, the first c of them rows of one
-    # (h, c, w) mapping.  A page of a shared map takes memory only once it
-    # is written, so the base planes cost nothing before refinement.
+    # The weight planes, the first c of them rows of one (h, c, w) mapping.
     h, w, c = shape
     count = len(sources)
     host = _shared_planes(1, (h, c, w))[0]
-    weights = [host[:, k, :, np.newaxis] for k in range(min(c, 2 * count))]
-    weights += _shared_planes(2 * count - len(weights), (h, w, 1))
-    saliencies, refined_base = weights[:count], weights[count:]
-    radius = (config.avg_filter_size - 1) // 2
-    _saliency_maps(sources, config, [s[:, :, 0] for s in saliencies])
-    dump("sal", saliencies)
-    binary = saliencies
-    _binary_maps([s[:, :, 0] for s in saliencies], [b[:, :, 0] for b in binary])
-    dump("binary", binary)
-    refined_detail = binary
-    fits = ((config.base_params, refined_base), (config.detail_params, refined_detail))
-    _refined([b[:, :, 0] for b in binary], sources, [(p, [o[:, :, 0] for o in outs]) for p, outs in fits],
-             config.refine_filter)
-    dump("refined_base", refined_base)
-    dump("refined_detail", refined_detail)
-    _normalized(refined_base, config.weight_floor, refined_base)
-    _normalized(refined_detail, config.weight_floor, refined_detail)
-    dump("wb", refined_base)
-    dump("wd", refined_detail)
+    planes = [host[:, k, :, np.newaxis] for k in range(min(c, count))]
+    planes += _shared_planes(count - len(planes), (h, w, 1))
+    flat = [p[:, :, 0] for p in planes]
+    _saliency_maps(sources, config, flat)
+    dump("sal", planes)
+    winner = _winner_plane(flat)
+    maps = [_winner_rows(winner, n) for n in range(count)]
+    guides = [_guide(src) for src in sources]
+    _refined(maps, guides, base_params, flat)
+    dump("refined_base", planes)
+    _normalized(flat, config.weight_floor, flat)
+    dump("wb", planes)
     # No result keeps the weights when the caller has a hook, so the fused
     # image is written over the rows of the mapping.
     out = host.reshape(shape) if kept is None else np.empty(shape)
-    fused = Image._adopt(_blend(sources, refined_base, refined_detail, radius, max_val, _dump, out), max_val)
+    radius = (config.avg_filter_size - 1) // 2
+    _detail_stage(maps, guides, detail_params, config.weight_floor, _dump,
+                  lambda detail_weights: _blend(sources, planes, detail_weights, radius, max_val, _dump, out))
+    fused = Image._adopt(out, max_val)
     if kept is None:
         return FusionResult(fused=fused)
 

@@ -124,13 +124,16 @@ def rgb_to_luma(img: Image) -> Image:
     """
     if img.channels != 3:
         raise ValueError(f"rgb_to_luma requires 3 channels, got {img.channels}")
-    return Image._adopt(_rgb_to_luma(img.data, np.empty(img.data.shape[:2])), img.max_val)
+    data = img.data
+    return Image._adopt(_rgb_to_luma(data, np.empty(data.shape[:2]), data.min(), data.max()), img.max_val)
 
 
-def _rgb_to_luma(data: np.ndarray, luma: np.ndarray) -> np.ndarray:
+def _rgb_to_luma(data: np.ndarray, luma: np.ndarray, lo, hi) -> np.ndarray:
     # (wr * R + wg * G) + wb * B of an (h, w, 3) array, built in the float64
     # (h, w) plane ``luma``, which may be a view, a strip of rows at a time
-    # through one strip of scratch, then clamped in place.
+    # through one strip of scratch, then clamped in place to [lo, hi], the
+    # sample range of the whole image.  Each sample depends only on its
+    # pixel and the range, so any rows of an image can be built alone.
     wr, wg, wb = BT601_WEIGHTS
     tmp = np.empty((min(len(luma), _LUMA_ROWS), luma.shape[1]))
     for start in range(0, len(luma), _LUMA_ROWS):
@@ -139,7 +142,7 @@ def _rgb_to_luma(data: np.ndarray, luma: np.ndarray) -> np.ndarray:
         np.multiply(block[:, :, 0], wr, out=out)
         out += np.multiply(block[:, :, 1], wg, out=t)
         out += np.multiply(block[:, :, 2], wb, out=t)
-    return np.clip(luma, data.min(), data.max(), out=luma)
+    return np.clip(luma, lo, hi, out=luma)
 
 
 def _luma(img: Image) -> Image:

@@ -7,12 +7,13 @@ so calibrated statistics can be substituted.
 """
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .filters import _gaussian_kernel_1d, _gradient_magnitude, _single_plane, _valid_correlate_sep
+from .filters import _STRIP_ROWS, _gaussian_kernel_1d, _gradient_magnitude, _single_plane, _strips, _valid_correlate_sep
 from .image import Image, _luma
 
 SSIM_WINDOW_RADIUS = 5
@@ -138,12 +139,25 @@ def ssim(a: Image, b: Image, max_val: float = None) -> float:
 def sharpness(img: Image) -> float:
     """Mean central-difference gradient magnitude over interior pixels.
 
-    Images without interior pixels (either dimension < 3) score 0.
+    Images without interior pixels (either dimension < 3) score 0.  The
+    magnitudes are built strip by strip into one plane, whose mean is
+    taken as a whole, so beyond that plane the scratch is one strip.
     """
     plane = _single_plane(img, "sharpness")
-    if plane.shape[0] < 3 or plane.shape[1] < 3:
+    h, w = plane.shape[0] - 2, plane.shape[1] - 2
+    if h < 1 or w < 1:
         return 0.0
-    return float(np.mean(_gradient_magnitude(plane)))
+    # The plane is mapped outside the malloc heap.  At 2048^2 it is just
+    # under glibc's 32 MiB mmap ceiling, so once a freed map has raised the
+    # dynamic threshold it would come from the heap, and freed at the top
+    # of the heap below the trim threshold it would stay resident.  A
+    # private map, where the platform has one, is not shared memory.
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    magnitudes = np.frombuffer(mmap.mmap(-1, 8 * h * w, **private), count=h * w).reshape(h, w)
+    tmp = np.empty((min(h, _STRIP_ROWS), w))
+    for rows in _strips(h):
+        _gradient_magnitude(plane[rows.start:rows.stop + 2], out=magnitudes[rows], tmp=tmp[:rows.stop - rows.start])
+    return float(np.mean(magnitudes))
 
 
 def naturalness(img: Image, priors: NaturalnessPriors = NaturalnessPriors()) -> float:

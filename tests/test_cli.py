@@ -29,6 +29,10 @@ from lepfuse.fusion import fuse
 from lepfuse.synthetic import multifocus_pair
 
 
+# Every test here may fork; a forked stage that hangs fails the test instead.
+pytestmark = pytest.mark.usefixtures("hang_guard")
+
+
 @pytest.fixture()
 def workdir(tmp_path):
     _, a, b = multifocus_pair(48, 48, 2.0)
@@ -206,7 +210,7 @@ def test_fuse_survives_a_failed_fork(workdir, monkeypatch, capsys, dump):
         assert main(["fuse", str(workdir / "a.pgm"), str(workdir / "b.pgm"), "-o", str(out), *extra]) == 0
         files = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
         outputs[mode] = files, capsys.readouterr()
-    assert len(tries) == 2  # one per forked stage
+    assert len(tries) == 3  # one per forked stage: saliency, base fits, detail fits
     assert len(outputs["forked"][0]) == (11 if dump else 1)
     assert outputs["forked"] == outputs["unforked"]
 
@@ -455,11 +459,12 @@ def test_encode_casts_as_the_floor_did(op, operand, maxval):
     assert got.tobytes() == want.tobytes()
 
 
-def _fuse_peak_planes(tmp_path, monkeypatch, shared_bytes, extra, count=2, channels=1) -> float:
+def _fuse_peak_planes(tmp_path, monkeypatch, traced_peak, extra, count=2, channels=1) -> float:
     # The peak of the one fuse call of a 512^2 job of ``count`` sources
-    # with ``channels`` channels, in planes beyond its sources: the traced
-    # peak, which includes any uint8 raster and encoding scratch of files
-    # written inside it, plus every shared plane it allocates.
+    # with ``channels`` channels, split over two processes, in planes
+    # beyond its sources: the traced peak of this process, which includes
+    # any uint8 raster and encoding scratch of files written inside it,
+    # plus the shared planes live at each moment.
     side = 512
     rng = np.random.default_rng(3)
     ext = ".pgm" if channels == 1 else ".ppm"
@@ -469,16 +474,11 @@ def _fuse_peak_planes(tmp_path, monkeypatch, shared_bytes, extra, count=2, chann
     real_fuse, peaks = lepfuse.cli.fuse, []
 
     def traced_fuse(*args, **kwargs):
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            result = real_fuse(*args, **kwargs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        peaks.append((peak - start + sum(shared_bytes)) / (side * side * 8))
-        return result
+        result = []
+        peaks.append(traced_peak(lambda: result.append(real_fuse(*args, **kwargs))) / (side * side * 8))
+        return result[0]
 
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(lepfuse.cli, "fuse", traced_fuse)
     out = tmp_path / f"fused{ext}"
     assert main(["fuse", *map(str, inputs), "-o", str(out), *extra]) == 0
@@ -486,59 +486,65 @@ def _fuse_peak_planes(tmp_path, monkeypatch, shared_bytes, extra, count=2, chann
     return peaks[0]
 
 
-def test_dump_fuse_holds_few_planes(tmp_path, monkeypatch, shared_bytes):
+def test_dump_fuse_holds_few_planes(tmp_path, monkeypatch, traced_peak):
     """With --dump-intermediates, the fuse call of a gray N = 2 512^2 job
-    holds at most 6 planes beyond its sources, as without.  It measured
-    5.38 planes on numpy 2.4, the same as without: the four shared weight
-    planes and saliency's scratch.  Keeping the intermediates, as the dump
-    once did, took 17.1 planes before any file was encoded."""
-    assert _fuse_peak_planes(tmp_path, monkeypatch, shared_bytes, ["--dump-intermediates"]) <= 6
+    holds at most 4 planes beyond its sources, as without.  It measured
+    3.89 planes on numpy 2.4: the two shared weight planes, the winner
+    plane, and the streamed stage's rings and strip scratch, with one
+    detail fit running here.  Holding the refined detail weights as whole
+    planes measured 5.38; keeping the intermediates, as the dump once did,
+    took 17.1 planes before any file was encoded."""
+    assert _fuse_peak_planes(tmp_path, monkeypatch, traced_peak, ["--dump-intermediates"]) <= 4
     assert len(list(tmp_path.glob("fused*"))) == 11
 
 
-def test_lean_fuse_holds_few_planes(tmp_path, monkeypatch, shared_bytes):
+def test_lean_fuse_holds_few_planes(tmp_path, monkeypatch, traced_peak):
     """Without intermediates, the fuse call of a gray N = 2 512^2 job
-    holds at most 6 planes beyond its sources, counting every shared plane
-    it allocates on top of the traced peak."""
-    assert _fuse_peak_planes(tmp_path, monkeypatch, shared_bytes, []) <= 6
+    holds at most 4 planes beyond its sources (3.87 on numpy 2.4, and
+    5.38 with whole detail-weight planes)."""
+    assert _fuse_peak_planes(tmp_path, monkeypatch, traced_peak, []) <= 4
 
 
-def test_dump_fuse_of_colour_holds_few_planes(tmp_path, monkeypatch, shared_bytes):
+def test_dump_fuse_of_colour_holds_few_planes(tmp_path, monkeypatch, traced_peak):
     """With --dump-intermediates, the fuse call of an RGB N = 3 512^2 job
-    holds at most 9 planes beyond its sources.  It measured 8.42 planes
-    on numpy 2.4: six shared weight planes, the first three of which take
-    the fused image, and a saliency job's scratch, the luminance plane it
-    builds and the edge-padded response.  A private three-channel fused
-    image and three luminance planes built before saliency, as before,
-    took 10.95 planes; keeping those planes through the blend and
-    buffering each dumped layer raster whole took 16.18."""
-    assert _fuse_peak_planes(tmp_path, monkeypatch, shared_bytes, ["--dump-intermediates"], 3, 3) <= 9
+    holds at most 7 planes beyond its sources.  It measured 6.42 planes
+    on numpy 2.4: three shared weight planes, which then take the fused
+    image, and, during the streamed stage, the layers of three colour
+    sources, the rings, the blend's strips and one detail fit's scratch.
+    Holding the refined detail weights as whole planes measured 8.28."""
+    assert _fuse_peak_planes(tmp_path, monkeypatch, traced_peak, ["--dump-intermediates"], 3, 3) <= 7
     assert len(list(tmp_path.glob("fused*"))) == 16
 
 
 # The file that each case's failing write was to make.  fuse with
 # --dump-intermediates writes the saliency maps before refinement, the
-# weights after it, and the layers from the blend's strips: for each 16-row
-# strip, base_1, detail_1, base_2, detail_2.  Write 12 is the second strip
-# of detail_1, whose header and first strip are already written.
-_FAILING_FILE = {("fuse", 1): "dumped_sal_1", ("fuse", 3): "dumped_wb_1", ("fuse", 8): "dumped_detail_1",
-                 ("fuse", 12): "dumped_detail_1", ("decompose", 2): "layers_detail"}
+# base weights after the base fits, and then, for each strip of the
+# blend, the detail weights and the layers: wd_1, wd_2, base_1, detail_1,
+# base_2, detail_2.  The first strip of these 48-row images has 2 rows
+# (the layers' window mean lags by its radius), so write 5 is the first
+# strip of wd_1, made while a forked child streams the detail fit of
+# source 1, and write 14 is the second strip of detail_1, whose header and
+# first strip are already written.
+_FAILING_FILE = {("fuse", 1): "dumped_sal_1", ("fuse", 3): "dumped_wb_1", ("fuse", 5): "dumped_wd_1",
+                 ("fuse", 8): "dumped_detail_1", ("fuse", 14): "dumped_detail_1", ("decompose", 2): "layers_detail"}
 
 
 @pytest.mark.parametrize("command, failing_write", [
     (["fuse", "a.pgm", "b.pgm", "-o", "dumped.pgm", "--dump-intermediates"], 3),
     (["decompose", "a.pgm", "-o", "layers.pgm"], 2),
     (["fuse", "a.pgm", "b.pgm", "-o", "dumped.pgm", "--dump-intermediates"], 1),
+    (["fuse", "a.pgm", "b.pgm", "-o", "dumped.pgm", "--dump-intermediates"], 5),
     (["fuse", "a.pgm", "b.pgm", "-o", "dumped.pgm", "--dump-intermediates"], 8),
-    (["fuse", "a.pgm", "b.pgm", "-o", "dumped.pgm", "--dump-intermediates"], 12),
+    (["fuse", "a.pgm", "b.pgm", "-o", "dumped.pgm", "--dump-intermediates"], 14),
 ])
 def test_failed_write_leaves_no_output(workdir, monkeypatch, capsys, command, failing_write):
     """A write that fails part way exits 1 and leaves neither the files
     written before it nor any temporary file behind, nor an open file (a
-    ResourceWarning is an error here).  Every byte of every file is
-    written through netpbm._write_raster, which the command line calls
-    for each block of rows of an encoded raster and write_image calls for
-    images."""
+    ResourceWarning is an error here), nor a forked process: a write
+    that fails in the streamed detail stage stops the child that streams
+    to it.  Every byte of every file is written through
+    netpbm._write_raster, which the command line calls for each block of
+    rows of an encoded raster and write_image calls for images."""
     real_write = lepfuse.netpbm._write_raster
     real_refined, refined = lepfuse.fusion._refined, []
     calls = []
@@ -561,11 +567,14 @@ def test_failed_write_leaves_no_output(workdir, monkeypatch, capsys, command, fa
     assert main(command) == 1
     assert len(calls) == failing_write
     assert calls[-1].name.startswith(f".{_FAILING_FILE[command[0], failing_write]}.")
-    assert calls.count(calls[-1]) == (2 if failing_write == 12 else 1)
+    assert calls.count(calls[-1]) == (2 if failing_write == 14 else 1)
     assert len(refined) == (0 if "_sal_" in calls[-1].name or command[0] != "fuse" else 1)
     gc.collect()  # an unclosed file would warn when collected
     assert sorted(p.name for p in workdir.iterdir()) == before
     assert "no space left on device" in capsys.readouterr().err
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_fuse_mismatched_dimensions_exit_2_no_output(workdir, tmp_path, capsys):

@@ -7,7 +7,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +45,10 @@ from oracles import (
     reference_normalize_weights,
     reference_saliency,
 )
+
+# Every test here may fork; a forked stage that hangs fails the test instead.
+pytestmark = pytest.mark.usefixtures("hang_guard")
+
 
 # Heights around the strip height of the strip-wise stages: one row, a
 # partial strip, exactly one strip, one row into a second strip, and a
@@ -133,23 +136,17 @@ def test_saliency_bitwise_equal_reference(height, width, radius):
     assert _same_bits(got, reference_saliency(plane, radius, 0.8 * radius))
 
 
-def test_saliency_holds_two_planes_of_scratch(shared_bytes):
+def test_saliency_holds_two_planes_of_scratch(traced_peak):
     """Beyond its output, saliency holds the edge-padded source and the
     Laplacian's scratch plane, then the edge-padded response: at most
     2.25 planes at 512^2."""
     side = 512
     src = Image(np.random.default_rng(4).uniform(0, 255, (side, side)))
-    shared_bytes.clear()
-    tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
-        sal = saliency(src)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    sal = []
+    peak = traced_peak(lambda: sal.append(saliency(src)))
     plane = side * side * 8
-    assert sal.data.nbytes == plane
-    assert (peak - start + sum(shared_bytes) - plane) / plane <= 2.25
+    assert sal[0].data.nbytes == plane
+    assert (peak - plane) / plane <= 2.25
 
 
 def test_colour_saliency_job_holds_no_luminance_plane(monkeypatch):
@@ -222,6 +219,19 @@ def test_binary_weights_bitwise_equal_reference(count, height, width):
             assert _same_bits(m.plane(), want)
 
 
+def test_binary_weights_past_256_sources():
+    """The winner plane takes a byte per pixel for up to 256 sources and
+    two bytes beyond, so source 299 can still win."""
+    rng = np.random.default_rng(300)
+    planes = [rng.uniform(0, 1, (3, 4)) for _ in range(300)]
+    planes[299][1, 2] = 2.0
+    assert lepfuse.fusion._winner_plane(planes[:256]).dtype == np.uint8
+    assert lepfuse.fusion._winner_plane(planes)[1, 2] == 299
+    got = binary_weight_maps([Image(p) for p in planes])
+    for m, want in zip(got.maps, reference_binary_weight_maps(planes)):
+        assert _same_bits(m.plane(), want)
+
+
 def test_binary_weights_validation():
     with pytest.raises(ValueError):
         binary_weight_maps([])
@@ -284,27 +294,21 @@ def test_refine_relocates_transition_to_guide_edge():
     assert mid_row[7] - mid_row[4] > 0.2
 
 
-def _refine_scratch_bytes(height, width, count, params, shared_bytes):
+def _refine_scratch_bytes(height, width, count, params, traced_peak):
     # Peak bytes of refine_weights beyond its ``count`` output planes: the
-    # traced peak plus every shared plane, which tracemalloc does not see.
+    # traced peak plus the shared planes, which tracemalloc does not see.
     rng = np.random.default_rng(height)
     binary = binary_weight_maps([Image(rng.uniform(0, 1, (height, width))) for _ in range(count)])
     guides = [Image(rng.uniform(0, 255, (height, width))) for _ in range(count)]
-    shared_bytes.clear()
-    tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
-        refined = refine_weights(binary, guides, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(refined) == count
-    return peak - start + sum(shared_bytes) - count * height * width * 8
+    refined = []
+    peak = traced_peak(lambda: refined.append(refine_weights(binary, guides, params)))
+    assert len(refined[0]) == count
+    return peak - count * height * width * 8
 
 
 @pytest.mark.parametrize("cpus", [1, 64])
 @pytest.mark.parametrize("params", [FusionConfig().base_params, FusionConfig().detail_params])
-def test_refine_holds_strip_scratch(monkeypatch, shared_bytes, cpus, params):
+def test_refine_holds_strip_scratch(monkeypatch, traced_peak, cpus, params):
     """Beyond its output maps, the calling process refines its share of the
     maps in one scratch set of a few strips of rows, whatever the CPU
     count: at most 1.5 planes at 512^2 with the default radii, and no more
@@ -314,10 +318,10 @@ def test_refine_holds_strip_scratch(monkeypatch, shared_bytes, cpus, params):
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
     count, side = 2, 512
     before = threading.active_count()
-    scratch = _refine_scratch_bytes(side, side, count, params, shared_bytes)
+    scratch = _refine_scratch_bytes(side, side, count, params, traced_peak)
     assert threading.active_count() == before
     assert scratch / (side * side * 8) <= 1.5
-    assert abs(_refine_scratch_bytes(2 * side, side, count, params, shared_bytes) - scratch) <= 64 * 1024
+    assert abs(_refine_scratch_bytes(2 * side, side, count, params, traced_peak) - scratch) <= 64 * 1024
 
 
 def test_refine_count_mismatch():
@@ -402,7 +406,7 @@ def test_overflowing_weight_floor_refused(monkeypatch):
         normalize_weights(WeightStack(maps=maps, kind="refined"), 1e308)
     assert np.all(normalize_weights(WeightStack(maps=maps[:1], kind="refined"), 1e308).maps[0].data == 1.0)
     stages = []
-    monkeypatch.setattr(lepfuse.fusion, "_each_in_processes", lambda *args: stages.append(args))
+    monkeypatch.setattr(lepfuse.fusion, "_in_processes", lambda *args: stages.append(args))
     sources = [_random_image(s, (8, 8)) for s in (1, 2)]
     with pytest.raises(ValueError, match="weight_floor"):
         fuse(sources, FusionConfig(weight_floor=1e308))
@@ -631,10 +635,11 @@ def test_threaded_refine_rejects_bad_guided_config(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_fuse_forks_twice_per_extra_process(monkeypatch):
-    """fuse forks min(jobs, CPUs) - 1 children for each of its two forked
-    stages, which have N jobs each: at N = 3, one saliency map per job,
-    then one job that fits a source's base and then its detail map."""
+def test_fuse_forks_thrice_per_extra_process(monkeypatch):
+    """fuse forks min(jobs, CPUs) - 1 children for each of its three
+    forked stages, which have N jobs each: at N = 3, one saliency map per
+    job, then one base fit per job, then the three detail fits, streamed
+    to this process."""
     real_fork, forks = os.fork, []
 
     def counted_fork():
@@ -645,7 +650,7 @@ def test_fuse_forks_twice_per_extra_process(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     sources = [_random_image(s, (24, 20)) for s in (1, 2, 3)]
-    for cpus, want in ((64, 4), (2, 2)):
+    for cpus, want in ((64, 6), (2, 3)):
         monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
         forks.clear()
         fuse(sources)
@@ -653,29 +658,32 @@ def test_fuse_forks_twice_per_extra_process(monkeypatch):
 
 
 def _stage_counts(monkeypatch):
-    # The job count of every _each_in_processes call, in call order.
-    real, counts = lepfuse.fusion._each_in_processes, []
+    # The job count of every _in_processes call, in call order.
+    real, counts = lepfuse.fusion._in_processes, []
 
-    def counted(count, job, outs):
+    def counted(count, *args, **kwargs):
         counts.append(count)
-        return real(count, job, outs)
+        return real(count, *args, **kwargs)
 
-    monkeypatch.setattr(lepfuse.fusion, "_each_in_processes", counted)
+    monkeypatch.setattr(lepfuse.fusion, "_in_processes", counted)
     return counts
 
 
 def _fit_log(monkeypatch, sources):
     # A shared (2, N, 3) plane that receives, for fit f (0 base, 1 detail)
-    # of gray source n, the pid that ran it and its start and end times.
+    # of gray source n, the pid that ran it, the time of its first strip
+    # and the time of its last.
     log = lepfuse.fusion._shared_planes(1, (2, len(sources), 3))[0]
     real, base_radius = lepfuse.fusion._fit, FusionConfig().base_params.radius
 
-    def logged(out, pp, gg, params, coeffs=None):
+    def logged(pp, gg, params, coeffs=None):
         entry = log[int(params.radius != base_radius),
                     next(n for n, src in enumerate(sources) if np.shares_memory(gg, src.data))]
         entry[:2] = os.getpid(), time.perf_counter()
-        yield from real(out, pp, gg, params, coeffs)
-        entry[2] = time.perf_counter()
+        for rows, values in real(pp, gg, params, coeffs):
+            if rows.stop == gg.shape[0]:
+                entry[2] = time.perf_counter()
+            yield rows, values
 
     monkeypatch.setattr(lepfuse.fusion, "_fit", logged)
     return log
@@ -683,22 +691,27 @@ def _fit_log(monkeypatch, sources):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_stages_split_jobs_by_fit(monkeypatch):
-    """fuse gives each forked stage N jobs: one saliency map each, then
-    one job per source whose detail fit writes over the binary map that
-    its base fit reads, so both run in one process, base first; at N = 5
-    two processes split the sources 3:2.  refine_weights runs one job per
-    map."""
-    sources = [_random_image(s, (24, 20)) for s in range(5)]
+    """fuse gives each forked stage N jobs: one saliency map each, one
+    base fit each, then the N detail fits, streamed.  At N = 5 two
+    processes split each stage 3:2, this process taking the 2 (sources 1
+    and 3), since it also blends.  Every base fit ends before any detail
+    fit starts, and the detail fits of one process run in lockstep: each
+    starts before any of them has written its last strip.
+    refine_weights runs one job per map."""
+    sources = [_random_image(s, (3 * _STRIP_ROWS + 5, 20)) for s in range(5)]
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 2)
     counts = _stage_counts(monkeypatch)
     log = _fit_log(monkeypatch, sources)
     fuse(sources)
     base, detail = log
-    assert counts == [5, 5]
-    assert np.array_equal(base[:, 0], detail[:, 0])
-    assert sorted(base[:, 0].tolist().count(pid) for pid in set(base[:, 0].tolist())) == [2, 3]
-    assert base[0, 0] == os.getpid()
-    assert np.all(base[:, 2] <= detail[:, 1])
+    assert counts == [5, 5, 5]
+    for fits in (base, detail):
+        pids = fits[:, 0].tolist()
+        assert pids[1] == pids[3] == os.getpid()
+        assert pids[0] == pids[2] == pids[4] != os.getpid()
+    assert np.max(base[:, 2]) <= np.min(detail[:, 1])
+    for share in ([0, 2, 4], [1, 3]):
+        assert np.max(detail[share, 1]) < np.min(detail[share, 2])
 
     binary = binary_weight_maps([saliency(src) for src in sources])
     counts.clear()
@@ -709,23 +722,26 @@ def test_forked_stages_split_jobs_by_fit(monkeypatch):
     log[:] = 0.0
     fuse(sources[:3])
     base, detail = log[:, :3]
-    assert len(set(base[:, 0])) == 3
-    assert np.array_equal(base[:, 0], detail[:, 0])
-    assert np.all(base[:, 2] <= detail[:, 1])
+    assert len(set(base[:, 0])) == len(set(detail[:, 0])) == 3
+    assert base[2, 0] == detail[2, 0] == os.getpid()
+    assert np.max(base[:, 2]) <= np.min(detail[:, 1])
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_fuse_hook_sees_each_stage_in_order(monkeypatch, cpus):
-    """A caller's _dump hook gets every whole-plane kind for each source
-    in pipeline order, each plane as the result holds it, then the base
-    and detail strips, which cover rows 0..h in order; fuse then keeps no
-    intermediates.  Without a hook, the result holds private copies of the
-    planes that a later stage overwrites, adopts the normalized base
-    weights' own shared planes, and copies the detail weights, which at
-    N = 3 are the rows of the (h, 3, w) mapping that a hooked fuse writes
-    its fused image over."""
+    """A caller's _dump hook gets the saliency maps, the refined base
+    weights and the normalized base weights of each source as whole
+    planes, in that order, each as the result holds it.  Then come the
+    blend's strips, which cover rows 0..h in order: for each strip, the
+    binary maps, the refined and the normalized detail weights of each
+    source, then its base and detail layers.  fuse then keeps no
+    intermediates.  Without a hook, the result holds private copies of
+    every plane and strip that a later stage overwrites, and of the base
+    weights that are rows of the (h, 3, w) mapping that a hooked fuse
+    writes its fused image over; it adopts the base weights' own shared
+    planes, here that of source 3."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
-    h, w, count = 2 * _STRIP_ROWS + 5, 20, 3
+    h, w, count = 2 * _STRIP_ROWS + 5, 20, 4
     sources = [Image(np.random.default_rng(s).uniform(0, 255, (h, w, 3))) for s in range(count)]
     calls = []
 
@@ -736,36 +752,39 @@ def test_fuse_hook_sees_each_stage_in_order(monkeypatch, cpus):
     assert hooked.layers is hooked.saliencies is hooked.binary_maps is hooked.detail_weights is None
     result = fuse(sources)
     assert _same_bits(hooked.fused.data, result.fused.data)
-    kinds = {"sal": result.saliencies, "binary": result.binary_maps.maps,
-             "refined_base": result.refined_base.maps, "refined_detail": result.refined_detail.maps,
-             "wb": result.base_weights.maps, "wd": result.detail_weights.maps}
-    whole, strips = calls[:len(kinds) * count], calls[len(kinds) * count:]
+    planes = {"sal": result.saliencies, "refined_base": result.refined_base.maps, "wb": result.base_weights.maps}
+    whole, strips = calls[:len(planes) * count], calls[len(planes) * count:]
     assert [(kind, n, rows) for kind, n, rows, _ in whole] == [
-        (kind, n, slice(0, h)) for kind in kinds for n in range(count)]
+        (kind, n, slice(0, h)) for kind in planes for n in range(count)]
     for kind, n, _, data in whole:
-        assert _same_bits(data, kinds[kind][n].data), (kind, n)
-    assert [(kind, n) for kind, n, _, _ in strips] == [
-        (kind, n) for _ in range(len(strips) // (2 * count)) for n in range(count) for kind in ("base", "detail")]
-    bounds = [0] + [rows.stop for _, _, rows, _ in strips[::2 * count]]
-    assert [rows.start for _, _, rows, _ in strips[::2 * count]] == bounds[:-1] and bounds[-1] == h
+        assert _same_bits(data, planes[kind][n].data), (kind, n)
+    per_strip = ([(kind, n) for kind in ("binary", "refined_detail", "wd") for n in range(count)]
+                 + [(kind, n) for n in range(count) for kind in ("base", "detail")])
+    assert [(kind, n) for kind, n, _, _ in strips] == per_strip * (len(strips) // len(per_strip))
+    starts = strips[::len(per_strip)]
+    bounds = [0] + [rows.stop for _, _, rows, _ in starts]
+    assert [rows.start for _, _, rows, _ in starts] == bounds[:-1] and bounds[-1] == h
+    stacks = {"binary": result.binary_maps.maps, "refined_detail": result.refined_detail.maps,
+              "wd": result.detail_weights.maps, "base": [pair.base for pair in result.layers],
+              "detail": [pair.detail for pair in result.layers]}
     for kind, n, rows, data in strips:
-        pair = result.layers[n]
-        assert _same_bits(data, (pair.base if kind == "base" else pair.detail).data[rows]), (kind, n, rows)
+        assert _same_bits(data, stacks[kind][n].data[rows]), (kind, n, rows)
 
     private = [*result.saliencies, *result.binary_maps.maps, *result.refined_base.maps,
-               *result.refined_detail.maps, *(img for pair in result.layers for img in (pair.base, pair.detail))]
+               *result.refined_detail.maps, *result.detail_weights.maps,
+               *(img for pair in result.layers for img in (pair.base, pair.detail))]
     assert not any(lepfuse.fusion._is_shared(img.data) for img in private)
-    assert all(lepfuse.fusion._is_shared(img.data) for img in result.base_weights.maps)
-    assert not any(lepfuse.fusion._is_shared(img.data) for img in result.detail_weights.maps)
+    assert [lepfuse.fusion._is_shared(img.data) for img in result.base_weights.maps] == [False, False, False, True]
 
 
 @pytest.mark.parametrize("channels", [1, 3])
 def test_hooked_fuse_writes_over_spent_weight_planes(channels):
     """With a caller's hook, fuse writes the fused image over spent shared
     weight planes instead of allocating one: the rows of the (h, c, w)
-    mapping that holds the first c of them, detail-weight plane 0 for
-    gray.  A colour fuse of one source has two weight planes, so the
-    mapping gets a third.  A fuse without a hook, whose result keeps the
+    mapping that holds the first c of them, the saliency and then base
+    weight plane of source 1 for gray.  A colour fuse of one or two
+    sources has fewer weight planes than channels, so the mapping gets
+    one or two more.  A fuse without a hook, whose result keeps the
     weights, gets a private image.  The samples are the same bit for
     bit."""
     h, w = 2 * _STRIP_ROWS + 5, 20
@@ -778,30 +797,27 @@ def test_hooked_fuse_writes_over_spent_weight_planes(channels):
         assert not lepfuse.fusion._is_shared(result.fused.data), count
 
 
-def test_colour_fuse_holds_one_luma_plane_at_a_time(monkeypatch):
-    """Each refinement job builds the luminance of its colour source for
-    itself and frees it when it ends, so a colour fuse of five sources in
-    one process never holds two luminance planes at once.  Building them
-    all before saliency and keeping them through refinement held five.
-    Saliency builds no luminance plane: it writes the luminance straight
-    into its padded plane."""
+def test_colour_fuse_builds_no_luma_plane(monkeypatch):
+    """A colour fuse never builds a luminance plane of its own: each
+    saliency job writes the luminance into its edge-padded plane, and both
+    weight fits of a source build the luminance of the rows they read, at
+    most a strip at a time.  A refinement job once built a whole
+    luminance plane for its two fits."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 1)
-    real, live, most = lepfuse.fusion._luma, set(), []
+    real, built = lepfuse.fusion._rgb_to_luma, []
 
-    def tracked(img):
-        luma = real(img)
-        root = luma.data
-        while root.base is not None:
-            root = root.base
-        live.add(id(root))
-        most.append(len(live))
-        weakref.finalize(root, live.discard, id(root))
-        return luma
+    def recorded(data, luma, lo, hi):
+        built.append((luma.base is None, len(luma)))
+        return real(data, luma, lo, hi)
 
-    monkeypatch.setattr(lepfuse.fusion, "_luma", tracked)
-    sources = [Image(np.random.default_rng(s).uniform(0, 255, (24, 20, 3))) for s in range(5)]
+    monkeypatch.setattr(lepfuse.fusion, "_rgb_to_luma", recorded)
+    h = 3 * _STRIP_ROWS + 5
+    sources = [Image(np.random.default_rng(s).uniform(0, 255, (h, 20, 3))) for s in range(5)]
     fuse(sources, _dump=lambda kind, n, rows, data: None)
-    assert len(most) == 5 and max(most) == 1 and not live
+    assert built.count((False, h)) == 5  # saliency, into its padded plane
+    fits = [rows for own, rows in built if own]
+    assert fits and max(fits) <= _STRIP_ROWS
+    assert len(built) == 5 + len(fits)
 
 
 def _job_pids(count):
@@ -819,11 +835,12 @@ def _job_pids(count):
 @pytest.mark.parametrize("cpus", [1, 2, 64])
 def test_jobs_split_over_processes(monkeypatch, cpus):
     """Job n runs in worker n mod W of W = min(jobs, CPUs) processes, this
-    one being worker 0, and every forked worker has exited afterwards."""
+    one being worker W - 1, whose share is the smallest, and every forked
+    worker has exited afterwards."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
     pids = _job_pids(5)
     workers = min(5, cpus)
-    assert pids[::workers] == [os.getpid()] * len(pids[::workers])
+    assert pids[workers - 1::workers] == [os.getpid()] * len(pids[workers - 1::workers])
     assert len(set(pids)) == workers
     assert all(pids[n] == pids[n % workers] for n in range(5))
     with pytest.raises(ChildProcessError):
@@ -881,31 +898,176 @@ def test_worker_out_of_memory_raises_memory_error(monkeypatch, capfd):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_failed_fork_runs_the_share_here(monkeypatch):
-    """When os.fork fails, the jobs of the workers not started run in this
-    process: every job runs once, and the one child started is reaped."""
+@pytest.mark.parametrize("failing, call", [("fork", 2), ("pipe", 3), ("pipe", 4)])
+def test_failed_fork_runs_the_share_here(monkeypatch, failing, call):
+    """When os.fork fails, or os.pipe for the pipes of a child, the jobs
+    of the workers not started run in this process: every job runs once,
+    the one child started is reaped, and no pipe is left open."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
-    real_fork, real_waitpid, forks, reaped = os.fork, os.waitpid, [], []
+    real, real_waitpid, calls, reaped = getattr(os, failing), os.waitpid, [], []
 
-    def failing_fork():
-        forks.append(None)
-        if len(forks) == 2:
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return real_fork()
+    def failing_call():
+        calls.append(None)
+        if len(calls) == call:
+            raise OSError(errno.EMFILE if failing == "pipe" else errno.EAGAIN, "failed")
+        return real()
 
     def waitpid(pid, options):
         reaped.append(pid)
         return real_waitpid(pid, options)
 
-    monkeypatch.setattr(os, "fork", failing_fork)
+    open_fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    monkeypatch.setattr(os, failing, failing_call)
     monkeypatch.setattr(os, "waitpid", waitpid)
     pids = _job_pids(3)
     monkeypatch.undo()
-    assert len(forks) == 2
-    assert pids[0] == pids[2] == os.getpid() != pids[1]
-    assert reaped == [pids[1]]
+    assert len(calls) == call
+    assert pids[1] == pids[2] == os.getpid() != pids[0]
+    assert reaped == [pids[0]]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    if open_fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def _fails_in_children(monkeypatch, error):
+    # Makes every detail fit that a forked child runs raise ``error`` at
+    # its third strip.
+    parent, real = os.getpid(), lepfuse.fusion._fit
+    detail_radius = FusionConfig().detail_params.radius
+
+    def failing(pp, gg, params, coeffs=None):
+        for k, strip in enumerate(real(pp, gg, params, coeffs)):
+            if k == 2 and params.radius == detail_radius and os.getpid() != parent:
+                raise error
+            yield strip
+
+    monkeypatch.setattr(lepfuse.fusion, "_fit", failing)
+
+
+# Sources ten strips tall, so the streamed stage runs past its ring.
+_TALL = 10 * _STRIP_ROWS + 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("error, raised, message", [
+    (ZeroDivisionError("child failed"), RuntimeError, "2 of 2 worker processes failed"),
+    (MemoryError("child out of memory"), MemoryError, "2 of 2 worker processes ran out of memory"),
+])
+def test_child_failing_mid_stream_raises(monkeypatch, capfd, error, raised, message):
+    """A child that fails part way through the streamed detail stage
+    exits and so closes its pipes: this process stops waiting on its
+    strips and raises RuntimeError, after the child has printed its
+    traceback, or MemoryError, with no traceback, for a child out of
+    memory.  Every child has exited afterwards."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 3)
+    _fails_in_children(monkeypatch, error)
+    sources = [_random_image(s, (_TALL, 20)) for s in range(5)]
+    with pytest.raises(raised, match=message):
+        fuse(sources, _dump=lambda kind, n, rows, data: None)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert ("Traceback" in capfd.readouterr().err) == (raised is RuntimeError)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_failing_hook_stops_the_streaming_children(monkeypatch, capfd):
+    """When this process fails part way through the streamed stage, here
+    in its hook, it closes its pipe ends, so a child waiting for room in
+    its ring stops instead of waiting forever.  The hook's error is
+    raised, no child prints a traceback, and every child has exited."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 2)
+    sources = [_random_image(s, (_TALL, 20)) for s in range(2)]
+
+    def hook(kind, n, rows, data):
+        if kind == "wd" and rows.start > 0:
+            raise KeyError("hook failed")
+
+    with pytest.raises(KeyError, match="hook failed"):
+        fuse(sources, _dump=hook)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_failed_fork_in_the_streamed_stage_runs_the_share_here(monkeypatch):
+    """When os.fork fails after one child of the streamed detail stage has
+    started, this process takes the detail fits of the children not
+    started into its own lockstep: run after the blend, they could never
+    deliver the strips that the blend waits on.  Each of its fits starts
+    before any of them writes its last strip, the one child is reaped,
+    and every field of the result is the same, bit for bit, as with
+    working forks."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 3)
+    sources = [_random_image(s, (_TALL, 20)) for s in range(5)]
+    want = _result_fields(fuse(sources))
+    real_fork, forks = os.fork, []
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 6:  # saliency and the base fits fork two each
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    log = _fit_log(monkeypatch, sources)
+    got = _result_fields(fuse(sources))
+    assert len(forks) == 6
+    for name, images in want.items():
+        for a, b in zip(got[name], images):
+            assert _same_bits(a.data, b.data), name
+    detail = log[1]
+    here = [1, 2, 4]  # the shares of worker 1, not started, and of this process, worker 2
+    assert detail[here, 0].tolist() == [os.getpid()] * 3
+    assert detail[0, 0] == detail[3, 0] != os.getpid()
+    assert np.max(detail[here, 1]) < np.min(detail[here, 2])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("avg_filter_size", [3, 33, 63])
+@pytest.mark.parametrize("detail_radius", [1, 8, 15])
+def test_streamed_stage_keeps_up_with_any_strips(monkeypatch, avg_filter_size, detail_radius):
+    """The blend's strips lag the rows by the layers' radius, and each fit
+    yields strips that lag by its own radii, so the ring strips that a
+    blend strip waits on, and those a fit writes ahead, vary with both.
+    A ring of two strips deadlocks on some of these; three never do, and
+    the fused image is the same, bit for bit, as from one process."""
+    sources = [_random_image(s, (_TALL, 9)) for s in range(3)]
+    config = FusionConfig(avg_filter_size=avg_filter_size, detail_params=FilterParams(detail_radius, 1e-4),
+                          base_params=FilterParams(detail_radius + 1, 0.3))
+    fused = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
+        fused.append(fuse(sources, config, _dump=lambda kind, n, rows, data: None).fused.data)
+    assert _same_bits(*fused)
+
+
+def test_streamed_stage_runs_here_while_a_thread_runs(monkeypatch):
+    """While another thread runs, fuse forks nothing: every stage, the
+    streamed one too, runs in this process (W = 1), and every field of the
+    result is the same, bit for bit, as from forked stages."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    sources = [Image(np.random.default_rng(s).uniform(0, 255, (_TALL, 20, 3))) for s in range(3)]
+    want = _result_fields(fuse(sources))
+
+    def no_fork():
+        raise AssertionError("forked while a thread runs")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        got = _result_fields(fuse(sources))
+    finally:
+        release.set()
+        other.join()
+    for name, images in want.items():
+        for a, b in zip(got[name], images):
+            assert _same_bits(a.data, b.data), name
 
 
 @pytest.mark.parametrize("cpus", [1, 64])
