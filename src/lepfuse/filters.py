@@ -62,29 +62,30 @@ def _anchored(body: np.ndarray, block: np.ndarray, anchor: np.ndarray, radius: i
     body[:, :, radius + w:] = body[:, :, radius + w - 1:radius + w]
 
 
-def _box_means(blocks, radius: int, out: np.ndarray = None):
+def _box_means(blocks, radius: int, out: np.ndarray = None, strip: int = None):
     # Mean over (2r+1)^2 replicate-padded windows of a stream of row blocks,
     # as a generator.  Each block is an (n, channels, w) array of the next
     # input rows; the generator yields (rows, means) for consecutive output
     # rows, each row as soon as the input rows within ``radius`` below it
-    # have arrived.  ``means`` has shape (n, channels, w), n <= _STRIP_ROWS,
-    # and is written into ``out[rows]`` when ``out`` is given.  The
-    # generator allocates its O(strip) buffers at the first block.
+    # have arrived.  ``means`` has shape (n, channels, w), n <= ``strip``
+    # (_STRIP_ROWS by default), and is written into ``out[rows]`` when
+    # ``out`` is given.  The generator allocates its O(strip) buffers at
+    # the first block.
     #
     # The integral image is that of the whole replicate-padded plane,
     # anchored on the first sample of each channel, so constant regions
-    # stay exact.  Its rows live in a ring of at least _STRIP_ROWS + 2r + 1
-    # rows, a multiple of _STRIP_ROWS: integral row x sits at ring row
-    # (x - 1) mod size, and a zero column leads every row.  Rows are
-    # anchored and padded as they arrive, then swept down (adding the row
-    # above, the last row of the previous chunk being carried) and summed
-    # across by cumsum in chunks of _STRIP_ROWS rows that never wrap.
+    # stay exact.  Its rows live in a ring of at least strip + 2r + 1 rows,
+    # a multiple of ``strip``: integral row x sits at ring row (x - 1) mod
+    # size, and a zero column leads every row.  Rows are anchored and
+    # padded as they arrive, then swept down (adding the row above, the
+    # last row of the previous chunk being carried) and summed across by
+    # cumsum in chunks of ``strip`` rows that never wrap.
     # Output row i combines integral rows i and i + k as ((A - B) - C) + D.
     # These are the additions of whole-plane prefix sums in the same order,
-    # so every mean is bitwise that of the whole-plane integral image.  Each
-    # row holds its channels one after another, so every pass runs along
-    # whole rows.
-    k, m = 2 * radius + 1, _STRIP_ROWS
+    # so every mean is bitwise that of the whole-plane integral image,
+    # whatever the strip.  Each row holds its channels one after another,
+    # so every pass runs along whole rows.
+    k, m = 2 * radius + 1, strip or _STRIP_ROWS
     written = summed = 1  # integral rows written and summed; row 0 is zero
     emitted, anchor = 0, None
 
@@ -139,7 +140,7 @@ def _box_means(blocks, radius: int, out: np.ndarray = None):
     for block in blocks:
         if anchor is None:  # the ring, the carried and edge rows, and a strip of means
             channels, w = block.shape[1:]
-            ring = np.zeros(_ring_shape(radius, channels, w))
+            ring = np.zeros(_ring_shape(radius, channels, w, m))
             size, lines = len(ring), list(ring[:, :, 1:])
             carry, edge = np.empty((2, channels, w + 2 * radius))
             means = np.empty((m, channels, w))
@@ -153,11 +154,11 @@ def _box_means(blocks, radius: int, out: np.ndarray = None):
         yield from sum_rows(written - summed)
 
 
-def _ring_shape(radius: int, channels: int, width: int) -> tuple:
+def _ring_shape(radius: int, channels: int, width: int, strip: int = None) -> tuple:
     # The shape of _box_means' ring of integral-image rows: at least
-    # _STRIP_ROWS + 2r + 1 rows, a multiple of _STRIP_ROWS, each a zero
-    # column and the padded row of every channel.
-    k, m = 2 * radius + 1, _STRIP_ROWS
+    # strip + 2r + 1 rows, a multiple of ``strip`` (_STRIP_ROWS by
+    # default), each a zero column and the padded row of every channel.
+    k, m = 2 * radius + 1, strip or _STRIP_ROWS
     return (-(-(m + k) // m) * m, channels, width + k)
 
 
@@ -310,12 +311,14 @@ def gradient_magnitude(img: Image) -> Image:
     return Image(_gradient_magnitude(np.pad(plane, 1, mode="edge")), img.max_val)
 
 
-def _fit(pp, gg, params: FilterParams, coeffs=None):
+def _fit(pp, gg, params: FilterParams, coeffs=None, strip: int = _STRIP_ROWS):
     # The local linear fit of pp on the guide gg, as a generator that
     # yields (rows, values): box_mean(slope) * gg + box_mean(intercept) of
-    # consecutive strips of at most _STRIP_ROWS rows, in scratch that the
-    # next strip overwrites.  Per window, with a regularizer from the
-    # guide's gradient,
+    # consecutive strips of at most ``strip`` rows, in scratch that the
+    # next strip overwrites.  The values are the same, bit for bit,
+    # whatever the strip; the scratch is about 30 strips of rows (see
+    # below), and shorter strips cost more numpy calls per row.  Per
+    # window, with a regularizer from the guide's gradient,
     #
     #   a = cov(gg, pp) / (var(gg) + alpha * mean(|grad gg|^(2 - beta))),
     #
@@ -331,17 +334,20 @@ def _fit(pp, gg, params: FilterParams, coeffs=None):
     # rows asked for.  Two window-mean streams run as a pipeline: the first
     # takes the sums |grad gg|^(2 - beta), gg, gg^2 (and pp, gg * pp) of
     # each input strip as channels, the second takes a and b of each strip
-    # the first completes, r rows behind.
+    # the first completes, r rows behind.  With five input channels, the
+    # scratch is the first stream's ring (about 2 strips of 5 channels),
+    # its input and output strips (5 channels each), the second stream's
+    # ring and output strip (2 channels) and three strips of rows.
     h, w = gg.shape
     same = pp is gg
     # The edge-padded guide band, a scratch strip, the first stream's input
     # strip and a mask strip.
-    m = min(h, _STRIP_ROWS)
+    m = min(h, strip)
     band, tmp, block = np.empty((m + 2, w + 2)), np.empty((m, w)), np.empty((m, 3 if same else 5, w))
     mask_buf = np.empty((m, w), dtype=bool)
 
     def sums():
-        for rows in _strips(h):
+        for rows in _strips(h, strip):
             n = rows.stop - rows.start
             # The guide rows and one more on each side, edge-padded.
             padded = band[:n + 2]
@@ -364,7 +370,7 @@ def _fit(pp, gg, params: FilterParams, coeffs=None):
 
     def coefficients():
         # a and b of each strip, written over the strip's first two means.
-        for rows, means in _box_means(sums(), params.radius):
+        for rows, means in _box_means(sums(), params.radius, strip=strip):
             n = rows.stop - rows.start
             mean_g, var_g = means[:, 1], means[:, 2]
             with np.errstate(over="ignore"):  # inf is the alpha -> inf limit: slope 0
@@ -387,7 +393,7 @@ def _fit(pp, gg, params: FilterParams, coeffs=None):
                 np.copyto(coeffs[1][rows], intercept)
             yield means[:, :2]
 
-    for rows, means in _box_means(coefficients(), params.radius):
+    for rows, means in _box_means(coefficients(), params.radius, strip=strip):
         if coeffs is not None:
             np.copyto(coeffs[2][rows], means[:, 0])
             np.copyto(coeffs[3][rows], means[:, 1])

@@ -306,19 +306,23 @@ class _Lost(Exception):
     pass
 
 
-def _in_processes(count: int, outs, run, lead=None) -> None:
-    # Splits n < count over W = min(count, usable CPUs) processes, or W = 1
-    # without os.fork or while another thread runs: worker j takes the
-    # share n = j, j + W, ...  Forked child j < W - 1 runs run(share, link)
-    # and this process, worker W - 1, whose share is the smallest, runs
-    # lead(share, links), or without ``lead`` run(share, None).  ``link``
-    # is a child's ends of two pipes, (go, ready), and ``links`` holds
-    # this process's ends, (ready, go), for each child started: a stage
-    # that streams from the children to this process (see _detail_stage)
-    # signals over them, and other stages ignore them.
-    # Should os.fork or os.pipe fail (EAGAIN, ENOMEM, EMFILE), this process
-    # also takes the shares of the children not started, in its own
-    # ``share``, so the outputs are the same.
+def _in_processes(count: int, outs, run, lead=None, lead_cost: float = 0.0) -> None:
+    # Splits jobs n < count over W = min(count, usable CPUs) processes, or
+    # W = 1 without os.fork or while another thread runs.  This process
+    # takes the last ``here`` jobs and W - 1 forked children split the
+    # others, child j taking n = j, j + W - 1, ... below count - here.
+    # Child j runs run(share, link), and this process runs lead(share,
+    # links), or without ``lead`` run(share, None).  Without a lead, here
+    # is count // W, the smallest share.  ``lead_cost`` is the lead's own
+    # work beyond its jobs, in jobs, and this process takes what evens out
+    # the processes' work: (count + lead_cost) / W - lead_cost jobs,
+    # rounded, and at least none.  A lead streams from the children (see
+    # _detail_stage): each child gets the ends of two pipes, ``link`` =
+    # (go, ready), and ``links`` holds this process's ends, (ready, go),
+    # for each child started; without a lead no pipe is opened.  Should
+    # os.fork or os.pipe fail (EAGAIN, ENOMEM, EMFILE), this process also
+    # takes the shares of the children not started, in its own ``share``,
+    # so the outputs are the same.
     #
     # ``outs`` are every array the children write, and each must be a view
     # of a _shared_planes array, else ValueError: a forked process writing
@@ -330,7 +334,7 @@ def _in_processes(count: int, outs, run, lead=None) -> None:
     # The split is static, so a stage of independent jobs keeps every
     # process busy only when its jobs cost about the same and divide
     # evenly: fuse runs one job per source, so N = 5 on two CPUs splits
-    # 3:2, the 2 here, where the streamed stage also blends.
+    # 3:2, the 2 here.
     #
     # Processes, not threads: the strip-wise stages make numpy calls of
     # tens of microseconds, so threads wait on each other's interpreter
@@ -353,25 +357,27 @@ def _in_processes(count: int, outs, run, lead=None) -> None:
     if not all(_is_shared(out) for out in outs):
         raise ValueError("every output of a job must be a view of a shared plane")
     workers = min(count, _usable_cpus()) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    here = count // workers if lead is None else max(0, int((count + lead_cost) / workers - lead_cost + 0.5))
+    others = count - here
     children, links, ends, lost = [], [], [], False
     try:
-        for worker in range(workers - 1):
-            pipes = []
+        for worker in range(min(workers - 1, others)):
+            pipes = []  # a streamed stage's go and ready pipes: go_out, go_in, ready_out, ready_in
             try:
-                pipes += os.pipe()
-                pipes += os.pipe()
+                if lead is not None:
+                    pipes += os.pipe()
+                    pipes += os.pipe()
                 pid = os.fork()
             except OSError:
                 for fd in pipes:
                     os.close(fd)
                 break
-            go_out, go_in, ready_out, ready_in = pipes
             if pid == 0:  # the child runs its share and exits without cleanup
                 status = 1
                 try:
-                    for fd in ends + [go_in, ready_out]:
+                    for fd in ends + pipes[1:3]:
                         os.close(fd)
-                    run(range(worker, count, workers), (go_out, ready_in))
+                    run(range(worker, others, workers - 1), tuple(pipes[0::3]) or None)
                     status = 0
                 except MemoryError:
                     status = _NO_MEMORY
@@ -383,12 +389,13 @@ def _in_processes(count: int, outs, run, lead=None) -> None:
                     traceback.print_exc()
                 finally:
                     os._exit(status)
-            os.close(go_out)
-            os.close(ready_in)
-            ends += [ready_out, go_in]
+            for fd in pipes[0::3]:
+                os.close(fd)
+            ends += pipes[1:3]
             children.append(pid)
-            links.append((ready_out, go_in))
-        share = [n for n in range(count) if n % workers >= len(children)]
+            if pipes:
+                links.append((pipes[2], pipes[1]))
+        share = [n for n in range(count) if n >= others or n % (workers - 1) >= len(children)]
         if lead is None:
             run(share, None)
         else:
@@ -416,37 +423,55 @@ def _each_in_processes(count: int, job, outs) -> None:
     _in_processes(count, outs, run)
 
 
-class _Rows:
-    # A plane that is built for the rows asked for: ``plane[rows]`` is
-    # ``build(rows)`` for a slice of rows, and ``shape`` is (h, w).  _fit
-    # reads its input and its guide this way.
-    def __init__(self, shape: tuple, build):
-        self.shape, self.build = shape, build
+class _Luma:
+    # The luminance of an (h, w, 3) array as a plane that is built for the
+    # rows asked for: ``luma[rows]`` for a slice of at most ``keep`` rows,
+    # each sample rgb_to_luma's, bit for bit, and ``shape`` (h, w).  A
+    # weight fit reads each guide row for its input strip and again for
+    # its output, which lags by up to 2 strips and 2r + 2 rows (the edge
+    # row below a strip, and r rows in each window-mean stream, each of
+    # which emits a strip at a time), so the rows last built are kept, up
+    # to 2 * keep of them, and a row is built once as long as its fit asks
+    # for it within ``keep`` rows of the last row built, else again.  A
+    # read returns rows that later reads may overwrite.
+    def __init__(self, data: np.ndarray, keep: int):
+        self.data, self.shape, self.keep = data, data.shape[:2], keep
+        self.lo, self.hi = data.min(), data.max()
+        self.built, self.first, self.stop = None, 0, 0  # built[:stop - first] holds rows first..stop - 1
 
     def __getitem__(self, rows):
-        return self.build(rows)
+        start, stop = rows.start, rows.stop
+        if self.built is None:
+            self.built = np.empty((min(2 * self.keep, self.shape[0]), self.shape[1]))
+        if not self.first <= start <= self.stop:
+            self.first = self.stop = start
+        if stop - self.first > len(self.built):  # keep the last ``keep`` rows up to stop
+            first = stop - self.keep
+            self.built[:self.stop - first] = self.built[first - self.first:self.stop - self.first]
+            self.first = first
+        if stop > self.stop:
+            _rgb_to_luma(self.data[self.stop:stop], self.built[self.stop - self.first:stop - self.first],
+                         self.lo, self.hi)
+            self.stop = stop
+        return self.built[start - self.first:stop - self.first]
 
 
-def _guide(img: Image):
-    # The guide of a weight fit on ``img``: its plane if gray, else its
-    # luminance, built for the rows asked for, so no luminance plane is
-    # held.  Each sample is rgb_to_luma's, bit for bit.
-    if img.channels == 1:
-        return img.plane()
-    data = img.data
-    lo, hi = data.min(), data.max()
-
-    def luma(rows):
-        block = data[rows]
-        return _rgb_to_luma(block, np.empty(block.shape[:2]), lo, hi)
-
-    return _Rows(data.shape[:2], luma)
+def _guide(img: Image, radius: int, strip: int):
+    # The guide of a weight fit of ``radius`` on ``img`` in strips of
+    # ``strip`` rows: its plane if gray, else its luminance, built for the
+    # rows the fit reads (see _Luma), so no luminance plane is held.
+    return img.plane() if img.channels == 1 else _Luma(img.data, 2 * strip + 2 * radius + 2)
 
 
-def _winner_rows(winner: np.ndarray, n: int) -> _Rows:
-    # The binary weight map of source n, built from the winner plane for
-    # the rows asked for.
-    return _Rows(winner.shape, lambda rows: winner[rows] == n)
+class _Winner:
+    # The binary weight map of source n as a plane that is built from the
+    # winner plane for the rows asked for: ``map[rows]`` is
+    # ``winner[rows] == n`` for a slice of rows, and ``shape`` (h, w).
+    def __init__(self, winner: np.ndarray, n: int):
+        self.winner, self.n, self.shape = winner, n, winner.shape
+
+    def __getitem__(self, rows):
+        return self.winner[rows] == self.n
 
 
 def _fit_params(params: FilterParams, filter_kind: str) -> FilterParams:
@@ -454,11 +479,11 @@ def _fit_params(params: FilterParams, filter_kind: str) -> FilterParams:
     return _guided_params(params.radius, params.alpha) if filter_kind == "guided" else params
 
 
-def _refined(maps, guides, params: FilterParams, outs) -> None:
-    # outs[n] = the fit of maps[n] on guides[n], clamped to [0, 1], one
+def _refined(maps, guide, params: FilterParams, outs) -> None:
+    # outs[n] = the fit of maps[n] on guide(n), clamped to [0, 1], one
     # forked job per map; the outs are shared planes.
     def refine(n):
-        for rows, values in _fit(maps[n], guides[n], params):
+        for rows, values in _fit(maps[n], guide(n), params):
             np.clip(values, 0.0, 1.0, out=outs[n][rows])
 
     _each_in_processes(len(maps), refine, outs)
@@ -495,7 +520,8 @@ def refine_weights(
         raise ValueError(f"filter_kind must be one of {REFINE_FILTERS}, got {filter_kind!r}")
     maps = [_guided_planes(m, g)[0] for m, g in zip(binary.maps, guides)]
     outs = _shared_planes(len(maps), binary.maps[0].data.shape)
-    _refined(maps, [g.plane() for g in guides], _fit_params(params, filter_kind), [out[:, :, 0] for out in outs])
+    planes = [g.plane() for g in guides]
+    _refined(maps, planes.__getitem__, _fit_params(params, filter_kind), [out[:, :, 0] for out in outs])
     return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="refined")
 
 
@@ -569,6 +595,17 @@ def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, d
     return fused
 
 
+def _lockstep_strip(h: int, fits: int) -> int:
+    # Rows per strip of weight fits run in lockstep whose scratch should
+    # stay near one plane of ``h`` rows together with that of ``fits`` - 1
+    # others.  A fit's scratch is about 30 strips of rows (see _fit), so
+    # the strips are h / (32 * fits) rows, at most _STRIP_ROWS and at least
+    # 4, below which the numpy calls per row cost more than the rows save.
+    # A 512^2 colour detail fit took 35 ms in strips of 16 rows, 46 in
+    # strips of 8 and 50 in strips of 5.
+    return max(4, min(_STRIP_ROWS, h // (32 * fits)))
+
+
 _RING_STRIPS = 3  # strips of _STRIP_ROWS rows in the ring of each streamed fit
 
 
@@ -595,15 +632,23 @@ def _lockstep(fits, rings, h: int, wait):
         yield u
 
 
-def _detail_stage(maps, guides, params: FilterParams, weight_floor: float, dump, blend) -> None:
-    # Runs the detail fits of maps[n] on guides[n] as one stage streamed
-    # into blend(detail_weights) (see _blend), which runs in this process:
-    # detail_weights(rows) hands the binary, refined and normalized detail
-    # weights of its rows to ``dump`` and returns the normalized ones.
-    # Each process advances the fits of its share in lockstep (see
-    # _lockstep), writing them into a ring of _RING_STRIPS strips per
-    # source in one shared map, so no detail plane is ever whole.  This
-    # process takes the smallest share, since it also blends.
+def _detail_stage(maps, guide, params: FilterParams, weight_floor: float, dump, blend, blend_cost: float) -> None:
+    # Runs the detail fits of maps[n] on guide(n, strip) as one stage
+    # streamed into blend(detail_weights) (see _blend), which runs in this
+    # process: detail_weights(rows) hands the binary, refined and
+    # normalized detail weights of its rows to ``dump`` and returns the
+    # normalized ones.  Each process advances the fits of its share in
+    # lockstep (see _lockstep), writing them into a ring of _RING_STRIPS
+    # strips per source in one shared map, so no detail plane is ever
+    # whole.  The blend costs about ``blend_cost`` fits, so this process
+    # takes fewer fits than the children (see _in_processes), and none
+    # when the blend costs more than a child's share.
+    #
+    # Memory: this process holds the weight planes and the blend's strips
+    # besides its fits, so its fits' strips shrink with their number to
+    # keep their scratch together near one plane (_lockstep_strip); a
+    # child's fits keep theirs near one plane each, so the stage never
+    # holds much more than the detail planes it does not build.
     #
     # A child writes a byte to its ``ready`` pipe for each strip it has
     # written, and before it writes strip u >= _RING_STRIPS it reads a
@@ -616,12 +661,12 @@ def _detail_stage(maps, guides, params: FilterParams, weight_floor: float, dump,
     # when this process waits for strip u it has copied out every strip
     # before u - 1, and a fit that completes strip u may write into u + 1.
     count = len(maps)
-    h, w = guides[0].shape
+    h, w = maps[0].shape
     strips = -(-h // _STRIP_ROWS)
     rings = _shared_planes(1, (count, min(_RING_STRIPS, strips) * _STRIP_ROWS, w))[0]
 
-    def fits(share):
-        return [_fit(maps[n], guides[n], params) for n in share]
+    def fits(share, strip):
+        return [_fit(maps[n], guide(n, strip), params, strip=strip) for n in share]
 
     def child(share, link):
         go, ready = link
@@ -634,11 +679,12 @@ def _detail_stage(maps, guides, params: FilterParams, weight_floor: float, dump,
                     raise _Lost
                 granted += 1
 
-        for _ in _lockstep(fits(share), [rings[n] for n in share], h, wait):
+        for _ in _lockstep(fits(share, _lockstep_strip(h, 1)), [rings[n] for n in share], h, wait):
             os.write(ready, b"\0")
 
     def lead(share, links):
-        own = _lockstep(fits(share), [rings[n] for n in share], h, lambda u: None)
+        own = _lockstep(fits(share, _lockstep_strip(h, max(len(share), 1))), [rings[n] for n in share], h,
+                        lambda u: None)
         written = [0] * (len(links) + 1)  # strips written by this process, then by each child
         freed = 0  # strips copied out of the rings
         gathered, binary = np.empty((count, min(h, _STRIP_ROWS), w)), np.empty((min(h, _STRIP_ROWS), w))
@@ -680,7 +726,7 @@ def _detail_stage(maps, guides, params: FilterParams, weight_floor: float, dump,
 
         blend(detail_weights)
 
-    _in_processes(count, [rings], child, lead)
+    _in_processes(count, [rings], child, lead, blend_cost)
 
 
 def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> FusionResult:
@@ -701,7 +747,8 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
     detail fits are streamed: each process runs its share in lockstep,
     strip by strip, and hands the rows to this process, which normalizes
     each strip of detail weights and blends it with the layers, built
-    strip by strip, as it arrives.  Saliency works on whole planes, with
+    strip by strip, as it arrives; this process takes fewer detail fits,
+    or none, to even out the blend.  Saliency works on whole planes, with
     about one plane of scratch per process; the other stages work in
     strips of rows with O(strip) scratch, and each weight fit streams
     through rings of integral-image rows.  Every field of the result is
@@ -770,9 +817,8 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
     _saliency_maps(sources, config, flat)
     dump("sal", planes)
     winner = _winner_plane(flat)
-    maps = [_winner_rows(winner, n) for n in range(count)]
-    guides = [_guide(src) for src in sources]
-    _refined(maps, guides, base_params, flat)
+    maps = [_Winner(winner, n) for n in range(count)]
+    _refined(maps, lambda n: _guide(sources[n], base_params.radius, _STRIP_ROWS), base_params, flat)
     dump("refined_base", planes)
     _normalized(flat, config.weight_floor, flat)
     dump("wb", planes)
@@ -780,8 +826,13 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
     # image is written over the rows of the mapping.
     out = host.reshape(shape) if kept is None else np.empty(shape)
     radius = (config.avg_filter_size - 1) // 2
-    _detail_stage(maps, guides, detail_params, config.weight_floor, _dump,
-                  lambda detail_weights: _blend(sources, planes, detail_weights, radius, max_val, _dump, out))
+    # A source channel's layers and blend cost about a quarter of a fit:
+    # 512^2 colour fits took 35 ms each and the dumped blend of five colour
+    # sources 190 ms, 2048^2 gray fits 450 ms and the blend of two 230 ms.
+    _detail_stage(maps, lambda n, strip: _guide(sources[n], detail_params.radius, strip), detail_params,
+                  config.weight_floor, _dump,
+                  lambda detail_weights: _blend(sources, planes, detail_weights, radius, max_val, _dump, out),
+                  count * c / 4)
     fused = Image._adopt(out, max_val)
     if kept is None:
         return FusionResult(fused=fused)

@@ -33,7 +33,7 @@ from lepfuse import (
     sharpness,
     ssim,
 )
-from lepfuse.filters import _STRIP_ROWS
+from lepfuse.filters import _STRIP_ROWS, _fill, _fit
 from lepfuse.synthetic import multifocus_pair
 
 from oracles import (
@@ -676,11 +676,12 @@ def _fit_log(monkeypatch, sources):
     log = lepfuse.fusion._shared_planes(1, (2, len(sources), 3))[0]
     real, base_radius = lepfuse.fusion._fit, FusionConfig().base_params.radius
 
-    def logged(pp, gg, params, coeffs=None):
+    def logged(pp, gg, params, **kwargs):
+        guide = getattr(gg, "data", gg)  # a colour guide's image, or a gray plane
         entry = log[int(params.radius != base_radius),
-                    next(n for n, src in enumerate(sources) if np.shares_memory(gg, src.data))]
+                    next(n for n, src in enumerate(sources) if np.shares_memory(guide, src.data))]
         entry[:2] = os.getpid(), time.perf_counter()
-        for rows, values in real(pp, gg, params, coeffs):
+        for rows, values in real(pp, gg, params, **kwargs):
             if rows.stop == gg.shape[0]:
                 entry[2] = time.perf_counter()
             yield rows, values
@@ -693,25 +694,34 @@ def _fit_log(monkeypatch, sources):
 def test_forked_stages_split_jobs_by_fit(monkeypatch):
     """fuse gives each forked stage N jobs: one saliency map each, one
     base fit each, then the N detail fits, streamed.  At N = 5 two
-    processes split each stage 3:2, this process taking the 2 (sources 1
-    and 3), since it also blends.  Every base fit ends before any detail
-    fit starts, and the detail fits of one process run in lockstep: each
-    starts before any of them has written its last strip.
-    refine_weights runs one job per map."""
+    processes split the base fits 3:2, this process taking the last 2
+    (sources 3 and 4).  It takes as many detail fits as evens out the
+    blend, which it also runs, at about a quarter of a fit per source
+    channel: 2 of 5 gray sources, 1 of 5 colour ones.  Every base fit
+    ends before any detail fit starts, and the detail fits of one process
+    run in lockstep: each starts before any of them has written its last
+    strip.  refine_weights runs one job per map."""
     sources = [_random_image(s, (3 * _STRIP_ROWS + 5, 20)) for s in range(5)]
+    colour = [Image(np.repeat(src.data, 3, axis=2), 255.0) for src in sources]
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 2)
     counts = _stage_counts(monkeypatch)
-    log = _fit_log(monkeypatch, sources)
+    log = _fit_log(monkeypatch, sources + colour)
     fuse(sources)
-    base, detail = log
+    base, detail = log[:, :5]
     assert counts == [5, 5, 5]
     for fits in (base, detail):
         pids = fits[:, 0].tolist()
-        assert pids[1] == pids[3] == os.getpid()
-        assert pids[0] == pids[2] == pids[4] != os.getpid()
+        assert pids[3] == pids[4] == os.getpid()
+        assert pids[0] == pids[1] == pids[2] != os.getpid()
     assert np.max(base[:, 2]) <= np.min(detail[:, 1])
-    for share in ([0, 2, 4], [1, 3]):
+    for share in ([0, 1, 2], [3, 4]):
         assert np.max(detail[share, 1]) < np.min(detail[share, 2])
+
+    fuse(colour)
+    base, detail = log[:, 5:]
+    assert base[3, 0] == base[4, 0] == detail[4, 0] == os.getpid()
+    assert len(set(base[:3, 0])) == len(set(detail[:4, 0])) == 1
+    assert os.getpid() not in (base[0, 0], detail[0, 0])
 
     binary = binary_weight_maps([saliency(src) for src in sources])
     counts.clear()
@@ -801,23 +811,53 @@ def test_colour_fuse_builds_no_luma_plane(monkeypatch):
     """A colour fuse never builds a luminance plane of its own: each
     saliency job writes the luminance into its edge-padded plane, and both
     weight fits of a source build the luminance of the rows they read, at
-    most a strip at a time.  A refinement job once built a whole
-    luminance plane for its two fits."""
+    most a strip at a time, each row once: a fit keeps the rows it reads
+    again for its output.  A refinement job once built a whole luminance
+    plane for its two fits."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 1)
     real, built = lepfuse.fusion._rgb_to_luma, []
 
     def recorded(data, luma, lo, hi):
-        built.append((luma.base is None, len(luma)))
+        built.append(len(luma))
         return real(data, luma, lo, hi)
 
     monkeypatch.setattr(lepfuse.fusion, "_rgb_to_luma", recorded)
     h = 3 * _STRIP_ROWS + 5
     sources = [Image(np.random.default_rng(s).uniform(0, 255, (h, 20, 3))) for s in range(5)]
     fuse(sources, _dump=lambda kind, n, rows, data: None)
-    assert built.count((False, h)) == 5  # saliency, into its padded plane
-    fits = [rows for own, rows in built if own]
+    assert built[:5] == [h] * 5  # saliency, into its padded plane
+    fits = built[5:]
     assert fits and max(fits) <= _STRIP_ROWS
-    assert len(built) == 5 + len(fits)
+    assert sum(fits) == 2 * len(sources) * h
+
+
+@pytest.mark.parametrize("keep", [_STRIP_ROWS, 2 * _STRIP_ROWS + 8, 1000])
+def test_luma_rows_match_the_luma_plane(monkeypatch, keep):
+    """A weight fit on a colour source reads its guide from _Luma, which
+    builds the rows asked for and keeps the last ones built.  The fit is
+    the same, bit for bit, as on rgb_to_luma's plane; with at least two
+    strips and 2r + 2 rows kept, each row is built once, and with fewer
+    the rows asked for again are built again."""
+    h = 5 * _STRIP_ROWS + 3
+    img = Image(np.random.default_rng(keep).uniform(0, 255, (h, 11, 3)))
+    p = np.random.default_rng(1).uniform(0, 1, (h, 11))
+    params = FusionConfig().detail_params
+    want = np.empty((h, 11))
+    _fill(want, _fit(p, rgb_to_luma(img).plane(), params))
+    real, built = lepfuse.fusion._rgb_to_luma, []
+
+    def counted(data, luma, lo, hi):
+        built.append(len(luma))
+        return real(data, luma, lo, hi)
+
+    monkeypatch.setattr(lepfuse.fusion, "_rgb_to_luma", counted)
+    got = np.empty((h, 11))
+    _fill(got, _fit(p, lepfuse.fusion._Luma(img.data, keep), params))
+    assert _same_bits(got, want)
+    if keep >= 2 * _STRIP_ROWS + 2 * params.radius + 2:
+        assert sum(built) == h
+    else:
+        assert sum(built) > h
 
 
 def _job_pids(count):
@@ -834,15 +874,16 @@ def _job_pids(count):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("cpus", [1, 2, 64])
 def test_jobs_split_over_processes(monkeypatch, cpus):
-    """Job n runs in worker n mod W of W = min(jobs, CPUs) processes, this
-    one being worker W - 1, whose share is the smallest, and every forked
-    worker has exited afterwards."""
+    """Of W = min(jobs, CPUs) processes, this one runs the last 5 // W
+    jobs, the smallest share, and forked child j the jobs n = j, j + W -
+    1, ... before them; every forked worker has exited afterwards."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
     pids = _job_pids(5)
     workers = min(5, cpus)
-    assert pids[workers - 1::workers] == [os.getpid()] * len(pids[workers - 1::workers])
+    others = 5 - 5 // workers
+    assert pids[others:] == [os.getpid()] * (5 - others)
     assert len(set(pids)) == workers
-    assert all(pids[n] == pids[n % workers] for n in range(5))
+    assert all(pids[n] == pids[n % (workers - 1)] for n in range(others))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -898,36 +939,36 @@ def test_worker_out_of_memory_raises_memory_error(monkeypatch, capfd):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("failing, call", [("fork", 2), ("pipe", 3), ("pipe", 4)])
-def test_failed_fork_runs_the_share_here(monkeypatch, failing, call):
-    """When os.fork fails, or os.pipe for the pipes of a child, the jobs
-    of the workers not started run in this process: every job runs once,
-    the one child started is reaped, and no pipe is left open."""
+def test_failed_fork_runs_the_share_here(monkeypatch):
+    """When os.fork fails, the jobs of the workers not started run in this
+    process: every job runs once, and the one child started is reaped.
+    Independent jobs open no pipe."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
-    real, real_waitpid, calls, reaped = getattr(os, failing), os.waitpid, [], []
+    real_fork, real_waitpid, forks, reaped = os.fork, os.waitpid, [], []
 
-    def failing_call():
-        calls.append(None)
-        if len(calls) == call:
-            raise OSError(errno.EMFILE if failing == "pipe" else errno.EAGAIN, "failed")
-        return real()
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
 
     def waitpid(pid, options):
         reaped.append(pid)
         return real_waitpid(pid, options)
 
-    open_fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-    monkeypatch.setattr(os, failing, failing_call)
+    def no_pipe():
+        raise AssertionError("independent jobs need no pipe")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
     monkeypatch.setattr(os, "waitpid", waitpid)
+    monkeypatch.setattr(os, "pipe", no_pipe)
     pids = _job_pids(3)
     monkeypatch.undo()
-    assert len(calls) == call
+    assert len(forks) == 2
     assert pids[1] == pids[2] == os.getpid() != pids[0]
     assert reaped == [pids[0]]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    if open_fds is not None:
-        assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 def _fails_in_children(monkeypatch, error):
@@ -936,8 +977,8 @@ def _fails_in_children(monkeypatch, error):
     parent, real = os.getpid(), lepfuse.fusion._fit
     detail_radius = FusionConfig().detail_params.radius
 
-    def failing(pp, gg, params, coeffs=None):
-        for k, strip in enumerate(real(pp, gg, params, coeffs)):
+    def failing(pp, gg, params, **kwargs):
+        for k, strip in enumerate(real(pp, gg, params, **kwargs)):
             if k == 2 and params.radius == detail_radius and os.getpid() != parent:
                 raise error
             yield strip
@@ -991,36 +1032,42 @@ def test_failing_hook_stops_the_streaming_children(monkeypatch, capfd):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_failed_fork_in_the_streamed_stage_runs_the_share_here(monkeypatch):
-    """When os.fork fails after one child of the streamed detail stage has
-    started, this process takes the detail fits of the children not
-    started into its own lockstep: run after the blend, they could never
-    deliver the strips that the blend waits on.  Each of its fits starts
-    before any of them writes its last strip, the one child is reaped,
-    and every field of the result is the same, bit for bit, as with
-    working forks."""
+@pytest.mark.parametrize("failing, call", [("fork", 6), ("pipe", 3), ("pipe", 4)])
+def test_failed_fork_in_the_streamed_stage_runs_the_share_here(monkeypatch, failing, call):
+    """When os.fork, or os.pipe for the pipes of a child, fails after one
+    child of the streamed detail stage has started, this process takes
+    the detail fits of the children not started into its own lockstep:
+    run after the blend, they could never deliver the strips that the
+    blend waits on.  Each of its fits starts before any of them writes
+    its last strip, the one child is reaped, no pipe is left open, and
+    every field of the result is the same, bit for bit, as with working
+    forks.  Saliency and the base fits fork two children each and open
+    no pipe; the streamed stage opens two pipes per child."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 3)
     sources = [_random_image(s, (_TALL, 20)) for s in range(5)]
     want = _result_fields(fuse(sources))
-    real_fork, forks = os.fork, []
+    real, calls = getattr(os, failing), []
 
-    def failing_fork():
-        forks.append(None)
-        if len(forks) == 6:  # saliency and the base fits fork two each
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return real_fork()
+    def failing_call():
+        calls.append(None)
+        if len(calls) == call:
+            raise OSError(errno.EMFILE if failing == "pipe" else errno.EAGAIN, "failed")
+        return real()
 
-    monkeypatch.setattr(os, "fork", failing_fork)
+    open_fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    monkeypatch.setattr(os, failing, failing_call)
     log = _fit_log(monkeypatch, sources)
     got = _result_fields(fuse(sources))
-    assert len(forks) == 6
+    assert len(calls) == call
+    if open_fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == open_fds
     for name, images in want.items():
         for a, b in zip(got[name], images):
             assert _same_bits(a.data, b.data), name
     detail = log[1]
-    here = [1, 2, 4]  # the shares of worker 1, not started, and of this process, worker 2
+    here = [1, 3, 4]  # the share of child 1, not started, and that of this process
     assert detail[here, 0].tolist() == [os.getpid()] * 3
-    assert detail[0, 0] == detail[3, 0] != os.getpid()
+    assert detail[0, 0] == detail[2, 0] != os.getpid()
     assert np.max(detail[here, 1]) < np.min(detail[here, 2])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -14,7 +14,7 @@ from lepfuse import (
     lep_filter_guided,
 )
 
-from lepfuse.filters import _STRIP_ROWS
+from lepfuse.filters import _STRIP_ROWS, _fit
 from oracles import (
     constant_image,
     lep_oracle,
@@ -246,3 +246,23 @@ def test_fit_core_bitwise_equal_reference(shape, radius):
                 guided_filter(p_img, guide_img, radius, alpha).plane(),
                 reference_lep_filter_guided(p, guide, radius, alpha, 2.0),
             )
+
+
+@pytest.mark.parametrize("strip", [1, 2, 4, 5, 7, _STRIP_ROWS - 1, _STRIP_ROWS])
+@pytest.mark.parametrize("radius", [1, 3, 15])
+def test_fit_in_strips_of_any_height_matches_reference(strip, radius):
+    """The fit yields the same bits in strips of any height, each at most
+    ``strip`` rows: the strips only choose which rows each numpy call
+    covers.  fuse gives shorter strips to fits that run in lockstep, to
+    hold their scratch together near one plane."""
+    shape = (TALLER, 13)
+    rng = np.random.default_rng(strip * 100 + radius)
+    p = rng.uniform(0, 1, shape)
+    guide = rng.uniform(0, 255, shape)
+    guide[: shape[0] // 2, : shape[1] // 2] = 77.0
+    for alpha, beta in ((0.3, 0.5), (1e-4, 1.0)):
+        out = np.full(shape, np.nan)
+        for rows, values in _fit(p, guide, FilterParams(radius, alpha, beta), strip=strip):
+            assert 0 < rows.stop - rows.start <= strip
+            out[rows] = values
+        assert _same_bits(out, reference_lep_filter_guided(p, guide, radius, alpha, beta))
