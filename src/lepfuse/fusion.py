@@ -642,7 +642,7 @@ def _detail_stage(maps, guide, params: FilterParams, weight_floor: float, dump, 
     # strips per source in one shared map, so no detail plane is ever
     # whole.  The blend costs about ``blend_cost`` fits, so this process
     # takes fewer fits than the children (see _in_processes), and none
-    # when the blend costs more than a child's share.
+    # when the blend costs about as much as a child's whole share.
     #
     # Memory: this process holds the weight planes and the blend's strips
     # besides its fits, so its fits' strips shrink with their number to
