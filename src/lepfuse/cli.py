@@ -5,16 +5,16 @@ files, or memory exhausted), 2 validation failure (bad arguments,
 dimension mismatches, radii or scales whose largest array would pass a
 bound that grows with the inputs).  All validation, of the fusion
 parameters too, runs before any output file is created or any work is
-forked, and every output is written under a temporary name and renamed
-into place only after all of a command's writes succeeded, so a non-zero
-exit leaves no outputs behind.  ``fuse --dump-intermediates`` writes
-each intermediate as its stage ends, under its temporary name, so a
-failure at a later stage removes those files too.
+forked, and every output, each dumped intermediate too, is written
+under a temporary name and renamed into place only after all of a
+command's writes succeeded, so a non-zero exit leaves no outputs behind.
 """
 
 import argparse
+import collections
 import contextlib
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -133,16 +133,23 @@ def _encoding(kind: str, data, max_val: float):
 
 
 def _dump_writer(write, out_path: Path, shape: tuple, max_val: float):
-    # The _dump hook of fuse for --dump-intermediates: each plane or strip
-    # of a dumped kind is quantized as it arrives into a uint8 raster of its
-    # rows, which ``write`` appends to <stem>_<kind>_<n>.
+    # The _dump hook of fuse for --dump-intermediates: each strip of a
+    # dumped kind is quantized into a uint8 raster of its rows, which
+    # ``write`` appends to <stem>_<kind>_<n>.  A saliency map is scaled by
+    # its peak, so its strips are held until its last one.
     maxval = int(max_val)
     stem = out_path.with_suffix("")
     layer_ext = ".pgm" if shape[2] == 1 else ".ppm"
+    saliencies = collections.defaultdict(lambda: np.empty(shape[:2] + (1,)))
 
     def dump(kind: str, n: int, rows: slice, data) -> None:
         if kind in ("binary", "refined_base", "refined_detail"):  # stages that have no file
             return
+        if kind == "sal":
+            saliencies[n][rows] = data
+            if rows.stop < shape[0]:
+                return
+            data = saliencies.pop(n)
         raster = np.empty(data.shape, dtype=np.uint8)
         _encode(data, maxval, raster, *_encoding(kind, data, max_val))
         ext = layer_ext if kind in ("base", "detail") else ".pgm"
@@ -167,13 +174,10 @@ def _atomic_outputs():
 
     ``img`` is an Image, or with ``maxval`` rows of a uint8 raster from
     netpbm._encode, of a raster ``height`` rows tall (by default, these
-    rows alone).  A raster's file is opened and given its header at the
-    first rows, each later call for the same path appends the next rows,
-    and the file is closed when the last row is in, so a raster written in
-    strips is never whole in memory.  Each file goes to a hidden temporary
-    file beside its target.  On success every temporary file is renamed
-    onto its target; on any failure the open files are closed, and the
-    temporary files and targets already renamed are removed.
+    rows alone), which later calls for the same path append to, so a
+    raster written in strips is never whole.  Each file goes to a hidden
+    temporary file beside its target, renamed onto it on success; on any
+    failure the files are closed, and those written are removed.
     """
     pending, streams, done = [], {}, []
 
@@ -293,6 +297,10 @@ def _cmd_metrics(args, cfg: CliConfig) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse would take the "-5,0,1,1" of "--rect -5,0,1,1" for an option
+        if argv[i - 1] == "--rect" and re.match(r"-\d", argv[i]):
+            argv[i - 1:i + 1] = [f"--rect={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

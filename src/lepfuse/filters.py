@@ -66,25 +66,20 @@ def _box_means(blocks, radius: int, out: np.ndarray = None, strip: int = None):
     # Mean over (2r+1)^2 replicate-padded windows of a stream of row blocks,
     # as a generator.  Each block is an (n, channels, w) array of the next
     # input rows; the generator yields (rows, means) for consecutive output
-    # rows, each row as soon as the input rows within ``radius`` below it
-    # have arrived.  ``means`` has shape (n, channels, w), n <= ``strip``
-    # (_STRIP_ROWS by default), and is written into ``out[rows]`` when
-    # ``out`` is given.  The generator allocates its O(strip) buffers at
-    # the first block.
+    # rows, each as soon as the input rows within ``radius`` below it have
+    # arrived, n <= ``strip`` (_STRIP_ROWS by default) rows of (channels,
+    # w) at a time, written into ``out[rows]`` when ``out`` is given.
     #
     # The integral image is that of the whole replicate-padded plane,
     # anchored on the first sample of each channel, so constant regions
     # stay exact.  Its rows live in a ring of at least strip + 2r + 1 rows,
     # a multiple of ``strip``: integral row x sits at ring row (x - 1) mod
-    # size, and a zero column leads every row.  Rows are anchored and
-    # padded as they arrive, then swept down (adding the row above, the
-    # last row of the previous chunk being carried) and summed across by
-    # cumsum in chunks of ``strip`` rows that never wrap.
-    # Output row i combines integral rows i and i + k as ((A - B) - C) + D.
-    # These are the additions of whole-plane prefix sums in the same order,
-    # so every mean is bitwise that of the whole-plane integral image,
-    # whatever the strip.  Each row holds its channels one after another,
-    # so every pass runs along whole rows.
+    # size, after a zero column.  Rows are anchored and padded as they
+    # arrive, then swept down (the last row of the previous chunk carried)
+    # and summed across by cumsum in chunks of ``strip`` rows that never
+    # wrap.  Output row i combines integral rows i and i + k as ((A - B) -
+    # C) + D: the additions of whole-plane prefix sums in the same order,
+    # so every mean is bitwise the whole plane's, whatever the strip.
     k, m = 2 * radius + 1, strip or _STRIP_ROWS
     written = summed = 1  # integral rows written and summed; row 0 is zero
     emitted, anchor = 0, None
@@ -232,12 +227,10 @@ def _strips(height: int, rows: int = _STRIP_ROWS):
 def _valid_correlate_sep(arr: np.ndarray, kernel: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     # Separable valid-mode correlation over the two spatial axes; the output
     # shrinks by 2*radius per axis.  It runs one strip of output rows at a
-    # time: the row pass sums the weighted taps into the first scratch
-    # strip, then the column pass sums into the matching rows of ``out``,
-    # with the second scratch strip holding each weighted tap.  Both sums
+    # time, of at least _STRIP_ROWS rows and about _STRIP_BYTES: a row pass
+    # into a scratch strip, then a column pass into ``out``.  Both sums
     # start from zero and add the taps in kernel order, so every sample is
-    # the same as from whole-plane passes, whatever the strip height.  The
-    # strips hold at least _STRIP_ROWS rows and about _STRIP_BYTES each.
+    # the same as from whole-plane passes, whatever the strip height.
     radius = len(kernel) // 2
     h, w = arr.shape[:2]
     oh, ow = h - 2 * radius, w - 2 * radius
@@ -330,14 +323,11 @@ def _fit(pp, gg, params: FilterParams, coeffs=None, strip: int = _STRIP_ROWS):
     # and their window means.
     #
     # pp and gg are read only as ``x[rows]`` for slices of rows, and gg's
-    # ``shape`` gives (h, w), so either may be any object that builds the
-    # rows asked for.  Two window-mean streams run as a pipeline: the first
-    # takes the sums |grad gg|^(2 - beta), gg, gg^2 (and pp, gg * pp) of
-    # each input strip as channels, the second takes a and b of each strip
-    # the first completes, r rows behind.  With five input channels, the
-    # scratch is the first stream's ring (about 2 strips of 5 channels),
-    # its input and output strips (5 channels each), the second stream's
-    # ring and output strip (2 channels) and three strips of rows.
+    # ``shape`` gives (h, w), so either may build the rows asked for.  Two
+    # window-mean streams run as a pipeline: the first takes |grad gg|^(2 -
+    # beta), gg, gg^2 (and pp, gg * pp) of each input strip as channels,
+    # the second a and b of each strip the first completes.  The scratch is
+    # their rings (2r + 1 + strip rows of 5 and 2 channels) and strips.
     h, w = gg.shape
     same = pp is gg
     # The edge-padded guide band, a scratch strip, the first stream's input

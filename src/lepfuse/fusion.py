@@ -23,6 +23,7 @@ from .filters import (
     _STRIP_ROWS,
     FilterParams,
     _box_means,
+    _fill,
     _fit,
     _gaussian_kernel_1d,
     _guided_params,
@@ -33,7 +34,7 @@ from .filters import (
     _strips,
     _valid_correlate_sep,
 )
-from .image import Image, _rgb_to_luma
+from .image import Image, _luma_rows
 
 REFINE_FILTERS = ("lep", "guided")
 
@@ -46,11 +47,8 @@ class FusionConfig:
     focus regions merge without halos; the detail-layer weights want a small
     window and nearly no smoothing so that fine structure switches sharply
     between sources.  The invariants below enforce that ordering.
-
-    ``refine_filter`` selects the weight-refinement filter: ``"lep"`` for the
-    gradient-adaptive filter, ``"guided"`` for the constant-regularizer
-    baseline: the same fit at beta = 2, where each FilterParams.alpha is the
-    constant regularizer epsilon.
+    ``refine_filter`` is ``"lep"`` (the gradient-adaptive filter) or
+    ``"guided"`` (the same fit at beta = 2, alpha being epsilon).
     """
 
     avg_filter_size: int = 31
@@ -145,11 +143,12 @@ class FusionResult:
     detail_weights: WeightStack = None
 
 
-def _layers(data: np.ndarray, radius: int):
+def _layers(data: np.ndarray, radius: int, scratch: np.ndarray = None):
     # The base layer (box mean) and detail residual (data - base) of an
     # (h, w, c) array, as a generator of (rows, base, detail) strips in
-    # O(strip) scratch that the next strip overwrites.
-    scratch = np.empty((min(len(data), _STRIP_ROWS),) + data.shape[1:])
+    # scratch that the next strip overwrites, the details in ``scratch``.
+    if scratch is None:
+        scratch = np.empty((min(len(data), _STRIP_ROWS),) + data.shape[1:])
     for rows, base in _box_means(_row_blocks(data), radius):
         base = base.transpose(0, 2, 1)
         yield rows, base, np.subtract(data[rows], base, out=scratch[:len(base)])
@@ -163,12 +162,11 @@ def _layers_bytes(shape: tuple, avg_filter_size: int) -> int:
 
 def _scratch_bytes(shape: tuple, config: FusionConfig) -> int:
     # The bytes of the largest array that fuse allocates for sources of
-    # ``shape`` whose size grows with a radius rather than with the image:
-    # saliency's edge-padded response, the layers' ring, or the ring of
-    # the base fit's first stream, the widest fit (five channels).
+    # ``shape`` whose size grows with a radius: saliency's band of response
+    # rows, the layers' ring, or the ring of a base fit's first stream.
     h, w, _ = shape
     pad = config.saliency_radius
-    return max(8 * (h + 2 * pad) * (w + 2 * pad), _layers_bytes(shape, config.avg_filter_size),
+    return max(8 * (min(h, _STRIP_ROWS) + 2 * pad) * (w + 2 * pad), _layers_bytes(shape, config.avg_filter_size),
                8 * math.prod(_ring_shape(config.base_params.radius, 5, w)))
 
 
@@ -187,31 +185,39 @@ def decompose(src: Image, avg_filter_size: int = FusionConfig.avg_filter_size) -
     return LayerPair(base=Image._adopt(base, src.max_val), detail=Image._adopt(detail, src.max_val))
 
 
-def _saliency(out: np.ndarray, img: Image, kernel: np.ndarray) -> np.ndarray:
-    # The Gaussian-blurred |Laplacian| of the luminance of ``img``, both
-    # edge-padded, written into ``out``, which holds the response in
-    # between.  The luminance is built (or the gray plane widened) straight
-    # into the float64 padded plane, and the Laplacian runs in strips of
-    # rows, so beyond that plane its scratch is one strip.
-    h, w = out.shape
-    padded, tmp = np.empty((h + 2, w + 2)), np.empty((min(h, _STRIP_ROWS), w))
-    if img.channels == 3:
-        _rgb_to_luma(img.data, padded[1:-1, 1:-1], img.data.min(), img.data.max())
-    else:
-        padded[1:-1, 1:-1] = img.plane()
-    padded[0], padded[-1] = padded[1], padded[-2]
-    padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
-    for rows in _strips(len(out)):
-        _laplacian_rows(padded[rows.start:rows.stop + 2], out[rows], tmp[:rows.stop - rows.start])
-    del padded
-    np.abs(out, out=out)
-    return _valid_correlate_sep(np.pad(out, len(kernel) // 2, mode="edge"), kernel, out=out)
-
-
-def _saliency_maps(images, config: FusionConfig, outs) -> None:
-    # outs[n] = the saliency map of image n's luminance, one job each.
-    kernel = _gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
-    _each_in_processes(len(outs), lambda n: _saliency(outs[n], images[n], kernel), outs)
+def _saliency_rows(img: Image, kernel: np.ndarray, strip: int = _STRIP_ROWS):
+    # The saliency of the luminance of ``img`` (see saliency) as a
+    # generator of (rows, values) strips of at most ``strip`` rows.  A
+    # strip's Gaussian reads a band of the edge-padded |Laplacian| r rows
+    # wider on either side, which slides down; only its new rows are
+    # computed.  Every sample is the whole plane's, whatever the strip.
+    h, w = img.data.shape[:2]
+    r, m = len(kernel) // 2, min(h, strip)
+    luma = _luma_rows(img, strip + r + 2)
+    band, out = np.empty((m + 2 * r, w + 2 * r)), np.empty((m, w))
+    lum, tmp = np.empty((min(h, m + r) + 2, w + 2)), np.empty((min(h, m + r), w))
+    top = stop = -r  # band row i holds row top + i of the padded response, up to row stop
+    for rows in _strips(h, strip):
+        band[:stop - rows.start + r] = band[rows.start - r - top:stop - top]
+        top = rows.start - r
+        first, last = max(stop, 0), min(rows.stop + r, h)  # the new rows of the response
+        if first < last:
+            n = last - first
+            above, below = max(first - 1, 0), min(last + 1, h)
+            padded = lum[:n + 2]  # luminance rows first - 1 to last, edge-padded
+            padded[above - first + 1:below - first + 1, 1:-1] = luma[above:below]
+            padded[0], padded[-1] = padded[above - first + 1], padded[below - first]
+            padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
+            new = band[first - top:last - top]
+            np.abs(_laplacian_rows(padded, new[:, r:r + w], tmp[:n]), out=new[:, r:r + w])
+            new[:, :r], new[:, r + w:] = new[:, r:r + 1], new[:, r + w - 1:r + w]
+        if stop < 0:  # the padding rows above the first row repeat it, as those below the last do
+            band[:-top] = band[-top]
+        if rows.stop + r > h:
+            band[max(stop, h) - top:rows.stop + r - top] = band[h - 1 - top]
+        stop = rows.stop + r
+        n = rows.stop - rows.start
+        yield rows, _valid_correlate_sep(band[:n + 2 * r], kernel, out=out[:n])
 
 
 def saliency(src_luma: Image, config: FusionConfig = FusionConfig()) -> Image:
@@ -220,33 +226,36 @@ def saliency(src_luma: Image, config: FusionConfig = FusionConfig()) -> Image:
     The 4-neighbor Laplacian and the Gaussian of ``config.saliency_radius``
     and ``config.saliency_sigma`` both see an edge-padded input.  The map
     equals the whole-image laplacian_filter, abs and gaussian_filter bit
-    for bit; beyond it, the stage holds about one plane of scratch at a
-    time (the edge-padded source and a strip of the Laplacian's scratch,
-    then the edge-padded response).
+    for bit, built strip by strip with O(strip) scratch.
     """
     if src_luma.channels != 1:
         raise ValueError(f"saliency requires a single-channel image, got {src_luma.channels} channels")
-    out = _shared_planes(1, src_luma.data.shape)[0]
-    _saliency_maps([src_luma], config, [out[:, :, 0]])
+    out = np.empty(src_luma.data.shape)
+    kernel = _gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
+    _fill(out[:, :, 0], _saliency_rows(src_luma, kernel))
     return Image._adopt(out, src_luma.max_val)
 
 
+def _winner_rows(saliencies, win: np.ndarray, best: np.ndarray, greater: np.ndarray) -> None:
+    # win = the index of the first strict maximum of the strips
+    # ``saliencies`` at each pixel, as argmax picks; best and greater are
+    # scratch of win's shape.
+    np.copyto(best, saliencies[0])
+    win.fill(0)
+    for index, sal in enumerate(saliencies[1:], start=1):
+        np.greater(sal, best, out=greater)
+        np.copyto(best, sal, where=greater)
+        np.copyto(win, index, where=greater)
+
+
 def _winner_plane(saliencies) -> np.ndarray:
-    # The index of the first strict maximum of the saliency planes at each
-    # pixel, as argmax picks, one byte per pixel for up to 256 sources.  It
-    # is found one strip of rows at a time with a running maximum.
+    # The winner (see _winner_rows) of the saliency planes, a strip at a time.
     h, w = saliencies[0].shape
     out = np.empty((h, w), dtype=np.min_scalar_type(len(saliencies) - 1))
-    best, mask = np.empty((min(h, _STRIP_ROWS), w)), np.empty((min(h, _STRIP_ROWS), w), dtype=bool)
+    best, greater = np.empty((min(h, _STRIP_ROWS), w)), np.empty((min(h, _STRIP_ROWS), w), dtype=bool)
     for rows in _strips(h):
         n = rows.stop - rows.start
-        top, greater, win = best[:n], mask[:n], out[rows]
-        np.copyto(top, saliencies[0][rows])
-        win.fill(0)
-        for index, sal in enumerate(saliencies[1:], start=1):
-            np.greater(sal[rows], top, out=greater)
-            np.copyto(top, sal[rows], where=greater)
-            np.copyto(win, index, where=greater)
+        _winner_rows([sal[rows] for sal in saliencies], out[rows], best[:n], greater[:n])
     return out
 
 
@@ -254,9 +263,8 @@ def binary_weight_maps(saliencies) -> WeightStack:
     """Indicator maps of the per-pixel saliency winner.
 
     Exactly one map is 1 at each pixel; ties go to the lowest source index
-    so the maps always sum to one.  The winner of each pixel is found in
-    strips of rows with a running maximum, without stacking the saliency
-    maps.
+    so the maps always sum to one.  The winner of each pixel is found
+    strip by strip with a running maximum.
     """
     saliencies = list(saliencies)
     if not saliencies:
@@ -280,6 +288,12 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _workers(count: int) -> int:
+    # The processes that _in_processes splits ``count`` jobs over: one without
+    # os.fork or while another thread runs, which a fork could deadlock.
+    return min(count, _usable_cpus()) if hasattr(os, "fork") and threading.active_count() == 1 else 1
 
 
 def _shared_planes(count: int, shape: tuple) -> list:
@@ -307,56 +321,35 @@ class _Lost(Exception):
 
 
 def _in_processes(count: int, outs, run, lead=None, lead_cost: float = 0.0) -> None:
-    # Splits jobs n < count over W = min(count, usable CPUs) processes, or
-    # W = 1 without os.fork or while another thread runs.  This process
-    # takes the last ``here`` jobs and W - 1 forked children split the
+    # Splits jobs n < count over W = _workers(count) processes: this one
+    # takes the last ``here`` jobs, and W - 1 forked children split the
     # others, child j taking n = j, j + W - 1, ... below count - here.
-    # Child j runs run(share, link), and this process runs lead(share,
-    # links), or without ``lead`` run(share, None).  Without a lead, here
-    # is count // W, the smallest share.  ``lead_cost`` is the lead's own
-    # work beyond its jobs, in jobs, and this process takes what evens out
-    # the processes' work: (count + lead_cost) / W - lead_cost jobs,
-    # rounded, and at least none.  A lead streams from the children (see
-    # _detail_stage): each child gets the ends of two pipes, ``link`` =
-    # (go, ready), and ``links`` holds this process's ends, (ready, go),
-    # for each child started; without a lead no pipe is opened.  Should
-    # os.fork or os.pipe fail (EAGAIN, ENOMEM, EMFILE), this process also
-    # takes the shares of the children not started, in its own ``share``,
-    # so the outputs are the same.
+    # Child j runs run(share, link), and this process lead(share, links),
+    # or without ``lead`` run(share, None) with here = count // W.  With a
+    # lead, whose own work costs ``lead_cost`` jobs, here evens out the
+    # work: (count + lead_cost) / W - lead_cost jobs, rounded, at least
+    # none; and each child gets the ends of two pipes, ``link`` = (go,
+    # ready), and ``links`` holds this process's ends, (ready, go), for each
+    # child started (see _streamed).  Should os.fork or os.pipe fail, this
+    # process also takes the shares of the children not started.
     #
-    # ``outs`` are every array the children write, and each must be a view
-    # of a _shared_planes array, else ValueError: a forked process writing
-    # a private array would write its own copy, and the result would be
-    # lost.  Every process sees the shared planes as they change and other
-    # arrays as they were at the fork, so job n may write over what job n
-    # alone reads.
+    # ``outs``, every array the children write, must be views of
+    # _shared_planes arrays, else ValueError: a child would write a copy.
     #
-    # The split is static, so a stage of independent jobs keeps every
-    # process busy only when its jobs cost about the same and divide
-    # evenly: fuse runs one job per source, so N = 5 on two CPUs splits
-    # 3:2, the 2 here.
-    #
-    # Processes, not threads: the strip-wise stages make numpy calls of
-    # tens of microseconds, so threads wait on each other's interpreter
-    # lock for a share of the time that swings with the load on the host.
-    # On a 2-vCPU Xeon VM, refining two 2048^2 maps at both radii took
-    # 1.4-2.7 s on two threads from run to run, 1.9-2.5 s on one, and
-    # 1.0-1.4 s in two processes.  Forked, not spawned: a spawned worker
-    # imports numpy and lepfuse afresh (about 0.2 s) and needs its inputs
-    # copied, which costs more than the whole stage at 512^2.  A fork with
-    # other Python threads alive could deadlock, hence the fallback; the
-    # child only runs numpy's elementwise loops and never returns into the
-    # caller's frames.
+    # Processes, not threads, whose numpy calls of tens of microseconds wait
+    # on the interpreter lock: on a 2-vCPU Xeon VM, refining two 2048^2 maps
+    # at both radii took 1.4-2.7 s on two threads, 1.9-2.5 s on one, and
+    # 1.0-1.4 s in two processes.  Forked, not spawned, which would import
+    # numpy and lepfuse afresh (about 0.2 s) and copy the inputs.
     #
     # A child that runs out of memory exits with _NO_MEMORY and prints
     # nothing, and this process then raises MemoryError; any other failure
     # prints the child's traceback and raises RuntimeError.  If this
     # process fails, it closes its pipe ends, so a child waiting on them
-    # stops (_STOPPED) instead of waiting forever, and the failure is
-    # raised once every child has exited.
+    # stops (_STOPPED), and the failure is raised once every child exited.
     if not all(_is_shared(out) for out in outs):
         raise ValueError("every output of a job must be a view of a shared plane")
-    workers = min(count, _usable_cpus()) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    workers = _workers(count)
     here = count // workers if lead is None else max(0, int((count + lead_cost) / workers - lead_cost + 0.5))
     others = count - here
     children, links, ends, lost = [], [], [], False
@@ -413,60 +406,15 @@ def _in_processes(count: int, outs, run, lead=None, lead_cost: float = 0.0) -> N
         raise RuntimeError(f"{len(failed)} of {len(children)} worker processes failed")
 
 
-def _each_in_processes(count: int, job, outs) -> None:
-    # Runs job(n) for every n < count, split over processes by
-    # _in_processes, each share in order of n.
-    def run(share, _):
-        for n in share:
-            job(n)
-
-    _in_processes(count, outs, run)
-
-
-class _Luma:
-    # The luminance of an (h, w, 3) array as a plane that is built for the
-    # rows asked for: ``luma[rows]`` for a slice of at most ``keep`` rows,
-    # each sample rgb_to_luma's, bit for bit, and ``shape`` (h, w).  A
-    # weight fit reads each guide row for its input strip and again for
-    # its output, which lags by up to 2 strips and 2r + 2 rows (the edge
-    # row below a strip, and r rows in each window-mean stream, each of
-    # which emits a strip at a time), so the rows last built are kept, up
-    # to 2 * keep of them, and a row is built once as long as its fit asks
-    # for it within ``keep`` rows of the last row built, else again.  A
-    # read returns rows that later reads may overwrite.
-    def __init__(self, data: np.ndarray, keep: int):
-        self.data, self.shape, self.keep = data, data.shape[:2], keep
-        self.lo, self.hi = data.min(), data.max()
-        self.built, self.first, self.stop = None, 0, 0  # built[:stop - first] holds rows first..stop - 1
-
-    def __getitem__(self, rows):
-        start, stop = rows.start, rows.stop
-        if self.built is None:
-            self.built = np.empty((min(2 * self.keep, self.shape[0]), self.shape[1]))
-        if not self.first <= start <= self.stop:
-            self.first = self.stop = start
-        if stop - self.first > len(self.built):  # keep the last ``keep`` rows up to stop
-            first = stop - self.keep
-            self.built[:self.stop - first] = self.built[first - self.first:self.stop - self.first]
-            self.first = first
-        if stop > self.stop:
-            _rgb_to_luma(self.data[self.stop:stop], self.built[self.stop - self.first:stop - self.first],
-                         self.lo, self.hi)
-            self.stop = stop
-        return self.built[start - self.first:stop - self.first]
-
-
 def _guide(img: Image, radius: int, strip: int):
-    # The guide of a weight fit of ``radius`` on ``img`` in strips of
-    # ``strip`` rows: its plane if gray, else its luminance, built for the
-    # rows the fit reads (see _Luma), so no luminance plane is held.
-    return img.plane() if img.channels == 1 else _Luma(img.data, 2 * strip + 2 * radius + 2)
+    # The guide of a weight fit of ``radius`` in strips of ``strip`` rows,
+    # whose output lags the rows it reads by up to 2 strips and 2r + 2 rows.
+    return _luma_rows(img, 2 * strip + 2 * radius + 2)
 
 
 class _Winner:
-    # The binary weight map of source n as a plane that is built from the
-    # winner plane for the rows asked for: ``map[rows]`` is
-    # ``winner[rows] == n`` for a slice of rows, and ``shape`` (h, w).
+    # The binary weight map of source n, built from the winner plane for
+    # the rows asked for: ``map[rows]`` is ``winner[rows] == n``.
     def __init__(self, winner: np.ndarray, n: int):
         self.winner, self.n, self.shape = winner, n, winner.shape
 
@@ -479,14 +427,11 @@ def _fit_params(params: FilterParams, filter_kind: str) -> FilterParams:
     return _guided_params(params.radius, params.alpha) if filter_kind == "guided" else params
 
 
-def _refined(maps, guide, params: FilterParams, outs) -> None:
-    # outs[n] = the fit of maps[n] on guide(n), clamped to [0, 1], one
-    # forked job per map; the outs are shared planes.
-    def refine(n):
-        for rows, values in _fit(maps[n], guide(n), params):
-            np.clip(values, 0.0, 1.0, out=outs[n][rows])
-
-    _each_in_processes(len(maps), refine, outs)
+def _weights(pp, gg, params: FilterParams, strip: int = _STRIP_ROWS):
+    # The weight fit of pp on the guide gg (see _fit), clamped to [0, 1],
+    # as a generator of (rows, values) strips of at most ``strip`` rows.
+    for rows, values in _fit(pp, gg, params, strip=strip):
+        yield rows, np.clip(values, 0.0, 1.0, out=values)
 
 
 def refine_weights(
@@ -498,18 +443,15 @@ def refine_weights(
     """Filter each weight map with its source luminance as guidance.
 
     The cross-guided linear fit relocates weight transitions onto the
-    guide's edges.  It can overshoot [0, 1] slightly, so the result is
-    clamped before use.  ``filter_kind`` "lep" applies lep_filter_guided
-    with ``params``; "guided" applies guided_filter with ``params.radius``
-    and epsilon ``params.alpha``.
+    guide's edges; it can overshoot [0, 1] slightly, so the result is
+    clamped.  ``filter_kind`` "lep" applies lep_filter_guided with
+    ``params``, "guided" guided_filter with epsilon ``params.alpha``.
 
     The maps are refined in min(maps, usable CPUs) processes where the
     system can fork and no other thread is running, else one after
-    another; each output is the same, bit for bit, either way.  Each fit
-    streams over strips of rows and allocates its own scratch, which is
-    O(strip): rings of about 2r + 17 integral-image rows and a few strips
-    of 16 rows.  The outputs live in shared memory maps, which a forked
-    process writes in place.
+    another, into shared memory maps; each output is the same, bit for
+    bit, either way.  Each fit streams over strips of rows with O(strip)
+    scratch: rings of about 2r + 17 integral-image rows and a few strips.
     """
     guides = list(guides)
     if len(guides) != len(binary.maps):
@@ -521,15 +463,20 @@ def refine_weights(
     maps = [_guided_planes(m, g)[0] for m, g in zip(binary.maps, guides)]
     outs = _shared_planes(len(maps), binary.maps[0].data.shape)
     planes = [g.plane() for g in guides]
-    _refined(maps, planes.__getitem__, _fit_params(params, filter_kind), [out[:, :, 0] for out in outs])
+    params = _fit_params(params, filter_kind)
+
+    def run(share, _):
+        for n in share:
+            _fill(outs[n][:, :, 0], _weights(maps[n], planes[n], params))
+
+    _in_processes(len(maps), outs, run)
     return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="refined")
 
 
 def _normalized(maps, weight_floor: float, outs) -> None:
     # outs[n] = (maps[n] + floor) / sum over maps of (map + floor), in
-    # strips of rows.  Each output holds its shifted map until the strip's
-    # quotient overwrites it, so ``outs`` may be ``maps`` itself, and the
-    # only other memory is one strip of the sum.
+    # strips of rows, through one strip of the sum; ``outs`` may be
+    # ``maps`` itself.
     total = np.empty((min(len(outs[0]), _STRIP_ROWS),) + outs[0].shape[1:])
     for rows in _strips(len(outs[0])):
         acc = total[:rows.stop - rows.start]
@@ -569,104 +516,84 @@ def normalize_weights(stack: WeightStack, weight_floor: float = FusionConfig.wei
     return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="normalized")
 
 
-def _blend(sources, base_weights, detail_weights, radius: int, max_val: float, dump, fused) -> np.ndarray:
+def _blend(sources, weights, radius: int, max_val: float, dump, fused) -> None:
     # fused = sum(wb * base) + sum(wd * detail) over the sources, clipped
     # to [0, max_val], in strips of rows.  Each source's layers are
-    # streamed alongside (see _layers), and each strip is handed to
-    # ``dump`` (see fuse).  detail_weights(rows) gives the detail weights
-    # of each strip, asked for in order of rows.  Both sums start from zero
-    # and add the sources in order.  A strip of ``fused`` is written only
-    # after every weight has been read there, so ``fused`` may share its
-    # rows with weight planes.
+    # streamed alongside (see _layers), one strip of details at a time,
+    # and each strip is handed to ``dump`` (see fuse).  weights(rows) gives
+    # the base and the detail weights of each strip, asked for in order of
+    # rows.  Both sums start from zero and add the sources in order.
     h, w, c = sources[0].data.shape
-    fb, fd, tmp = np.empty((3, min(h, _STRIP_ROWS), w, c))
-    for strips in zip(*(_layers(src.data, radius) for src in sources)):
-        rows = strips[0][0]
+    fb, fd, tmp, details = np.empty((4, min(h, _STRIP_ROWS), w, c))
+    layers = [_layers(src.data, radius, details) for src in sources]
+    for rows, base, detail in layers[0]:
         n = rows.stop - rows.start
         b, d, t = fb[:n], fd[:n], tmp[:n]
         b.fill(0.0)
         d.fill(0.0)
-        for index, ((_, base, detail), wb, wd) in enumerate(zip(strips, base_weights, detail_weights(rows))):
+        for index, (wb, wd) in enumerate(zip(*weights(rows))):
+            if index:
+                _, base, detail = next(layers[index])
             dump("base", index, rows, base)
             dump("detail", index, rows, detail)
-            b += np.multiply(wb[rows], base, out=t)
-            d += np.multiply(wd, detail, out=t)
+            b += np.multiply(wb, base, out=t)
+            d += np.multiply(wd, detail, out=detail)
         np.clip(np.add(b, d, out=fused[rows]), 0.0, max_val, out=fused[rows])
-    return fused
 
 
-def _lockstep_strip(h: int, fits: int) -> int:
-    # Rows per strip of weight fits run in lockstep whose scratch should
-    # stay near one plane of ``h`` rows together with that of ``fits`` - 1
-    # others.  A fit's scratch is about 30 strips of rows (see _fit), so
-    # the strips are h / (32 * fits) rows, at most _STRIP_ROWS and at least
-    # 4, below which the numpy calls per row cost more than the rows save.
-    # A 512^2 colour detail fit took 35 ms in strips of 16 rows, 46 in
-    # strips of 8 and 50 in strips of 5.
-    return max(4, min(_STRIP_ROWS, h // (32 * fits)))
+def _lockstep_strip(h: int, jobs: int, planes: float = 1.0) -> int:
+    # Rows per strip of ``jobs`` weight fits in lockstep whose scratch should
+    # stay near ``planes`` planes of ``h`` rows together.  A fit's scratch
+    # is about 30 strips of rows (see _fit), so the strips are planes * h /
+    # (32 * jobs) rows, from 4 to _STRIP_ROWS: a 512^2 colour detail fit
+    # took 35 ms in strips of 16 rows, 46 in strips of 8 and 50 of 5.
+    return max(4, min(_STRIP_ROWS, int(planes * h) // (32 * jobs)))
 
 
-_RING_STRIPS = 3  # strips of _STRIP_ROWS rows in the ring of each streamed fit
+_RING_STRIPS = 3  # strips of _STRIP_ROWS rows in the ring of each streamed job
 
 
-def _lockstep(fits, rings, h: int, wait):
-    # Advances the _fit generators ``fits`` together, writing the rows of
-    # fit j, clamped to [0, 1], into rings[j]: row i at ring row i mod the
-    # ring's length, a multiple of _STRIP_ROWS.  Yields u once strip u,
-    # rows _STRIP_ROWS * u onwards, of every fit is written.  A fit's own
-    # strips need not be aligned with these, so a fit may write one strip
-    # ahead: wait(u) is called before any row of strip u is written, and
-    # returns once the ring may take it.
-    done = [0] * len(fits)
+def _lockstep(jobs, rings, h: int, wait):
+    # Advances the strip generators ``jobs`` together, writing row i of job
+    # j at row i mod len(rings[j]), a multiple of _STRIP_ROWS.  Yields u
+    # once strip u, rows _STRIP_ROWS * u onwards, of every job is written.
+    # A job may write one strip ahead: wait(u) is called before any row of
+    # strip u is written, and returns once the ring may take it.
+    done = [0] * len(jobs)
     for u, strip in enumerate(_strips(h)):
-        for j, fit in enumerate(fits):
+        for j, job in enumerate(jobs):
             while done[j] < strip.stop:
-                rows, values = next(fit)
+                rows, values = next(job)
                 wait((rows.stop - 1) // _STRIP_ROWS)
                 ring, n = rings[j], len(values)
                 at = rows.start % len(ring)
                 k = min(n, len(ring) - at)
-                np.clip(values[:k], 0.0, 1.0, out=ring[at:at + k])
-                np.clip(values[k:], 0.0, 1.0, out=ring[:n - k])
+                ring[at:at + k] = values[:k]
+                ring[:n - k] = values[k:]
                 done[j] = rows.stop
         yield u
 
 
-def _detail_stage(maps, guide, params: FilterParams, weight_floor: float, dump, blend, blend_cost: float) -> None:
-    # Runs the detail fits of maps[n] on guide(n, strip) as one stage
-    # streamed into blend(detail_weights) (see _blend), which runs in this
-    # process: detail_weights(rows) hands the binary, refined and
-    # normalized detail weights of its rows to ``dump`` and returns the
-    # normalized ones.  Each process advances the fits of its share in
-    # lockstep (see _lockstep), writing them into a ring of _RING_STRIPS
-    # strips per source in one shared map, so no detail plane is ever
-    # whole.  The blend costs about ``blend_cost`` fits, so this process
-    # takes fewer fits than the children (see _in_processes), and none
-    # when the blend costs about as much as a child's whole share.
+def _streamed(count: int, shape: tuple, job, consume, lead_cost: float, planes: float) -> None:
+    # Runs the generators job(n, strip), n < count, of (rows, values)
+    # strips of an (h, w) plane as one stage streamed into consume(strips),
+    # which runs in this process: strips(rows), for slices of rows in
+    # order, returns those rows of each job's plane, in scratch that the
+    # next call overwrites.  Each process advances its share in lockstep
+    # into a ring of _RING_STRIPS strips per job.  consume costs about
+    # ``lead_cost`` jobs (see _in_processes).  A child's jobs run in strips
+    # of h / 32 rows, and this process's k jobs in strips that keep their
+    # scratch near ``planes`` planes together (see _lockstep_strip).
     #
-    # Memory: this process holds the weight planes and the blend's strips
-    # besides its fits, so its fits' strips shrink with their number to
-    # keep their scratch together near one plane (_lockstep_strip); a
-    # child's fits keep theirs near one plane each, so the stage never
-    # holds much more than the detail planes it does not build.
-    #
-    # A child writes a byte to its ``ready`` pipe for each strip it has
-    # written, and before it writes strip u >= _RING_STRIPS it reads a
-    # byte from its ``go`` pipe, which this process writes once it has
-    # copied strip u - _RING_STRIPS out of the rings.  A pipe read is a
-    # memory barrier, so the rows are complete when read, and it returns
-    # EOF once the other end has gone, so neither process waits on one
-    # that has failed.  Three strips are the fewest that cannot deadlock:
-    # a strip of the blend spans at most two ring strips, u - 1 and u, so
-    # when this process waits for strip u it has copied out every strip
-    # before u - 1, and a fit that completes strip u may write into u + 1.
-    count = len(maps)
-    h, w = maps[0].shape
+    # A child writes a byte to its ``ready`` pipe for each strip written,
+    # and before strip u >= _RING_STRIPS it reads a byte from its ``go``
+    # pipe, written once strip u - _RING_STRIPS is copied out.  A pipe read
+    # is a memory barrier and returns EOF once the other end has gone.
+    # Three strips are the fewest that cannot deadlock: a slice spans at
+    # most ring strips u - 1 and u, and a job completing u may write u + 1.
+    h, w = shape
     strips = -(-h // _STRIP_ROWS)
     rings = _shared_planes(1, (count, min(_RING_STRIPS, strips) * _STRIP_ROWS, w))[0]
-
-    def fits(share, strip):
-        return [_fit(maps[n], guide(n, strip), params, strip=strip) for n in share]
 
     def child(share, link):
         go, ready = link
@@ -679,17 +606,17 @@ def _detail_stage(maps, guide, params: FilterParams, weight_floor: float, dump, 
                     raise _Lost
                 granted += 1
 
-        for _ in _lockstep(fits(share, _lockstep_strip(h, 1)), [rings[n] for n in share], h, wait):
+        for _ in _lockstep([job(n, _lockstep_strip(h, 1)) for n in share], [rings[n] for n in share], h, wait):
             os.write(ready, b"\0")
 
     def lead(share, links):
-        own = _lockstep(fits(share, _lockstep_strip(h, max(len(share), 1))), [rings[n] for n in share], h,
-                        lambda u: None)
+        strip = _lockstep_strip(h, max(len(share), 1), planes)
+        own = _lockstep([job(n, strip) for n in share], [rings[n] for n in share], h, lambda u: None)
         written = [0] * (len(links) + 1)  # strips written by this process, then by each child
         freed = 0  # strips copied out of the rings
-        gathered, binary = np.empty((count, min(h, _STRIP_ROWS), w)), np.empty((min(h, _STRIP_ROWS), w))
+        gathered = np.empty((count, min(h, _STRIP_ROWS), w))
 
-        def detail_weights(rows):
+        def rows_of(rows):
             nonlocal freed
             last = (rows.stop - 1) // _STRIP_ROWS
             while written[0] <= last:
@@ -700,10 +627,9 @@ def _detail_stage(maps, guide, params: FilterParams, weight_floor: float, dump, 
                     if not got:
                         raise _Lost
                     written[k] += len(got)
-            n = rows.stop - rows.start
-            weights = [g[:n] for g in gathered]
-            for index in range(count):
-                np.take(rings[index], range(rows.start, rows.stop), axis=0, out=weights[index], mode="wrap")
+            out = gathered[:, :rows.stop - rows.start]
+            for ring, strip in zip(rings, out):
+                np.take(ring, range(rows.start, rows.stop), axis=0, out=strip, mode="wrap")
             done = strips if rows.stop == h else rows.stop // _STRIP_ROWS
             grants = min(done, strips - _RING_STRIPS) - min(freed, strips - _RING_STRIPS)
             freed = done
@@ -713,20 +639,11 @@ def _detail_stage(maps, guide, params: FilterParams, weight_floor: float, dump, 
                         os.write(go, b"\0" * grants)
                     except BrokenPipeError:
                         raise _Lost from None
-            for index in range(count):
-                np.copyto(binary[:n], maps[index][rows])
-                dump("binary", index, rows, binary[:n, :, np.newaxis])
-            weights = [weight[:, :, np.newaxis] for weight in weights]
-            for index in range(count):
-                dump("refined_detail", index, rows, weights[index])
-            _normalized(weights, weight_floor, weights)
-            for index in range(count):
-                dump("wd", index, rows, weights[index])
-            return weights
+            return out
 
-        blend(detail_weights)
+        consume(rows_of)
 
-    _in_processes(count, [rings], child, lead, blend_cost)
+    _in_processes(count, [rings], child, lead, lead_cost)
 
 
 def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> FusionResult:
@@ -737,46 +654,23 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
     clamped to [0, max_val] at the very end; everything upstream keeps its
     raw values, which the result exposes for inspection.
 
-    Saliency, the base fits and the detail fits are forked stages, each
-    split over min(sources, usable CPUs) processes (see refine_weights),
-    one source's map or fit per job.  Saliency writes N shared planes.
-    The binary maps are one winner plane of a byte per pixel, from which
-    both fits of source n read its map, and a colour source's luminance
-    is built for the rows each fit reads.  The base fits write over the
-    spent saliency planes, which are then normalized in place.  The
-    detail fits are streamed: each process runs its share in lockstep,
-    strip by strip, and hands the rows to this process, which normalizes
-    each strip of detail weights and blends it with the layers, built
-    strip by strip, as it arrives; this process takes fewer detail fits,
-    or none, to even out the blend.  Saliency works on whole planes, with
-    about one plane of scratch per process; the other stages work in
-    strips of rows with O(strip) scratch, and each weight fit streams
-    through rings of integral-image rows.  Every field of the result is
+    fuse runs two stages streamed from min(jobs, usable CPUs) processes
+    into this one (see README): N saliency maps, from which it builds the
+    winner plane, then 2N weight fits, whose strips it normalizes and
+    blends with the layers into the fused image (in one process, the base
+    weights are fitted into planes first).  Every field of the result is
     the same, bit for bit, as from the public stages composed on whole
     planes, whatever the number of processes.
 
-    The stages hand their planes to the private hook ``_dump``, which
-    this process calls as ``_dump(kind, n, rows, data)``: ``data`` is rows
-    ``rows`` of source n's plane of ``kind``, handed over before a later
-    stage overwrites it.  "sal", "refined_base" and "wb" come first, in
-    that order, each as a whole plane.  Then, strip by strip from the
-    blend, in order of rows, come "binary", "refined_detail" and "wd" for
-    each source, then "base" and "detail" for each source.  The hook must
-    not keep ``data``.  The command line always passes one, for
-    ``--dump-intermediates`` or doing nothing; then fuse returns only
-    ``fused`` (the other fields are None).
-
-    Memory: beyond the sources, fuse holds max(N, c) weight planes for
-    channel count c, one byte per pixel for the winners and O(strip)
-    scratch per process; README's memory section gives the rule in full.
-    The first c weight planes (saliency, then base weights; one or two
-    more planes for a colour fuse of fewer than three sources) are the
-    rows of one (h, c, w) mapping, which read as (h, w, c) is a
-    C-contiguous image.  With a hook, the blend writes the fused image
-    there over the spent weights.  Without one, fuse collects every
-    intermediate for the result: a private copy of each plane or strip
-    that a later stage overwrites, the base weights' own planes (copies
-    of those that are rows of the mapping) and a fused image of its own.
+    This process hands each stage's strips to the private hook ``_dump``
+    as ``_dump(kind, n, rows, data)``: ``data`` is rows ``rows`` of
+    source n's plane of ``kind``, each kind in order of rows.  First, for
+    each strip, comes "sal"; then, for each strip of the blend, "binary",
+    "refined_base", "wb", "refined_detail" and "wd" of each source, then
+    "base" and "detail" of each source.  The hook must not keep ``data``.
+    With a hook, fuse returns only ``fused``; without one, it copies every
+    strip into its result.  Beyond the sources, fuse holds the fused image,
+    the winner plane and O(strip) scratch per process.
     """
     sources = list(sources)
     if not sources:
@@ -789,64 +683,86 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
         if src.max_val != max_val:
             raise ValueError(f"source max_val differs: {src.max_val:g} vs {max_val:g}")
     # epsilon > 0 for the guided filter, checked before any stage runs
-    base_params, detail_params = (_fit_params(p, config.refine_filter) for p in (config.base_params,
-                                                                                   config.detail_params))
+    fits = tuple(_fit_params(p, config.refine_filter) for p in (config.base_params, config.detail_params))
     _check_weight_floor(config.weight_floor, len(sources))
 
     kept = {} if _dump is None else None
-    if kept is not None:  # collect the result: copies of the planes that a later stage overwrites
+    if _dump is None:  # collect the result, strip by strip
         def _dump(kind, n, rows, data):
-            if kind == "wb" and data.flags.c_contiguous:  # a final plane, which no stage writes again
-                kept[kind, n] = data
-                return
             if (kind, n) not in kept:
                 kept[kind, n] = np.empty(shape[:2] + data.shape[2:])
             kept[kind, n][rows] = data
 
-    def dump(kind, maps):
-        for n, m in enumerate(maps):
-            _dump(kind, n, slice(0, len(m)), m)
-
-    # The weight planes, the first c of them rows of one (h, c, w) mapping.
     h, w, c = shape
     count = len(sources)
-    host = _shared_planes(1, (h, c, w))[0]
-    planes = [host[:, k, :, np.newaxis] for k in range(min(c, count))]
-    planes += _shared_planes(count - len(planes), (h, w, 1))
-    flat = [p[:, :, 0] for p in planes]
-    _saliency_maps(sources, config, flat)
-    dump("sal", planes)
-    winner = _winner_plane(flat)
+    kernel = _gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
+    winner = np.empty((h, w), dtype=np.min_scalar_type(count - 1))
+    best, greater = np.empty((min(h, _STRIP_ROWS), w)), np.empty((min(h, _STRIP_ROWS), w), dtype=bool)
+
+    def pick(strips):
+        for rows in _strips(h):
+            n, saliencies = rows.stop - rows.start, strips(rows)
+            for index, sal in enumerate(saliencies):
+                _dump("sal", index, rows, sal[:, :, np.newaxis])
+            _winner_rows(saliencies, winner[rows], best[:n], greater[:n])
+
+    # The winner costs 0.3 of a saliency map per source (19 against 16 ms
+    # at 512^2); a saliency job's scratch is a fraction of a fit's.
+    _streamed(count, (h, w), lambda n, strip: _saliency_rows(sources[n], kernel, strip), pick, 0.3 * count, count)
     maps = [_Winner(winner, n) for n in range(count)]
-    _refined(maps, lambda n: _guide(sources[n], base_params.radius, _STRIP_ROWS), base_params, flat)
-    dump("refined_base", planes)
-    _normalized(flat, config.weight_floor, flat)
-    dump("wb", planes)
-    # No result keeps the weights when the caller has a hook, so the fused
-    # image is written over the rows of the mapping.
-    out = host.reshape(shape) if kept is None else np.empty(shape)
+    # In one process, N base fits in lockstep with the detail fits hold
+    # more than N planes on small images, so there the base weights are
+    # fitted first into planes, the first c of them the rows of one (h, c,
+    # w) map, which read as (h, w, c) is the fused image: the blend writes
+    # each strip of it after reading the strip's weights.
+    base_planes = None
+    if _workers(2 * count) == 1:
+        host = _shared_planes(1, (h, c, w))[0]
+        base_planes = [host[:, k] for k in range(min(c, count))] + _shared_planes(count - c, (h, w))
+        for n, plane in enumerate(base_planes):
+            _fill(plane, _weights(maps[n], _guide(sources[n], fits[0].radius, _STRIP_ROWS), fits[0]))
+        fits = fits[1:]
+    binary = best[:, :, np.newaxis]
+
+    def fit(j, strip):  # job j fits source j % N, the base weights first
+        n, params = j % count, fits[j // count]
+        return _weights(maps[n], _guide(sources[n], params.radius, strip), params, strip)
+
+    def weights(strips, rows):  # the normalized base and detail weights of ``rows``, handed to _dump
+        n = rows.stop - rows.start
+        for index in range(count):
+            np.equal(winner[rows], index, out=binary[:n, :, 0])
+            _dump("binary", index, rows, binary[:n])
+        both = [plane[rows, :, np.newaxis] for plane in base_planes or []] + [s[:, :, np.newaxis] for s in strips(rows)]
+        for refined, kind, stack in (("refined_base", "wb", both[:count]), ("refined_detail", "wd", both[count:])):
+            for index, weight in enumerate(stack):
+                _dump(refined, index, rows, weight)
+            _normalized(stack, config.weight_floor, stack)
+            for index, weight in enumerate(stack):
+                _dump(kind, index, rows, weight)
+        return both[:count], both[count:]
+
+    out = np.empty(shape) if base_planes is None else host.reshape(shape)
     radius = (config.avg_filter_size - 1) // 2
-    # A source channel's layers and blend cost about a quarter of a fit:
-    # 512^2 colour fits took 35 ms each and the dumped blend of five colour
-    # sources 190 ms, 2048^2 gray fits 450 ms and the blend of two 230 ms.
-    _detail_stage(maps, lambda n, strip: _guide(sources[n], detail_params.radius, strip), detail_params,
-                  config.weight_floor, _dump,
-                  lambda detail_weights: _blend(sources, planes, detail_weights, radius, max_val, _dump, out),
-                  count * c / 4)
+    # A source channel's layers, weights and blend cost about a quarter of a
+    # fit: 146 ms (198 dumped) for five 512^2 colour sources, whose fits
+    # took 44-49 ms, and 235 ms for two 2048^2 gray ones (fits 540-566 ms).
+    # This process's fits may hold the planes the fused image does not take.
+    _streamed(len(fits) * count, (h, w), fit,
+              lambda strips: _blend(sources, lambda rows: weights(strips, rows), radius, max_val, _dump, out),
+              count * c / 4, 1 if base_planes else max(1, count - c))
     fused = Image._adopt(out, max_val)
     if kept is None:
         return FusionResult(fused=fused)
 
     def images(kind, peak=1.0):
-        return tuple(Image._adopt(kept[kind, n], peak) for n in range(len(sources)))
+        return tuple(Image._adopt(kept[kind, n], peak) for n in range(count))
+
+    def stack(kind, stage):
+        return WeightStack(images(kind), stage)
 
     return FusionResult(
-        fused=fused,
-        layers=tuple(map(LayerPair, images("base", max_val), images("detail", max_val))),
-        saliencies=images("sal", max_val),
-        binary_maps=WeightStack(images("binary"), "binary"),
-        refined_base=WeightStack(images("refined_base"), "refined"),
-        refined_detail=WeightStack(images("refined_detail"), "refined"),
-        base_weights=WeightStack(images("wb"), "normalized"),
-        detail_weights=WeightStack(images("wd"), "normalized"),
-    )
+        fused=fused, layers=tuple(map(LayerPair, images("base", max_val), images("detail", max_val))),
+        saliencies=images("sal", max_val), binary_maps=stack("binary", "binary"),
+        refined_base=stack("refined_base", "refined"), refined_detail=stack("refined_detail", "refined"),
+        base_weights=stack("wb", "normalized"), detail_weights=stack("wd", "normalized"))

@@ -148,3 +148,38 @@ def _rgb_to_luma(data: np.ndarray, luma: np.ndarray, lo, hi) -> np.ndarray:
 def _luma(img: Image) -> Image:
     # Luminance of a color image; single-channel images pass through.
     return rgb_to_luma(img) if img.channels == 3 else img
+
+
+class _Luma:
+    # The luminance of an (h, w, 3) array as a plane that is built for the
+    # rows asked for: ``luma[rows]`` for a slice of at most ``keep`` rows,
+    # each sample rgb_to_luma's, and ``shape`` (h, w).  The last rows built
+    # are kept, up to 2 * keep, so a row asked for again within ``keep``
+    # rows of the last row built is built once.  A read returns rows that
+    # later reads may overwrite.
+    def __init__(self, data: np.ndarray, keep: int):
+        self.data, self.shape, self.keep = data, data.shape[:2], keep
+        self.lo, self.hi = data.min(), data.max()
+        self.built, self.first, self.stop = None, 0, 0  # built[:stop - first] holds rows first..stop - 1
+
+    def __getitem__(self, rows):
+        start, stop = rows.start, rows.stop
+        if self.built is None:
+            self.built = np.empty((min(2 * self.keep, self.shape[0]), self.shape[1]))
+        if not self.first <= start <= self.stop:
+            self.first = self.stop = start
+        if stop - self.first > len(self.built):  # keep the last ``keep`` rows up to stop
+            first = stop - self.keep
+            self.built[:self.stop - first] = self.built[first - self.first:self.stop - self.first]
+            self.first = first
+        if stop > self.stop:
+            _rgb_to_luma(self.data[self.stop:stop], self.built[self.stop - self.first:stop - self.first],
+                         self.lo, self.hi)
+            self.stop = stop
+        return self.built[start - self.first:stop - self.first]
+
+
+def _luma_rows(img: Image, keep: int):
+    # The luminance of ``img`` for reads of rows: its plane if gray, else a
+    # _Luma that keeps ``keep`` rows, so no luminance plane is held.
+    return img.plane() if img.channels == 1 else _Luma(img.data, keep)

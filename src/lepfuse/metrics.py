@@ -7,14 +7,13 @@ so calibrated statistics can be substituted.
 """
 
 import math
-import mmap
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .filters import _STRIP_ROWS, _gaussian_kernel_1d, _gradient_magnitude, _single_plane, _strips, _valid_correlate_sep
-from .image import Image, _luma
+from .image import Image, _luma, _luma_rows
 
 SSIM_WINDOW_RADIUS = 5
 SSIM_SIGMA = 1.5
@@ -136,43 +135,95 @@ def ssim(a: Image, b: Image, max_val: float = None) -> float:
     return float(np.mean(score))
 
 
+_LEAF = 1 << 12  # values per leaf of _pairwise_sum, which one np.add.reduce sums
+
+
+def _pairwise_sum(chunks, count: int) -> float:
+    # The sum of ``count`` float64 values that arrive in order as the flat
+    # arrays ``chunks``, bit for bit as np.add.reduce over one C-contiguous
+    # array of them.  numpy sums pairwise: a range of more than 128 values
+    # splits at half its length, rounded down to a multiple of 8, as ranges
+    # of at most _LEAF do within the one np.add.reduce that sums each.
+    chunks, rest, buf = iter(chunks), np.empty(0), np.empty(min(count, _LEAF))
+
+    def total(n):
+        nonlocal rest
+        if n > _LEAF:
+            half = n // 2 - n // 2 % 8
+            return total(half) + total(n - half)
+        if not len(rest):
+            rest = next(chunks)
+        if len(rest) >= n:
+            leaf, rest = rest[:n], rest[n:]
+            return np.add.reduce(leaf)
+        held = 0
+        while held < n:
+            if not len(rest):
+                rest = next(chunks)
+            k = min(n - held, len(rest))
+            buf[held:held + k] = rest[:k]
+            rest, held = rest[k:], held + k
+        return np.add.reduce(buf[:n])
+
+    return float(total(count))
+
+
+def _sharpness(plane, h: int, w: int) -> float:
+    # sharpness of an (h, w) plane read as plane[rows] for slices of rows,
+    # in strips of 8 rows, which with numpy's 128 KiB of buffers for a
+    # difference of two row views hold under a tenth of a 512^2 plane.
+    if h < 3 or w < 3:
+        return 0.0
+    magnitudes, tmp = np.empty((2, min(h - 2, _STRIP_ROWS // 2), w - 2))
+
+    def strips():
+        for rows in _strips(h - 2, _STRIP_ROWS // 2):
+            n = rows.stop - rows.start
+            yield _gradient_magnitude(plane[rows.start:rows.stop + 2], out=magnitudes[:n], tmp=tmp[:n]).ravel()
+
+    return _pairwise_sum(strips(), (h - 2) * (w - 2)) / ((h - 2) * (w - 2))
+
+
 def sharpness(img: Image) -> float:
     """Mean central-difference gradient magnitude over interior pixels.
 
     Images without interior pixels (either dimension < 3) score 0.  The
-    magnitudes are built strip by strip into one plane, whose mean is
-    taken as a whole, so beyond that plane the scratch is one strip.
+    magnitudes are built and summed strip by strip, bit for bit as
+    np.mean of the whole plane of them, so the scratch is one strip.
     """
-    plane = _single_plane(img, "sharpness")
-    h, w = plane.shape[0] - 2, plane.shape[1] - 2
-    if h < 1 or w < 1:
-        return 0.0
-    # The plane is mapped outside the malloc heap.  At 2048^2 it is just
-    # under glibc's 32 MiB mmap ceiling, so once a freed map has raised the
-    # dynamic threshold it would come from the heap, and freed at the top
-    # of the heap below the trim threshold it would stay resident.  A
-    # private map, where the platform has one, is not shared memory.
-    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-    magnitudes = np.frombuffer(mmap.mmap(-1, 8 * h * w, **private), count=h * w).reshape(h, w)
-    tmp = np.empty((min(h, _STRIP_ROWS), w))
-    for rows in _strips(h):
-        _gradient_magnitude(plane[rows.start:rows.stop + 2], out=magnitudes[rows], tmp=tmp[:rows.stop - rows.start])
-    return float(np.mean(magnitudes))
+    return _sharpness(_single_plane(img, "sharpness"), img.height, img.width)
+
+
+def _naturalness(plane, h: int, w: int, priors: NaturalnessPriors) -> float:
+    # naturalness of an (h, w) plane read as plane[rows] for slices of
+    # rows, with np.mean's and np.std's bits: the samples, then their
+    # squared deviations from the mean, are summed strip by strip.
+    count, scratch = h * w, np.empty((min(h, _STRIP_ROWS), w))
+
+    def strips(mean=None):
+        for rows in _strips(h):
+            strip = scratch[:rows.stop - rows.start]
+            np.copyto(strip, plane[rows])
+            if mean is not None:
+                strip -= mean
+                strip *= strip
+            yield strip.ravel()
+
+    mu = _pairwise_sum(strips(), count) / count
+    sd = math.sqrt(_pairwise_sum(strips(mu), count) / count)
+    return (math.exp(-((mu - priors.mean_prior) ** 2) / (2.0 * priors.mean_tol ** 2))
+            * math.exp(-((sd - priors.std_prior) ** 2) / (2.0 * priors.std_tol ** 2)))
 
 
 def naturalness(img: Image, priors: NaturalnessPriors = NaturalnessPriors()) -> float:
     """Product of Gaussian scores of the global mean and std against priors.
 
-    Always in [0, 1]; depends on the image only through (mean, std).
+    Always in [0, 1]; depends on the image only through (mean, std), which
+    are np.mean's and np.std's, summed strip by strip.
     """
     if img.channels != 1:
         raise ValueError(f"naturalness requires a single-channel image, got {img.channels} channels")
-    data = img.data.astype(np.float64, copy=False)
-    mu = float(np.mean(data))
-    sd = float(np.std(data))
-    p_mean = math.exp(-((mu - priors.mean_prior) ** 2) / (2.0 * priors.mean_tol ** 2))
-    p_std = math.exp(-((sd - priors.std_prior) ** 2) / (2.0 * priors.std_tol ** 2))
-    return p_mean * p_std
+    return _naturalness(img.plane(), img.height, img.width, priors)
 
 
 def report(
@@ -186,9 +237,9 @@ def report(
     luminance for color inputs.  Without a reference only the no-reference
     metrics are populated.
     """
-    fused_luma = _luma(fused)
-    result_sharpness = sharpness(fused_luma)
-    result_naturalness = naturalness(fused_luma, priors)
+    rows = _luma_rows(fused, _STRIP_ROWS + 2)  # a colour image's luminance, built for the rows read
+    result_sharpness = _sharpness(rows, fused.height, fused.width)
+    result_naturalness = _naturalness(rows, fused.height, fused.width, priors)
     if reference is None:
         return MetricsReport(sharpness=result_sharpness, naturalness=result_naturalness)
     _check_same_shape(fused, reference, "report")
@@ -196,5 +247,5 @@ def report(
         sharpness=result_sharpness,
         naturalness=result_naturalness,
         psnr=psnr(fused, reference, fused.max_val),
-        ssim=ssim(fused_luma, _luma(reference), fused.max_val),
+        ssim=ssim(_luma(fused), _luma(reference), fused.max_val),
     )

@@ -210,7 +210,7 @@ def test_fuse_survives_a_failed_fork(workdir, monkeypatch, capsys, dump):
         assert main(["fuse", str(workdir / "a.pgm"), str(workdir / "b.pgm"), "-o", str(out), *extra]) == 0
         files = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
         outputs[mode] = files, capsys.readouterr()
-    assert len(tries) == 3  # one per forked stage: saliency, base fits, detail fits
+    assert len(tries) == 2  # one per streamed stage: saliency, then the weight fits
     assert len(outputs["forked"][0]) == (11 if dump else 1)
     assert outputs["forked"] == outputs["unforked"]
 
@@ -489,53 +489,58 @@ def _fuse_peak_planes(tmp_path, monkeypatch, traced_peak, cpus, extra, count=2, 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_dump_fuse_holds_few_planes(tmp_path, monkeypatch, traced_peak, cpus):
     """With --dump-intermediates, the fuse call of a gray N = 2 512^2 job
-    holds at most 4 planes beyond its sources, as without, in one process
-    or in two.  It measured 3.91 planes in one process and 3.89 in two on
-    numpy 2.4: the two shared weight planes, the winner plane, and the
-    streamed stage's rings and strip scratch, with both detail fits
-    running here in strips of 8 rows, or one in strips of 16.  Holding
-    the refined detail weights as whole planes measured 5.38 in two
-    processes; keeping the intermediates, as the dump once did, took 17.1
+    holds at most 3.9 planes beyond its sources, in one process or in
+    two.  It measured 3.88 planes in one process and 3.59 in two on numpy
+    2.4.  In two, it holds the two saliency maps that the dump scales by
+    their peaks until their last strips, or in the fit stage the fused
+    image, the winner plane, the rings and strip scratch of the streamed
+    fits and two detail fits in strips of 8 rows.  In one, it holds two
+    shared planes of base weights, over which it writes the fused image,
+    and the scratch of the two detail fits.  The parent of the streamed
+    fit stage measured 3.91 and 3.89, holding two shared weight planes in
+    both; keeping the intermediates, as the dump once did, took 17.1
     planes before any file was encoded."""
-    assert _fuse_peak_planes(tmp_path, monkeypatch, traced_peak, cpus, ["--dump-intermediates"]) <= 4
+    assert _fuse_peak_planes(tmp_path, monkeypatch, traced_peak, cpus, ["--dump-intermediates"]) <= 3.9
     assert len(list(tmp_path.glob("fused*"))) == 11
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_lean_fuse_holds_few_planes(tmp_path, monkeypatch, traced_peak, cpus):
     """Without intermediates, the fuse call of a gray N = 2 512^2 job
-    holds at most 4 planes beyond its sources, in one process or in two
-    (3.91 and 3.87 on numpy 2.4, and 5.38 in two with whole detail-weight
-    planes)."""
-    assert _fuse_peak_planes(tmp_path, monkeypatch, traced_peak, cpus, []) <= 4
+    holds at most 3.9 planes beyond its sources, in one process or in two
+    (3.86 and 3.10 on numpy 2.4; 3.91 and 3.87 with two whole planes of
+    base weights in both)."""
+    assert _fuse_peak_planes(tmp_path, monkeypatch, traced_peak, cpus, []) <= 3.9
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_dump_fuse_of_colour_holds_few_planes(tmp_path, monkeypatch, traced_peak, cpus):
     """With --dump-intermediates, the fuse call of an RGB N = 3 512^2 job
-    holds at most 7 planes beyond its sources, in one process or in two.
-    It measured 6.87 planes in one process and 5.49 in two on numpy 2.4:
-    three shared weight planes, which then take the fused image, and,
-    during the streamed stage, the layers of three colour sources, the
-    rings, the blend's strips and, in one process, the scratch of three
-    detail fits in strips of 5 rows; in two, a child runs all three.
-    Holding the refined detail weights as whole planes measured 8.28 in
-    two processes."""
-    assert _fuse_peak_planes(tmp_path, monkeypatch, traced_peak, cpus, ["--dump-intermediates"], 3, 3) <= 7
+    holds at most 6.9 planes beyond its sources, in one process or in
+    two.  It measured 6.69 planes in one process and 6.85 in two on numpy
+    2.4: the three planes of the fused image, and, while the fits stream,
+    the layers of three colour sources, one strip of details at a time,
+    the rings, the blend's strips and the scratch of the fits that this
+    process runs, in two processes two detail fits in strips of 8 rows,
+    in one the three detail fits in strips of 5 rows beside three shared
+    planes of base weights, which the fused image is written over.  With
+    two whole planes of base weights in both, it measured 6.87 and 5.49,
+    where this process took no fit."""
+    assert _fuse_peak_planes(tmp_path, monkeypatch, traced_peak, cpus, ["--dump-intermediates"], 3, 3) <= 6.9
     assert len(list(tmp_path.glob("fused*"))) == 16
 
 
 # The file that each case's failing write was to make.  fuse with
-# --dump-intermediates writes the saliency maps before refinement, the
-# base weights after the base fits, and then, for each strip of the
-# blend, the detail weights and the layers: wd_1, wd_2, base_1, detail_1,
-# base_2, detail_2.  The first strip of these 48-row images has 2 rows
-# (the layers' window mean lags by its radius), so write 5 is the first
-# strip of wd_1, made while a forked child streams the detail fit of
-# source 1, and write 14 is the second strip of detail_1, whose header and
-# first strip are already written.
+# --dump-intermediates writes each saliency map at the first stage's last
+# strip, sal_1 and sal_2.  Then, for each strip of the blend, it writes
+# the base and detail weights and the layers: wb_1, wb_2, wd_1, wd_2,
+# base_1, detail_1, base_2, detail_2.  The first strip of these 48-row
+# images has 2 rows (the layers' window mean lags by its radius), so write
+# 3 is the first strip of wb_1, made while a forked child streams fits,
+# and write 14 is the second strip of wd_2, whose header and first strip
+# are already written.
 _FAILING_FILE = {("fuse", 1): "dumped_sal_1", ("fuse", 3): "dumped_wb_1", ("fuse", 5): "dumped_wd_1",
-                 ("fuse", 8): "dumped_detail_1", ("fuse", 14): "dumped_detail_1", ("decompose", 2): "layers_detail"}
+                 ("fuse", 8): "dumped_detail_1", ("fuse", 14): "dumped_wd_2", ("decompose", 2): "layers_detail"}
 
 
 @pytest.mark.parametrize("command, failing_write", [
@@ -550,12 +555,11 @@ def test_failed_write_leaves_no_output(workdir, monkeypatch, capsys, command, fa
     """A write that fails part way exits 1 and leaves neither the files
     written before it nor any temporary file behind, nor an open file (a
     ResourceWarning is an error here), nor a forked process: a write
-    that fails in the streamed detail stage stops the child that streams
-    to it.  Every byte of every file is written through
+    that fails in a streamed stage stops the children that stream to it.  Every byte of every file is written through
     netpbm._write_raster, which the command line calls for each block of
     rows of an encoded raster and write_image calls for images."""
     real_write = lepfuse.netpbm._write_raster
-    real_refined, refined = lepfuse.fusion._refined, []
+    real_streamed, stages = lepfuse.fusion._streamed, []
     calls = []
 
     def flaky_write(f, header, rows):
@@ -564,20 +568,20 @@ def test_failed_write_leaves_no_output(workdir, monkeypatch, capsys, command, fa
             raise OSError("no space left on device")
         real_write(f, header, rows)
 
-    def counted_refined(*args):
-        refined.append(None)
-        real_refined(*args)
+    def counted_streamed(*args):
+        stages.append(None)
+        real_streamed(*args)
 
     monkeypatch.setattr(lepfuse.netpbm, "_write_raster", flaky_write)
     monkeypatch.setattr(lepfuse.cli, "_write_raster", flaky_write)
-    monkeypatch.setattr(lepfuse.fusion, "_refined", counted_refined)
+    monkeypatch.setattr(lepfuse.fusion, "_streamed", counted_streamed)
     monkeypatch.chdir(workdir)
     before = sorted(p.name for p in workdir.iterdir())
     assert main(command) == 1
     assert len(calls) == failing_write
     assert calls[-1].name.startswith(f".{_FAILING_FILE[command[0], failing_write]}.")
     assert calls.count(calls[-1]) == (2 if failing_write == 14 else 1)
-    assert len(refined) == (0 if "_sal_" in calls[-1].name or command[0] != "fuse" else 1)
+    assert len(stages) == (0 if command[0] != "fuse" else 1 if "_sal_" in calls[-1].name else 2)
     gc.collect()  # an unclosed file would warn when collected
     assert sorted(p.name for p in workdir.iterdir()) == before
     assert "no space left on device" in capsys.readouterr().err
@@ -703,6 +707,19 @@ def test_zoom_rect_outside_the_image_is_refused_before_the_scratch_estimate(tmp_
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: rect ") and "out of bounds for 20x20 image" in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
+
+
+@pytest.mark.parametrize("rect", [["--rect", "-5,-5,10,10"], ["--rect=-5,-5,10,10"], ["--rect", "-5,0,1,1"]])
+def test_negative_rect_gets_the_rect_message(tmp_path, monkeypatch, capsys, rect):
+    """A rect with a negative origin exits 2 with the rect's own one-line
+    message, whether it follows --rect as the next argument, which
+    argparse would read as an option, or after "=".  Nothing is written."""
+    _write_20x20_pair(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["zoom", "a.pgm", *rect, "--scale", "2", "-o", "out.pgm"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rect origin must be non-negative") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
 
 

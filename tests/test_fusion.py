@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import lepfuse.fusion
+import lepfuse.image
 from lepfuse import (
     FilterParams,
     FusionConfig,
@@ -32,8 +33,11 @@ from lepfuse import (
     saliency,
     sharpness,
     ssim,
+    write_image,
 )
+from lepfuse.cli import main
 from lepfuse.filters import _STRIP_ROWS, _fill, _fit
+from lepfuse.image import _luma
 from lepfuse.synthetic import multifocus_pair
 
 from oracles import (
@@ -136,38 +140,59 @@ def test_saliency_bitwise_equal_reference(height, width, radius):
     assert _same_bits(got, reference_saliency(plane, radius, 0.8 * radius))
 
 
-def test_saliency_holds_two_planes_of_scratch(traced_peak):
-    """Beyond its output, saliency holds the edge-padded source and the
-    Laplacian's scratch plane, then the edge-padded response: at most
-    2.25 planes at 512^2."""
+def test_saliency_holds_strip_scratch(traced_peak):
+    """Beyond its output, saliency holds O(strip) scratch: a band of 2r +
+    16 rows of the edge-padded response, the luminance rows about a strip
+    and a few strips of rows, 0.30 planes at 512^2.  Whole-plane stages
+    held the edge-padded source and the Laplacian's scratch, then the
+    edge-padded response, 1.38 planes."""
     side = 512
     src = Image(np.random.default_rng(4).uniform(0, 255, (side, side)))
     sal = []
     peak = traced_peak(lambda: sal.append(saliency(src)))
     plane = side * side * 8
     assert sal[0].data.nbytes == plane
-    assert (peak - plane) / plane <= 2.25
+    assert (peak - plane) / plane <= 0.35
 
 
-def test_colour_saliency_job_holds_no_luminance_plane(monkeypatch):
-    """A colour saliency job writes the luminance straight into its
-    edge-padded float plane, so it never holds a luminance plane of its
-    own: at 512^2 its traced peak is the padded plane, then the padded
-    response, about 1.38 planes.  Building the luminance first and
-    padding a copy of it held 2.38."""
-    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 1)
+@pytest.mark.parametrize("height", [1, 2, 7, 10, 11, 12, 2 * _STRIP_ROWS + 5])
+@pytest.mark.parametrize("width", [1, 6, 23])
+def test_saliency_strips_of_any_height_match_reference(height, width):
+    """The streamed saliency of a gray or colour source, in strips of 1 to
+    16 rows, is the whole-plane reference bit for bit, on images shorter
+    than the Gaussian (h < 11), one row or one column high or wide."""
+    rng = np.random.default_rng(height * 31 + width)
+    gray = Image(rng.uniform(0, 255, (height, width)))
+    colour = Image(rng.uniform(0, 255, (height, width, 3)))
+    config = FusionConfig()
+    kernel = lepfuse.fusion._gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
+    for src in (gray, colour):
+        want = reference_saliency(_luma(src).plane(), config.saliency_radius, config.saliency_sigma)
+        for strip in range(1, _STRIP_ROWS + 1):
+            got = np.empty((height, width))
+            _fill(got, lepfuse.fusion._saliency_rows(src, kernel, strip))
+            assert _same_bits(got, want), (src.channels, strip)
+
+
+def test_colour_saliency_job_holds_no_luminance_plane():
+    """A colour saliency job builds the luminance of the rows it reads, so
+    it holds neither a luminance plane nor a padded plane: at 512^2 its
+    traced peak is 0.39 planes, 0.09 of them luminance rows.  Writing the luminance into an edge-padded
+    plane held 1.38, and building it first and padding a copy 2.38."""
     side = 512
     src = Image(np.random.default_rng(6).uniform(0, 255, (side, side, 3)))
-    out = lepfuse.fusion._shared_planes(1, (side, side))[0]
+    config = FusionConfig()
+    kernel = lepfuse.fusion._gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
+    out = np.empty((side, side))
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        lepfuse.fusion._saliency_maps([src], FusionConfig(), [out])
+        _fill(out, lepfuse.fusion._saliency_rows(src, kernel))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert _same_bits(out, saliency(rgb_to_luma(src)).plane())
-    assert (peak - start) / (side * side * 8) <= 1.5
+    assert (peak - start) / (side * side * 8) <= 0.45
 
 
 def test_saliency_rejects_color():
@@ -635,11 +660,10 @@ def test_threaded_refine_rejects_bad_guided_config(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_fuse_forks_thrice_per_extra_process(monkeypatch):
-    """fuse forks min(jobs, CPUs) - 1 children for each of its three
-    forked stages, which have N jobs each: at N = 3, one saliency map per
-    job, then one base fit per job, then the three detail fits, streamed
-    to this process."""
+def test_fuse_forks_twice_per_extra_process(monkeypatch):
+    """fuse forks min(jobs, CPUs) - 1 children for each of its two
+    streamed stages: at N = 3, the three saliency maps, then the six
+    weight fits.  In one process it forks nothing."""
     real_fork, forks = os.fork, []
 
     def counted_fork():
@@ -650,7 +674,7 @@ def test_fuse_forks_thrice_per_extra_process(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     sources = [_random_image(s, (24, 20)) for s in (1, 2, 3)]
-    for cpus, want in ((64, 6), (2, 3)):
+    for cpus, want in ((64, 2 + 5), (2, 2), (1, 0)):
         monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
         forks.clear()
         fuse(sources)
@@ -692,36 +716,31 @@ def _fit_log(monkeypatch, sources):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_stages_split_jobs_by_fit(monkeypatch):
-    """fuse gives each forked stage N jobs: one saliency map each, one
-    base fit each, then the N detail fits, streamed.  At N = 5 two
-    processes split the base fits 3:2, this process taking the last 2
-    (sources 3 and 4).  It takes as many detail fits as evens out the
+    """fuse streams two stages: N saliency maps, then 2N weight fits, the
+    base fits first.  This process takes as many fits as even out the
     blend, which it also runs, at about a quarter of a fit per source
-    channel: 2 of 5 gray sources, 1 of 5 colour ones.  Every base fit
-    ends before any detail fit starts, and the detail fits of one process
-    run in lockstep: each starts before any of them has written its last
-    strip.  refine_weights runs one job per map."""
+    channel: at N = 5 on two CPUs, 4 of 10 gray fits (the detail fits of
+    sources 1 to 4) and 3 of 10 colour ones (detail fits 2 to 4).  The
+    fits of one process run in lockstep: each starts before any of them
+    has written its last strip.  With a CPU per job, this process takes
+    none.  In one process the base fits end before any detail fit starts.
+    refine_weights runs one job per map."""
     sources = [_random_image(s, (3 * _STRIP_ROWS + 5, 20)) for s in range(5)]
     colour = [Image(np.repeat(src.data, 3, axis=2), 255.0) for src in sources]
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 2)
     counts = _stage_counts(monkeypatch)
     log = _fit_log(monkeypatch, sources + colour)
-    fuse(sources)
-    base, detail = log[:, :5]
-    assert counts == [5, 5, 5]
-    for fits in (base, detail):
-        pids = fits[:, 0].tolist()
-        assert pids[3] == pids[4] == os.getpid()
-        assert pids[0] == pids[1] == pids[2] != os.getpid()
-    assert np.max(base[:, 2]) <= np.min(detail[:, 1])
-    for share in ([0, 1, 2], [3, 4]):
-        assert np.max(detail[share, 1]) < np.min(detail[share, 2])
-
-    fuse(colour)
-    base, detail = log[:, 5:]
-    assert base[3, 0] == base[4, 0] == detail[4, 0] == os.getpid()
-    assert len(set(base[:3, 0])) == len(set(detail[:4, 0])) == 1
-    assert os.getpid() not in (base[0, 0], detail[0, 0])
+    here = os.getpid()
+    for images, ours in ((sources, 4), (colour, 3)):
+        counts.clear()
+        fuse(images)
+        fits = log[:, :5] if images is sources else log[:, 5:]
+        pids = fits[:, :, 0].ravel().tolist()  # the base fits, then the detail fits
+        assert counts == [5, 10]
+        assert pids[10 - ours:] == [here] * ours
+        assert len(set(pids[:10 - ours])) == 1 and here not in pids[:10 - ours]
+        for share in (slice(0, 10 - ours), slice(10 - ours, 10)):
+            assert np.max(fits[:, :, 1].ravel()[share]) < np.min(fits[:, :, 2].ravel()[share])
 
     binary = binary_weight_maps([saliency(src) for src in sources])
     counts.clear()
@@ -731,25 +750,38 @@ def test_forked_stages_split_jobs_by_fit(monkeypatch):
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
     log[:] = 0.0
     fuse(sources[:3])
-    base, detail = log[:, :3]
-    assert len(set(base[:, 0])) == len(set(detail[:, 0])) == 3
-    assert base[2, 0] == detail[2, 0] == os.getpid()
-    assert np.max(base[:, 2]) <= np.min(detail[:, 1])
+    pids = log[:, :3, 0].ravel().tolist()
+    assert len(set(pids)) == 5 and here not in pids
+
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 1)
+    counts.clear()
+    fuse(sources)
+    base, detail = log[:, :5]
+    assert counts == [5, 5]
+    assert set(base[:, 0]) == set(detail[:, 0]) == {here}
+    assert np.max(base[:, 2]) <= np.min(detail[:, 1]) and np.max(detail[:, 1]) < np.min(detail[:, 2])
+
+
+def _strip_calls(calls, per_strip, h):
+    # Checks that hook calls come strip by strip, each strip's calls the
+    # (kind, n) of ``per_strip``, and that the strips cover rows 0..h in
+    # order.
+    assert [(kind, n) for kind, n, _, _ in calls] == per_strip * (len(calls) // len(per_strip))
+    starts = calls[::len(per_strip)]
+    bounds = [0] + [rows.stop for _, _, rows, _ in starts]
+    assert [rows.start for _, _, rows, _ in starts] == bounds[:-1] and bounds[-1] == h
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_fuse_hook_sees_each_stage_in_order(monkeypatch, cpus):
-    """A caller's _dump hook gets the saliency maps, the refined base
-    weights and the normalized base weights of each source as whole
-    planes, in that order, each as the result holds it.  Then come the
-    blend's strips, which cover rows 0..h in order: for each strip, the
-    binary maps, the refined and the normalized detail weights of each
-    source, then its base and detail layers.  fuse then keeps no
-    intermediates.  Without a hook, the result holds private copies of
-    every plane and strip that a later stage overwrites, and of the base
-    weights that are rows of the (h, 3, w) mapping that a hooked fuse
-    writes its fused image over; it adopts the base weights' own shared
-    planes, here that of source 3."""
+    """A caller's _dump hook gets every kind as strips of rows in order.
+    First come the saliency maps, for each strip of the first stage each
+    source's.  Then come the blend's strips: for each, the binary maps,
+    the refined and the normalized base weights, the refined and the
+    normalized detail weights of each source, then its base and detail
+    layers.  Each strip is the rows of the result's plane, bit for bit.
+    fuse then keeps no intermediates.  Without a hook, the result holds a
+    private copy of every plane."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
     h, w, count = 2 * _STRIP_ROWS + 5, 20, 4
     sources = [Image(np.random.default_rng(s).uniform(0, 255, (h, w, 3))) for s in range(count)]
@@ -762,73 +794,71 @@ def test_fuse_hook_sees_each_stage_in_order(monkeypatch, cpus):
     assert hooked.layers is hooked.saliencies is hooked.binary_maps is hooked.detail_weights is None
     result = fuse(sources)
     assert _same_bits(hooked.fused.data, result.fused.data)
-    planes = {"sal": result.saliencies, "refined_base": result.refined_base.maps, "wb": result.base_weights.maps}
-    whole, strips = calls[:len(planes) * count], calls[len(planes) * count:]
-    assert [(kind, n, rows) for kind, n, rows, _ in whole] == [
-        (kind, n, slice(0, h)) for kind in planes for n in range(count)]
-    for kind, n, _, data in whole:
-        assert _same_bits(data, planes[kind][n].data), (kind, n)
-    per_strip = ([(kind, n) for kind in ("binary", "refined_detail", "wd") for n in range(count)]
-                 + [(kind, n) for n in range(count) for kind in ("base", "detail")])
-    assert [(kind, n) for kind, n, _, _ in strips] == per_strip * (len(strips) // len(per_strip))
-    starts = strips[::len(per_strip)]
-    bounds = [0] + [rows.stop for _, _, rows, _ in starts]
-    assert [rows.start for _, _, rows, _ in starts] == bounds[:-1] and bounds[-1] == h
-    stacks = {"binary": result.binary_maps.maps, "refined_detail": result.refined_detail.maps,
-              "wd": result.detail_weights.maps, "base": [pair.base for pair in result.layers],
-              "detail": [pair.detail for pair in result.layers]}
-    for kind, n, rows, data in strips:
+    first = [call for call in calls if call[0] == "sal"]
+    assert calls[:len(first)] == first
+    _strip_calls(first, [("sal", n) for n in range(count)], h)
+    weights = ["binary", "refined_base", "wb", "refined_detail", "wd"]
+    _strip_calls(calls[len(first):], [(kind, n) for kind in weights for n in range(count)]
+                 + [(kind, n) for n in range(count) for kind in ("base", "detail")], h)
+    stacks = {"sal": result.saliencies, "binary": result.binary_maps.maps,
+              "refined_base": result.refined_base.maps, "wb": result.base_weights.maps,
+              "refined_detail": result.refined_detail.maps, "wd": result.detail_weights.maps,
+              "base": [pair.base for pair in result.layers], "detail": [pair.detail for pair in result.layers]}
+    for kind, n, rows, data in calls:
         assert _same_bits(data, stacks[kind][n].data[rows]), (kind, n, rows)
 
-    private = [*result.saliencies, *result.binary_maps.maps, *result.refined_base.maps,
+    private = [*result.saliencies, *result.binary_maps.maps, *result.refined_base.maps, *result.base_weights.maps,
                *result.refined_detail.maps, *result.detail_weights.maps,
                *(img for pair in result.layers for img in (pair.base, pair.detail))]
     assert not any(lepfuse.fusion._is_shared(img.data) for img in private)
-    assert [lepfuse.fusion._is_shared(img.data) for img in result.base_weights.maps] == [False, False, False, True]
 
 
 @pytest.mark.parametrize("channels", [1, 3])
-def test_hooked_fuse_writes_over_spent_weight_planes(channels):
-    """With a caller's hook, fuse writes the fused image over spent shared
-    weight planes instead of allocating one: the rows of the (h, c, w)
-    mapping that holds the first c of them, the saliency and then base
-    weight plane of source 1 for gray.  A colour fuse of one or two
-    sources has fewer weight planes than channels, so the mapping gets
-    one or two more.  A fuse without a hook, whose result keeps the
-    weights, gets a private image.  The samples are the same bit for
-    bit."""
+def test_fused_image_lies_over_the_base_planes_in_one_process(monkeypatch, channels):
+    """Forked, fuse blends into a plain private image of its own, and the
+    base weights are never whole.  In one process, the base weights are
+    fitted first into shared planes, the first c of them the rows of one
+    (h, c, w) mapping, and the fused image is written over that mapping,
+    with one or two more planes for a colour fuse of fewer than three
+    sources.  The samples are the same bit for bit, with a hook or
+    without."""
     h, w = 2 * _STRIP_ROWS + 5, 20
     for count in (1, 2, 5):
         sources = [Image(np.random.default_rng(s).uniform(0, 255, (h, w, channels))) for s in range(count)]
-        hooked = fuse(sources, _dump=lambda kind, n, rows, data: None).fused
-        result = fuse(sources)
-        assert _same_bits(hooked.data, result.fused.data), count
-        assert lepfuse.fusion._is_shared(hooked.data), count
-        assert not lepfuse.fusion._is_shared(result.fused.data), count
+        fused = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
+            fused[cpus] = fuse(sources, _dump=lambda kind, n, rows, data: None).fused.data
+            assert _same_bits(fused[cpus], fuse(sources).fused.data), (count, cpus)
+        assert _same_bits(fused[1], fused[2]), count
+        assert lepfuse.fusion._is_shared(fused[1]), count
+        assert not lepfuse.fusion._is_shared(fused[2]), count
 
 
-def test_colour_fuse_builds_no_luma_plane(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_colour_fuse_builds_no_luma_plane(monkeypatch, cpus):
     """A colour fuse never builds a luminance plane of its own: each
-    saliency job writes the luminance into its edge-padded plane, and both
-    weight fits of a source build the luminance of the rows they read, at
-    most a strip at a time, each row once: a fit keeps the rows it reads
-    again for its output.  A refinement job once built a whole luminance
-    plane for its two fits."""
-    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 1)
-    real, built = lepfuse.fusion._rgb_to_luma, []
+    saliency job and both weight fits of a source build the luminance of
+    the rows they read, a strip at a time (a saliency job's first strip
+    reads r + 1 rows more), each row once: a job keeps the rows it reads
+    again.  A refinement job once built a whole luminance plane for its
+    two fits, and a saliency job one padded plane."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
+    real, built = lepfuse.image._rgb_to_luma, []
+    parent = os.getpid()
 
     def recorded(data, luma, lo, hi):
-        built.append(len(luma))
+        if os.getpid() == parent:
+            built.append(len(luma))
         return real(data, luma, lo, hi)
 
-    monkeypatch.setattr(lepfuse.fusion, "_rgb_to_luma", recorded)
+    monkeypatch.setattr(lepfuse.image, "_rgb_to_luma", recorded)
     h = 3 * _STRIP_ROWS + 5
     sources = [Image(np.random.default_rng(s).uniform(0, 255, (h, 20, 3))) for s in range(5)]
     fuse(sources, _dump=lambda kind, n, rows, data: None)
-    assert built[:5] == [h] * 5  # saliency, into its padded plane
-    fits = built[5:]
-    assert fits and max(fits) <= _STRIP_ROWS
-    assert sum(fits) == 2 * len(sources) * h
+    assert built and max(built) <= _STRIP_ROWS + FusionConfig().saliency_radius + 1
+    if cpus == 1:
+        assert sum(built) == 3 * len(sources) * h
 
 
 @pytest.mark.parametrize("keep", [_STRIP_ROWS, 2 * _STRIP_ROWS + 8, 1000])
@@ -844,15 +874,15 @@ def test_luma_rows_match_the_luma_plane(monkeypatch, keep):
     params = FusionConfig().detail_params
     want = np.empty((h, 11))
     _fill(want, _fit(p, rgb_to_luma(img).plane(), params))
-    real, built = lepfuse.fusion._rgb_to_luma, []
+    real, built = lepfuse.image._rgb_to_luma, []
 
     def counted(data, luma, lo, hi):
         built.append(len(luma))
         return real(data, luma, lo, hi)
 
-    monkeypatch.setattr(lepfuse.fusion, "_rgb_to_luma", counted)
+    monkeypatch.setattr(lepfuse.image, "_rgb_to_luma", counted)
     got = np.empty((h, 11))
-    _fill(got, _fit(p, lepfuse.fusion._Luma(img.data, keep), params))
+    _fill(got, _fit(p, lepfuse.image._Luma(img.data, keep), params))
     assert _same_bits(got, want)
     if keep >= 2 * _STRIP_ROWS + 2 * params.radius + 2:
         assert sum(built) == h
@@ -860,14 +890,24 @@ def test_luma_rows_match_the_luma_plane(monkeypatch, keep):
         assert sum(built) > h
 
 
+def _each(count, job, outs):
+    # Runs job(n) for every n < count in the processes of _in_processes,
+    # each share in order of n.
+    def run(share, _):
+        for n in share:
+            job(n)
+
+    lepfuse.fusion._in_processes(count, outs, run)
+
+
 def _job_pids(count):
-    # The pid of the process that ran each job of _each_in_processes.
+    # The pid of the process that ran each job of _each.
     outs = lepfuse.fusion._shared_planes(count, (2,))
 
     def job(n):
         outs[n][:] = os.getpid()
 
-    lepfuse.fusion._each_in_processes(count, job, outs)
+    _each(count, job, outs)
     return [int(out[0]) for out in outs]
 
 
@@ -913,7 +953,7 @@ def test_failed_worker_process_raises(monkeypatch):
         outs[n][:] = 1.0
 
     with pytest.raises(RuntimeError, match="2 of 2 worker processes failed"):
-        lepfuse.fusion._each_in_processes(3, job, outs)
+        _each(3, job, outs)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -932,7 +972,7 @@ def test_worker_out_of_memory_raises_memory_error(monkeypatch, capfd):
         outs[n][:] = 1.0
 
     with pytest.raises(MemoryError, match="2 of 2 worker processes ran out of memory"):
-        lepfuse.fusion._each_in_processes(3, job, outs)
+        _each(3, job, outs)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert "Traceback" not in capfd.readouterr().err
@@ -996,7 +1036,7 @@ _TALL = 10 * _STRIP_ROWS + 3
     (MemoryError("child out of memory"), MemoryError, "2 of 2 worker processes ran out of memory"),
 ])
 def test_child_failing_mid_stream_raises(monkeypatch, capfd, error, raised, message):
-    """A child that fails part way through the streamed detail stage
+    """A child that fails part way through the streamed fit stage
     exits and so closes its pipes: this process stops waiting on its
     strips and raises RuntimeError, after the child has printed its
     traceback, or MemoryError, with no traceback, for a child out of
@@ -1006,6 +1046,47 @@ def test_child_failing_mid_stream_raises(monkeypatch, capfd, error, raised, mess
     sources = [_random_image(s, (_TALL, 20)) for s in range(5)]
     with pytest.raises(raised, match=message):
         fuse(sources, _dump=lambda kind, n, rows, data: None)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert ("Traceback" in capfd.readouterr().err) == (raised is RuntimeError)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("error, raised, message", [
+    (ZeroDivisionError("child failed"), RuntimeError, "2 of 2 worker processes failed"),
+    (MemoryError("child out of memory"), MemoryError, "2 of 2 worker processes ran out of memory"),
+])
+def test_child_failing_in_the_first_stage_raises(tmp_path, monkeypatch, capfd, error, raised, message):
+    """A child that fails part way through the streamed saliency stage
+    stops this process as one in the fit stage does: RuntimeError after
+    the child's traceback, or MemoryError with none.  The command line,
+    which exits 1 on MemoryError, leaves no output or temporary file,
+    with intermediates dumped or not, and every child has exited."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 3)
+    parent, real = os.getpid(), lepfuse.fusion._saliency_rows
+
+    def failing(*args):
+        for k, strip in enumerate(real(*args)):
+            if k == 2 and os.getpid() != parent:
+                raise error
+            yield strip
+
+    monkeypatch.setattr(lepfuse.fusion, "_saliency_rows", failing)
+    sources = [_random_image(s, (_TALL, 20)) for s in range(5)]
+    with pytest.raises(raised, match=message):
+        fuse(sources, _dump=lambda kind, n, rows, data: None)
+    paths = [tmp_path / f"src{n}.pgm" for n in range(len(sources))]
+    for src, path in zip(sources, paths):
+        write_image(src, path)
+    before = sorted(tmp_path.iterdir())
+    for extra in ([], ["--dump-intermediates"]):
+        argv = ["fuse", *map(str, paths), "-o", str(tmp_path / "out.pgm"), *extra]
+        if raised is MemoryError:
+            assert main(argv) == 1
+        else:
+            with pytest.raises(RuntimeError, match=message):
+                main(argv)
+        assert sorted(tmp_path.iterdir()) == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert ("Traceback" in capfd.readouterr().err) == (raised is RuntimeError)
@@ -1032,17 +1113,17 @@ def test_failing_hook_stops_the_streaming_children(monkeypatch, capfd):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("failing, call", [("fork", 6), ("pipe", 3), ("pipe", 4)])
+@pytest.mark.parametrize("failing, call", [("fork", 4), ("pipe", 7), ("pipe", 8)])
 def test_failed_fork_in_the_streamed_stage_runs_the_share_here(monkeypatch, failing, call):
     """When os.fork, or os.pipe for the pipes of a child, fails after one
-    child of the streamed detail stage has started, this process takes
-    the detail fits of the children not started into its own lockstep:
-    run after the blend, they could never deliver the strips that the
-    blend waits on.  Each of its fits starts before any of them writes
-    its last strip, the one child is reaped, no pipe is left open, and
-    every field of the result is the same, bit for bit, as with working
-    forks.  Saliency and the base fits fork two children each and open
-    no pipe; the streamed stage opens two pipes per child."""
+    child of the streamed fit stage has started, this process takes the
+    fits of the children not started into its own lockstep: run after the
+    blend, they could never deliver the strips that the blend waits on.
+    Each of its fits starts before any of them writes its last strip, the
+    one child is reaped, no pipe is left open, and every field of the
+    result is the same, bit for bit, as with working forks.  Each stage
+    forks two children here and opens two pipes per child, so fork 4 and
+    pipes 7 and 8 are those of the fit stage's second child."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 3)
     sources = [_random_image(s, (_TALL, 20)) for s in range(5)]
     want = _result_fields(fuse(sources))
@@ -1064,11 +1145,14 @@ def test_failed_fork_in_the_streamed_stage_runs_the_share_here(monkeypatch, fail
     for name, images in want.items():
         for a, b in zip(got[name], images):
             assert _same_bits(a.data, b.data), name
-    detail = log[1]
-    here = [1, 3, 4]  # the share of child 1, not started, and that of this process
-    assert detail[here, 0].tolist() == [os.getpid()] * 3
-    assert detail[0, 0] == detail[2, 0] != os.getpid()
-    assert np.max(detail[here, 1]) < np.min(detail[here, 2])
+    # Of jobs 0-9 (base fits of sources 0-4, then their detail fits), the
+    # child started takes 0, 2, 4 and 6, and this process the share of
+    # the child not started, 1, 3 and 5, with its own, 7, 8 and 9.
+    pids, starts, ends = (log[:, :, k].ravel() for k in range(3))
+    here = [1, 3, 5, 7, 8, 9]
+    assert pids[here].tolist() == [os.getpid()] * 6
+    assert len(set(pids[[0, 2, 4, 6]])) == 1 and pids[0] != os.getpid()
+    assert np.max(starts[here]) < np.min(ends[here])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1127,10 +1211,10 @@ def test_private_outs_rejected(monkeypatch, cpus):
     outs = lepfuse.fusion._shared_planes(2, (4, 3, 1))
     outs.append(np.zeros((4, 3)))
     with pytest.raises(ValueError, match="shared plane"):
-        lepfuse.fusion._each_in_processes(3, ran.append, outs)
+        _each(3, ran.append, outs)
     assert ran == []
     planes = [out[:, :, 0] for out in outs[:2]]
-    lepfuse.fusion._each_in_processes(2, lambda n: planes[n].fill(n), planes)
+    _each(2, lambda n: planes[n].fill(n), planes)
     assert [float(out.max()) for out in outs[:2]] == [0.0, 1.0]
 
 

@@ -14,9 +14,11 @@ from lepfuse import (
     naturalness,
     psnr,
     report,
+    rgb_to_luma,
     sharpness,
     ssim,
 )
+from lepfuse.metrics import _pairwise_sum
 
 from oracles import constant_image, direct_ssim, reference_ssim
 
@@ -153,10 +155,10 @@ def test_sharpness_strips_match_the_whole_plane_bit_for_bit(shape, dtype):
     assert np.float64(sharpness(img)).view(np.int64) == np.float64(want).view(np.int64)
 
 
-def test_sharpness_holds_its_plane_outside_the_heap():
-    """The magnitude plane is an anonymous map, which tracemalloc does not
-    see, so the traced peak is one strip of scratch: under a tenth of a
-    plane at 512^2, where two whole-plane temporaries took two planes."""
+def test_sharpness_holds_strip_scratch():
+    """The magnitudes are built and summed strip by strip, so the traced
+    peak is a few strips of scratch: under a tenth of a plane at 512^2,
+    where two whole-plane temporaries took two planes."""
     side = 512
     img = Image(np.random.default_rng(9).uniform(0, 255, (side, side)))
     tracemalloc.start()
@@ -198,6 +200,44 @@ def test_naturalness_depends_only_on_mean_and_std():
     b = naturalness(Image(shuffled.reshape(16, 16)))
     assert a == pytest.approx(b, abs=1e-12)
     assert 0.0 <= a <= 1.0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 5000), (1000, 7), (126, 126), (511, 509),
+                                   (2046, 2046)])
+def test_streamed_sums_match_mean_and_std_bit_for_bit(shape):
+    """The pairwise sum of strips, leaf by leaf, is numpy's sum over the
+    whole C-contiguous plane bit for bit, so sharpness and naturalness,
+    which sum their rows as they build them, keep np.mean's and np.std's
+    bits: on a single pixel, single rows and columns, odd widths, and
+    planes of several thousand leaves."""
+    data = np.random.default_rng(shape[0] * 7 + shape[1]).uniform(0, 255, shape)
+    total = _pairwise_sum((data[i:i + 5].ravel() for i in range(0, shape[0], 5)), data.size)
+    assert np.float64(total / data.size).view(np.int64) == np.mean(data).view(np.int64)
+    mean = np.mean(data)
+    squares = ((row - mean) ** 2 for row in data)
+    spread = np.sqrt(_pairwise_sum(squares, data.size) / data.size)
+    assert np.float64(spread).view(np.int64) == np.std(data).view(np.int64)
+    want = math.exp(-((mean - 115.0) ** 2) / (2.0 * 40.0 ** 2)) * math.exp(
+        -((np.std(data) - 28.0) ** 2) / (2.0 * 15.0 ** 2))
+    assert naturalness(Image(data)) == want
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 3), (2, 9, 3), (37, 29, 3), (53, 61, 1)])
+def test_report_streams_the_luminance_bit_for_bit(shape):
+    """report builds a colour image's luminance for the rows it reads, and
+    its sharpness and naturalness are those of the whole luminance plane,
+    bit for bit."""
+    img = Image(np.random.default_rng(shape[0]).uniform(0, 255, shape))
+    rep = report(img)
+    luma = rgb_to_luma(img) if shape[2] == 3 else img
+    assert (rep.sharpness, rep.naturalness) == (sharpness(luma), naturalness(luma))
+    p = luma.plane()
+    dx, dy = (p[1:-1, 2:] - p[1:-1, :-2]) * 0.5, (p[2:, 1:-1] - p[:-2, 1:-1]) * 0.5
+    want = float(np.mean(np.sqrt(dx * dx + dy * dy))) if min(shape[:2]) > 2 else 0.0
+    assert np.float64(rep.sharpness).view(np.int64) == np.float64(want).view(np.int64)
+    mean, spread = np.mean(luma.data), np.std(luma.data)
+    assert rep.naturalness == math.exp(-((mean - 115.0) ** 2) / (2.0 * 40.0 ** 2)) * math.exp(
+        -((spread - 28.0) ** 2) / (2.0 * 15.0 ** 2))
 
 
 def test_report_identical_pair():

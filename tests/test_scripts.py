@@ -44,13 +44,13 @@ def test_box_filter_timing_runs(capsys):
     assert float(peak.split()[1]) >= 2.0  # the two output maps
     assert lines[5].startswith("fuse 5 colour sources, intermediates kept: ")
     assert lines[5].endswith(" ms")
-    for line, label, weights in ((lines[6], "CLI fuse --dump-intermediates, 5 colour sources: ", 5),
-                                 (lines[7], "CLI fuse, 2 gray sources: ", 2)):
+    for line, label, channels in ((lines[6], "CLI fuse --dump-intermediates, 5 colour sources: ", 3),
+                                  (lines[7], "CLI fuse, 2 gray sources: ", 1)):
         assert line.startswith(label)
         timing, peak = line[len(label):].split(", ")
         assert timing.endswith(" ms")
         assert peak.startswith("peak ") and peak.endswith(" planes")
-        assert float(peak.split()[1]) >= weights  # the floor: max(N, c) shared weight planes, live together
+        assert float(peak.split()[1]) >= channels  # the floor: the c planes of the fused image
     assert lines[8].startswith("read_image plain P2 64x64: ")
     assert lines[8].endswith(" ms")
     assert [line.split()[0] for line in lines[10:]] == ["1", "2"]
