@@ -496,9 +496,9 @@ def test_dump_fuse_holds_few_planes(tmp_path, monkeypatch, traced_peak, cpus):
     image, the winner plane, the rings and strip scratch of the streamed
     fits and two detail fits in strips of 8 rows.  In one, it holds two
     shared planes of base weights, over which it writes the fused image,
-    and the scratch of the two detail fits.  The parent of the streamed
-    fit stage measured 3.91 and 3.89, holding two shared weight planes in
-    both; keeping the intermediates, as the dump once did, took 17.1
+    and the scratch of the two detail fits.  Holding two shared weight
+    planes in both, with only the detail fits streamed, measured 3.91 and
+    3.89; keeping the intermediates, as the dump once did, took 17.1
     planes before any file was encoded."""
     assert _fuse_peak_planes(tmp_path, monkeypatch, traced_peak, cpus, ["--dump-intermediates"]) <= 3.9
     assert len(list(tmp_path.glob("fused*"))) == 11
