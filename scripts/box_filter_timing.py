@@ -18,11 +18,11 @@ header; a code line is neither blank, a comment nor part of a docstring.
 Every timed row follows one untimed call of the same work.  The
 refine_weights line and the two command lines also give the call's peak
 memory in planes of one channel of the image size (the refine_weights
-peak includes its two output maps, a command's peak its sources): the
-highest sum, at any moment, of the bytes tracemalloc traces and of the
-shared memory maps that forked processes write into, which tracemalloc
-does not see, counting each map from when it is mapped until it is
-freed.
+peak, all of it in the calling process, includes its two private output
+maps, a command's peak its sources): the highest sum, at any moment, of
+the bytes tracemalloc traces and of the shared memory maps that forked
+processes write into, which tracemalloc does not see, counting each map
+from when it is mapped until it is freed.
 """
 
 import argparse

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import Image
+from .image import _STRIP_ROWS, Image
 
 
 @dataclass(frozen=True)
@@ -205,14 +205,7 @@ def _gaussian_kernel_1d(radius: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-# Output rows per strip of the strip-wise kernels.  A strip of a 2048-wide
-# plane and its scratch stay in cache across all the taps.  The 11-tap
-# correlation of a 2048^2 output (one Xeon core, numpy 2.4.6) measured
-# 121 ms in strips of 16 rows, 126 ms in strips of 8, 136 ms in strips of
-# 32, 198 ms in strips of 128 and 273 ms in whole-plane passes.
-_STRIP_ROWS = 16
-
-# Bytes per scratch strip of _valid_correlate_sep: the 16 rows above at
+# Bytes per scratch strip of _valid_correlate_sep: _STRIP_ROWS rows at
 # 2048 wide.  Narrower rows get taller strips, so small images make fewer,
 # longer numpy calls; the 128^2 ssim measured 6.3 ms in strips of 16 rows
 # and 3.0 ms in one strip, with the same value bits.

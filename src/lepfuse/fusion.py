@@ -291,7 +291,7 @@ def _usable_cpus() -> int:
 
 
 def _workers(count: int) -> int:
-    # The processes that _in_processes splits ``count`` jobs over: one without
+    # The processes that _streamed splits ``count`` jobs over: one without
     # os.fork or while another thread runs, which a fork could deadlock.
     return min(count, _usable_cpus()) if hasattr(os, "fork") and threading.active_count() == 1 else 1
 
@@ -302,108 +302,6 @@ def _shared_planes(count: int, shape: tuple) -> list:
     # not see them.
     size = int(np.prod(shape))
     return [np.frombuffer(mmap.mmap(-1, 8 * size), count=size).reshape(shape) for _ in range(count)]
-
-
-def _is_shared(arr: np.ndarray) -> bool:
-    # Whether ``arr`` is a view of a _shared_planes array.
-    while isinstance(arr, np.ndarray):
-        arr = arr.base
-    return isinstance(arr, memoryview) and isinstance(arr.obj, mmap.mmap)
-
-
-_NO_MEMORY = 3  # the exit status of a forked child that ran out of memory
-_STOPPED = 4  # the exit status of a forked child whose caller stopped first
-
-
-class _Lost(Exception):
-    # The process at the other end of a stream's pipe has gone.
-    pass
-
-
-def _in_processes(count: int, outs, run, lead=None, lead_cost: float = 0.0) -> None:
-    # Splits jobs n < count over W = _workers(count) processes: this one
-    # takes the last ``here`` jobs, and W - 1 forked children split the
-    # others, child j taking n = j, j + W - 1, ... below count - here.
-    # Child j runs run(share, link), and this process lead(share, links),
-    # or without ``lead`` run(share, None) with here = count // W.  With a
-    # lead, whose own work costs ``lead_cost`` jobs, here evens out the
-    # work: (count + lead_cost) / W - lead_cost jobs, rounded, at least
-    # none; and each child gets the ends of two pipes, ``link`` = (go,
-    # ready), and ``links`` holds this process's ends, (ready, go), for each
-    # child started (see _streamed).  Should os.fork or os.pipe fail, this
-    # process also takes the shares of the children not started.
-    #
-    # ``outs``, every array the children write, must be views of
-    # _shared_planes arrays, else ValueError: a child would write a copy.
-    #
-    # Processes, not threads, whose numpy calls of tens of microseconds wait
-    # on the interpreter lock: on a 2-vCPU Xeon VM, refining two 2048^2 maps
-    # at both radii took 1.4-2.7 s on two threads, 1.9-2.5 s on one, and
-    # 1.0-1.4 s in two processes.  Forked, not spawned, which would import
-    # numpy and lepfuse afresh (about 0.2 s) and copy the inputs.
-    #
-    # A child that runs out of memory exits with _NO_MEMORY and prints
-    # nothing, and this process then raises MemoryError; any other failure
-    # prints the child's traceback and raises RuntimeError.  If this
-    # process fails, it closes its pipe ends, so a child waiting on them
-    # stops (_STOPPED), and the failure is raised once every child exited.
-    if not all(_is_shared(out) for out in outs):
-        raise ValueError("every output of a job must be a view of a shared plane")
-    workers = _workers(count)
-    here = count // workers if lead is None else max(0, int((count + lead_cost) / workers - lead_cost + 0.5))
-    others = count - here
-    children, links, ends, lost = [], [], [], False
-    try:
-        for worker in range(min(workers - 1, others)):
-            pipes = []  # a streamed stage's go and ready pipes: go_out, go_in, ready_out, ready_in
-            try:
-                if lead is not None:
-                    pipes += os.pipe()
-                    pipes += os.pipe()
-                pid = os.fork()
-            except OSError:
-                for fd in pipes:
-                    os.close(fd)
-                break
-            if pid == 0:  # the child runs its share and exits without cleanup
-                status = 1
-                try:
-                    for fd in ends + pipes[1:3]:
-                        os.close(fd)
-                    run(range(worker, others, workers - 1), tuple(pipes[0::3]) or None)
-                    status = 0
-                except MemoryError:
-                    status = _NO_MEMORY
-                except (_Lost, BrokenPipeError):
-                    status = _STOPPED
-                except BaseException:
-                    import traceback
-
-                    traceback.print_exc()
-                finally:
-                    os._exit(status)
-            for fd in pipes[0::3]:
-                os.close(fd)
-            ends += pipes[1:3]
-            children.append(pid)
-            if pipes:
-                links.append((pipes[2], pipes[1]))
-        share = [n for n in range(count) if n >= others or n % (workers - 1) >= len(children)]
-        if lead is None:
-            run(share, None)
-        else:
-            lead(share, links)
-    except _Lost:  # a child stopped early; its status says why
-        lost = True
-    finally:
-        for fd in ends:
-            os.close(fd)
-        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
-    if _NO_MEMORY in statuses:
-        raise MemoryError(f"{statuses.count(_NO_MEMORY)} of {len(children)} worker processes ran out of memory")
-    failed = [status for status in statuses if status not in (0, _STOPPED)]
-    if failed or lost:
-        raise RuntimeError(f"{len(failed)} of {len(children)} worker processes failed")
 
 
 def _guide(img: Image, radius: int, strip: int):
@@ -447,11 +345,10 @@ def refine_weights(
     clamped.  ``filter_kind`` "lep" applies lep_filter_guided with
     ``params``, "guided" guided_filter with epsilon ``params.alpha``.
 
-    The maps are refined in min(maps, usable CPUs) processes where the
-    system can fork and no other thread is running, else one after
-    another, into shared memory maps; each output is the same, bit for
-    bit, either way.  Each fit streams over strips of rows with O(strip)
-    scratch: rings of about 2r + 17 integral-image rows and a few strips.
+    The maps are refined one after another in the calling process, each
+    into a private plane, once every map and guide is checked.  Each fit
+    streams over strips of rows with O(strip) scratch: rings of about
+    2r + 17 integral-image rows and a few strips.
     """
     guides = list(guides)
     if len(guides) != len(binary.maps):
@@ -460,16 +357,11 @@ def refine_weights(
         )
     if filter_kind not in REFINE_FILTERS:
         raise ValueError(f"filter_kind must be one of {REFINE_FILTERS}, got {filter_kind!r}")
-    maps = [_guided_planes(m, g)[0] for m, g in zip(binary.maps, guides)]
-    outs = _shared_planes(len(maps), binary.maps[0].data.shape)
-    planes = [g.plane() for g in guides]
+    pairs = [_guided_planes(m, g) for m, g in zip(binary.maps, guides)]
     params = _fit_params(params, filter_kind)
-
-    def run(share, _):
-        for n in share:
-            _fill(outs[n][:, :, 0], _weights(maps[n], planes[n], params))
-
-    _in_processes(len(maps), outs, run)
+    outs = [np.empty(binary.maps[0].data.shape) for _ in pairs]
+    for (pp, gg), out in zip(pairs, outs):
+        _fill(out[:, :, 0], _weights(pp, gg, params))
     return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="refined")
 
 
@@ -574,16 +466,33 @@ def _lockstep(jobs, rings, h: int, wait):
         yield u
 
 
+_NO_MEMORY = 3  # the exit status of a forked child that ran out of memory
+_STOPPED = 4  # the exit status of a forked child whose caller stopped first
+
+
+class _Lost(Exception):
+    # The process at the other end of a stream's pipe has gone.
+    pass
+
+
 def _streamed(count: int, shape: tuple, job, consume, lead_cost: float, planes: float) -> None:
     # Runs the generators job(n, strip), n < count, of (rows, values)
     # strips of an (h, w) plane as one stage streamed into consume(strips),
     # which runs in this process: strips(rows), for slices of rows in
     # order, returns those rows of each job's plane, in scratch that the
-    # next call overwrites.  Each process advances its share in lockstep
-    # into a ring of _RING_STRIPS strips per job.  consume costs about
-    # ``lead_cost`` jobs (see _in_processes).  A child's jobs run in strips
-    # of h / 32 rows, and this process's k jobs in strips that keep their
-    # scratch near ``planes`` planes together (see _lockstep_strip).
+    # next call overwrites.
+    #
+    # The jobs are split over W = _workers(count) processes: this one takes
+    # the last ``here`` jobs, and W - 1 forked children split the others,
+    # child j taking n = j, j + W - 1, ... below count - here.  consume
+    # costs about ``lead_cost`` jobs, so here evens out the work: (count +
+    # lead_cost) / W - lead_cost jobs, rounded, at least none.  Should
+    # os.fork or os.pipe fail, this process also takes the shares of the
+    # children not started.  Each process advances its share in lockstep
+    # into a shared ring of _RING_STRIPS strips per job.  A child's jobs
+    # run in strips of h / 32 rows, and this process's k jobs in strips
+    # that keep their scratch near ``planes`` planes together (see
+    # _lockstep_strip).
     #
     # A child writes a byte to its ``ready`` pipe for each strip written,
     # and before strip u >= _RING_STRIPS it reads a byte from its ``go``
@@ -591,12 +500,25 @@ def _streamed(count: int, shape: tuple, job, consume, lead_cost: float, planes: 
     # is a memory barrier and returns EOF once the other end has gone.
     # Three strips are the fewest that cannot deadlock: a slice spans at
     # most ring strips u - 1 and u, and a job completing u may write u + 1.
+    #
+    # Processes, not threads, whose numpy calls of tens of microseconds wait
+    # on the interpreter lock: on a 2-vCPU Xeon VM, refining two 2048^2 maps
+    # at both radii took 1.4-2.7 s on two threads, 1.9-2.5 s on one, and
+    # 1.0-1.4 s in two processes.  Forked, not spawned, which would import
+    # numpy and lepfuse afresh (about 0.2 s) and copy the inputs.
+    #
+    # A child that runs out of memory exits with _NO_MEMORY and prints
+    # nothing, and this process then raises MemoryError; any other failure
+    # prints the child's traceback and raises RuntimeError.  If this
+    # process fails, it closes its pipe ends, so a child waiting on them
+    # stops (_STOPPED), and the failure is raised once every child exited.
     h, w = shape
     strips = -(-h // _STRIP_ROWS)
     rings = _shared_planes(1, (count, min(_RING_STRIPS, strips) * _STRIP_ROWS, w))[0]
+    workers = _workers(count)
+    others = count - max(0, int((count + lead_cost) / workers - lead_cost + 0.5))
 
-    def child(share, link):
-        go, ready = link
+    def child(share, go, ready):
         granted = _RING_STRIPS  # the strips this child may write
 
         def wait(u):
@@ -609,7 +531,41 @@ def _streamed(count: int, shape: tuple, job, consume, lead_cost: float, planes: 
         for _ in _lockstep([job(n, _lockstep_strip(h, 1)) for n in share], [rings[n] for n in share], h, wait):
             os.write(ready, b"\0")
 
-    def lead(share, links):
+    links, ends, children, lost = [], [], [], False  # links: this process's (ready, go) ends of each child
+    try:
+        for worker in range(min(workers - 1, others)):
+            pipes = []  # go_out, go_in, ready_out, ready_in
+            try:
+                pipes += os.pipe()
+                pipes += os.pipe()
+                pid = os.fork()
+            except OSError:
+                for fd in pipes:
+                    os.close(fd)
+                break
+            if pid == 0:  # the child runs its share and exits without cleanup
+                status = 1
+                try:
+                    for fd in ends + pipes[1:3]:
+                        os.close(fd)
+                    child(range(worker, others, workers - 1), pipes[0], pipes[3])
+                    status = 0
+                except MemoryError:
+                    status = _NO_MEMORY
+                except (_Lost, BrokenPipeError):
+                    status = _STOPPED
+                except BaseException:
+                    import traceback
+
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            os.close(pipes[0])
+            os.close(pipes[3])
+            ends += pipes[1:3]
+            children.append(pid)
+            links.append((pipes[2], pipes[1]))
+        share = [n for n in range(count) if n >= others or n % (workers - 1) >= len(children)]
         strip = _lockstep_strip(h, max(len(share), 1), planes)
         own = _lockstep([job(n, strip) for n in share], [rings[n] for n in share], h, lambda u: None)
         written = [0] * (len(links) + 1)  # strips written by this process, then by each child
@@ -642,8 +598,17 @@ def _streamed(count: int, shape: tuple, job, consume, lead_cost: float, planes: 
             return out
 
         consume(rows_of)
-
-    _in_processes(count, [rings], child, lead, lead_cost)
+    except _Lost:  # a child stopped early; its status says why
+        lost = True
+    finally:
+        for fd in ends:
+            os.close(fd)
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    if _NO_MEMORY in statuses:
+        raise MemoryError(f"{statuses.count(_NO_MEMORY)} of {len(children)} worker processes ran out of memory")
+    failed = [status for status in statuses if status not in (0, _STOPPED)]
+    if failed or lost:
+        raise RuntimeError(f"{len(failed)} of {len(children)} worker processes failed")
 
 
 def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> FusionResult:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .image import Image
+from .image import _STRIP_ROWS, Image
 
 _GRAY_MAGICS = (b"P2", b"P5")
 _COLOR_MAGICS = (b"P3", b"P6")
@@ -167,9 +167,6 @@ def read_image(path) -> Image:
     return Image._adopt(samples.reshape(shape), float(maxval))
 
 
-_ENCODE_ROWS = 16  # rows per block of _encode's float scratch
-
-
 def _encode(data: np.ndarray, maxval: int, out: np.ndarray, op=None, operand=None) -> None:
     # out = the uint8 quantization of op(data, operand), or of ``data`` if
     # ``op`` is None: clamp to [0, maxval], add 0.5, floor, in that order,
@@ -177,15 +174,15 @@ def _encode(data: np.ndarray, maxval: int, out: np.ndarray, op=None, operand=Non
     # floor is the cast to uint8, which truncates: every value is at least
     # 0.5 there, where truncation is floor.  Every step is elementwise, so
     # the bytes do not depend on the blocks.
-    scratch = np.empty((min(len(data), _ENCODE_ROWS),) + data.shape[1:])
-    for start in range(0, len(data), _ENCODE_ROWS):
-        block = data[start:start + _ENCODE_ROWS]
+    scratch = np.empty((min(len(data), _STRIP_ROWS),) + data.shape[1:])
+    for start in range(0, len(data), _STRIP_ROWS):
+        block = data[start:start + _STRIP_ROWS]
         tmp = scratch[:len(block)]
         if op is not None:
             block = op(block, operand, out=tmp)
         np.clip(block, 0.0, float(maxval), out=tmp)
         tmp += 0.5
-        out[start:start + _ENCODE_ROWS] = tmp
+        out[start:start + _STRIP_ROWS] = tmp
 
 
 def quantize(img: Image) -> np.ndarray:

@@ -66,11 +66,11 @@ def traced_peak(monkeypatch):
     return measure
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def hang_guard():
-    """Fails the test with TimeoutError once it has run 120 s, so that a
-    forked stage whose pipes never deliver fails instead of hanging the
-    suite.  SIGALRM interrupts this process even while it waits in a
+    """Fails every test with TimeoutError once it has run 120 s, so that a
+    forked stage whose pipes never deliver, in any test that fuses, fails
+    instead of hanging the suite.  SIGALRM interrupts this process even while it waits in a
     pipe read or in waitpid."""
     def expire(signum, frame):
         raise TimeoutError("the test ran past 120 s; a forked stage may be waiting on a pipe")

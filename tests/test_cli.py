@@ -29,10 +29,6 @@ from lepfuse.fusion import fuse
 from lepfuse.synthetic import multifocus_pair
 
 
-# Every test here may fork; a forked stage that hangs fails the test instead.
-pytestmark = pytest.mark.usefixtures("hang_guard")
-
-
 @pytest.fixture()
 def workdir(tmp_path):
     _, a, b = multifocus_pair(48, 48, 2.0)

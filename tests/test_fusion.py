@@ -1,6 +1,7 @@
 """Fusion pipeline stages and the end-to-end contracts."""
 
 import errno
+import mmap
 import os
 import subprocess
 import sys
@@ -50,10 +51,6 @@ from oracles import (
     reference_saliency,
 )
 
-# Every test here may fork; a forked stage that hangs fails the test instead.
-pytestmark = pytest.mark.usefixtures("hang_guard")
-
-
 # Heights around the strip height of the strip-wise stages: one row, a
 # partial strip, exactly one strip, one row into a second strip, and a
 # partial third strip.
@@ -62,6 +59,13 @@ STRIP_HEIGHTS = [1, 2, _STRIP_ROWS - 1, _STRIP_ROWS, _STRIP_ROWS + 1, 2 * _STRIP
 
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _mapped(arr):
+    # Whether ``arr`` is a view of a memory map, as a shared plane is.
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return isinstance(arr, memoryview) and isinstance(arr.obj, mmap.mmap)
 
 
 def _random_image(seed, shape=(16, 16)):
@@ -320,8 +324,7 @@ def test_refine_relocates_transition_to_guide_edge():
 
 
 def _refine_scratch_bytes(height, width, count, params, traced_peak):
-    # Peak bytes of refine_weights beyond its ``count`` output planes: the
-    # traced peak plus the shared planes, which tracemalloc does not see.
+    # Peak bytes of refine_weights beyond its ``count`` output planes.
     rng = np.random.default_rng(height)
     binary = binary_weight_maps([Image(rng.uniform(0, 1, (height, width))) for _ in range(count)])
     guides = [Image(rng.uniform(0, 255, (height, width))) for _ in range(count)]
@@ -334,12 +337,11 @@ def _refine_scratch_bytes(height, width, count, params, traced_peak):
 @pytest.mark.parametrize("cpus", [1, 64])
 @pytest.mark.parametrize("params", [FusionConfig().base_params, FusionConfig().detail_params])
 def test_refine_holds_strip_scratch(monkeypatch, traced_peak, cpus, params):
-    """Beyond its output maps, the calling process refines its share of the
-    maps in one scratch set of a few strips of rows, whatever the CPU
+    """Beyond its output maps, refine_weights fits the maps one after
+    another in one scratch set of a few strips of rows, whatever the CPU
     count: at most 1.5 planes at 512^2 with the default radii, and no more
     for an image twice as tall (up to interpreter bookkeeping, far below
-    the 2 MiB of one more plane).  tracemalloc sees no forked process's
-    scratch."""
+    the 2 MiB of one more plane)."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
     count, side = 2, 512
     before = threading.active_count()
@@ -347,6 +349,30 @@ def test_refine_holds_strip_scratch(monkeypatch, traced_peak, cpus, params):
     assert threading.active_count() == before
     assert scratch / (side * side * 8) <= 1.5
     assert abs(_refine_scratch_bytes(2 * side, side, count, params, traced_peak) - scratch) <= 64 * 1024
+
+
+@pytest.mark.parametrize("filter_kind", ["lep", "guided"])
+def test_refine_runs_here_into_private_planes(monkeypatch, filter_kind):
+    """However many CPUs there are, refine_weights forks nothing: it fits
+    its maps one after another into private planes, not memory maps, each
+    the same, bit for bit, as the clamped filter of that map alone."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+
+    def no_fork():
+        raise AssertionError("refine_weights forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    sources = [_random_image(s, (2 * _STRIP_ROWS + 5, 20)) for s in range(3)]
+    binary = binary_weight_maps([saliency(src) for src in sources])
+    params = FilterParams(radius=4, alpha=0.05)
+    refined = refine_weights(binary, sources, params, filter_kind)
+    for m, src, got in zip(binary.maps, sources, refined.maps):
+        if filter_kind == "lep":
+            want = lep_filter_guided(m, src, params)
+        else:
+            want = guided_filter(m, src, params.radius, params.alpha)
+        assert _same_bits(got.data, np.clip(want.data, 0.0, 1.0))
+        assert not _mapped(got.data)
 
 
 def test_refine_count_mismatch():
@@ -431,7 +457,7 @@ def test_overflowing_weight_floor_refused(monkeypatch):
         normalize_weights(WeightStack(maps=maps, kind="refined"), 1e308)
     assert np.all(normalize_weights(WeightStack(maps=maps[:1], kind="refined"), 1e308).maps[0].data == 1.0)
     stages = []
-    monkeypatch.setattr(lepfuse.fusion, "_in_processes", lambda *args: stages.append(args))
+    monkeypatch.setattr(lepfuse.fusion, "_streamed", lambda *args: stages.append(args))
     sources = [_random_image(s, (8, 8)) for s in (1, 2)]
     with pytest.raises(ValueError, match="weight_floor"):
         fuse(sources, FusionConfig(weight_floor=1e308))
@@ -682,14 +708,14 @@ def test_fuse_forks_twice_per_extra_process(monkeypatch):
 
 
 def _stage_counts(monkeypatch):
-    # The job count of every _in_processes call, in call order.
-    real, counts = lepfuse.fusion._in_processes, []
+    # The job count of every _streamed call, in call order.
+    real, counts = lepfuse.fusion._streamed, []
 
     def counted(count, *args, **kwargs):
         counts.append(count)
         return real(count, *args, **kwargs)
 
-    monkeypatch.setattr(lepfuse.fusion, "_in_processes", counted)
+    monkeypatch.setattr(lepfuse.fusion, "_streamed", counted)
     return counts
 
 
@@ -724,7 +750,7 @@ def test_forked_stages_split_jobs_by_fit(monkeypatch):
     fits of one process run in lockstep: each starts before any of them
     has written its last strip.  With a CPU per job, this process takes
     none.  In one process the base fits end before any detail fit starts.
-    refine_weights runs one job per map."""
+    refine_weights starts no stage."""
     sources = [_random_image(s, (3 * _STRIP_ROWS + 5, 20)) for s in range(5)]
     colour = [Image(np.repeat(src.data, 3, axis=2), 255.0) for src in sources]
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 2)
@@ -745,7 +771,7 @@ def test_forked_stages_split_jobs_by_fit(monkeypatch):
     binary = binary_weight_maps([saliency(src) for src in sources])
     counts.clear()
     refine_weights(binary, sources, FusionConfig().base_params)
-    assert counts == [5]
+    assert counts == []
 
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
     log[:] = 0.0
@@ -810,7 +836,7 @@ def test_fuse_hook_sees_each_stage_in_order(monkeypatch, cpus):
     private = [*result.saliencies, *result.binary_maps.maps, *result.refined_base.maps, *result.base_weights.maps,
                *result.refined_detail.maps, *result.detail_weights.maps,
                *(img for pair in result.layers for img in (pair.base, pair.detail))]
-    assert not any(lepfuse.fusion._is_shared(img.data) for img in private)
+    assert not any(_mapped(img.data) for img in private)
 
 
 @pytest.mark.parametrize("channels", [1, 3])
@@ -831,8 +857,8 @@ def test_fused_image_lies_over_the_base_planes_in_one_process(monkeypatch, chann
             fused[cpus] = fuse(sources, _dump=lambda kind, n, rows, data: None).fused.data
             assert _same_bits(fused[cpus], fuse(sources).fused.data), (count, cpus)
         assert _same_bits(fused[1], fused[2]), count
-        assert lepfuse.fusion._is_shared(fused[1]), count
-        assert not lepfuse.fusion._is_shared(fused[2]), count
+        assert _mapped(fused[1]), count
+        assert not _mapped(fused[2]), count
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -888,127 +914,6 @@ def test_luma_rows_match_the_luma_plane(monkeypatch, keep):
         assert sum(built) == h
     else:
         assert sum(built) > h
-
-
-def _each(count, job, outs):
-    # Runs job(n) for every n < count in the processes of _in_processes,
-    # each share in order of n.
-    def run(share, _):
-        for n in share:
-            job(n)
-
-    lepfuse.fusion._in_processes(count, outs, run)
-
-
-def _job_pids(count):
-    # The pid of the process that ran each job of _each.
-    outs = lepfuse.fusion._shared_planes(count, (2,))
-
-    def job(n):
-        outs[n][:] = os.getpid()
-
-    _each(count, job, outs)
-    return [int(out[0]) for out in outs]
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("cpus", [1, 2, 64])
-def test_jobs_split_over_processes(monkeypatch, cpus):
-    """Of W = min(jobs, CPUs) processes, this one runs the last 5 // W
-    jobs, the smallest share, and forked child j the jobs n = j, j + W -
-    1, ... before them; every forked worker has exited afterwards."""
-    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
-    pids = _job_pids(5)
-    workers = min(5, cpus)
-    others = 5 - 5 // workers
-    assert pids[others:] == [os.getpid()] * (5 - others)
-    assert len(set(pids)) == workers
-    assert all(pids[n] == pids[n % (workers - 1)] for n in range(others))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_jobs_stay_in_process_while_a_thread_runs(monkeypatch):
-    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        assert _job_pids(3) == [os.getpid()] * 3
-    finally:
-        release.set()
-        other.join()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_failed_worker_process_raises(monkeypatch):
-    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
-    parent = os.getpid()
-
-    outs = lepfuse.fusion._shared_planes(3, (2,))
-
-    def job(n):
-        if os.getpid() != parent:
-            raise ZeroDivisionError("worker failed")
-        outs[n][:] = 1.0
-
-    with pytest.raises(RuntimeError, match="2 of 2 worker processes failed"):
-        _each(3, job, outs)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_worker_out_of_memory_raises_memory_error(monkeypatch, capfd):
-    """A forked child that runs out of memory prints no traceback, and the
-    caller raises MemoryError rather than RuntimeError."""
-    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
-    parent = os.getpid()
-    outs = lepfuse.fusion._shared_planes(3, (2,))
-
-    def job(n):
-        if os.getpid() != parent:
-            raise MemoryError("worker out of memory")
-        outs[n][:] = 1.0
-
-    with pytest.raises(MemoryError, match="2 of 2 worker processes ran out of memory"):
-        _each(3, job, outs)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert "Traceback" not in capfd.readouterr().err
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_failed_fork_runs_the_share_here(monkeypatch):
-    """When os.fork fails, the jobs of the workers not started run in this
-    process: every job runs once, and the one child started is reaped.
-    Independent jobs open no pipe."""
-    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
-    real_fork, real_waitpid, forks, reaped = os.fork, os.waitpid, [], []
-
-    def failing_fork():
-        forks.append(None)
-        if len(forks) == 2:
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return real_fork()
-
-    def waitpid(pid, options):
-        reaped.append(pid)
-        return real_waitpid(pid, options)
-
-    def no_pipe():
-        raise AssertionError("independent jobs need no pipe")
-
-    monkeypatch.setattr(os, "fork", failing_fork)
-    monkeypatch.setattr(os, "waitpid", waitpid)
-    monkeypatch.setattr(os, "pipe", no_pipe)
-    pids = _job_pids(3)
-    monkeypatch.undo()
-    assert len(forks) == 2
-    assert pids[1] == pids[2] == os.getpid() != pids[0]
-    assert reaped == [pids[0]]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _fails_in_children(monkeypatch, error):
@@ -1120,10 +1025,11 @@ def test_failed_fork_in_the_streamed_stage_runs_the_share_here(monkeypatch, fail
     fits of the children not started into its own lockstep: run after the
     blend, they could never deliver the strips that the blend waits on.
     Each of its fits starts before any of them writes its last strip, the
-    one child is reaped, no pipe is left open, and every field of the
-    result is the same, bit for bit, as with working forks.  Each stage
-    forks two children here and opens two pipes per child, so fork 4 and
-    pipes 7 and 8 are those of the fit stage's second child."""
+    one child is reaped, as are both of the saliency stage, and only they,
+    no pipe is left open, and every field of the result is the same, bit
+    for bit, as with working forks.  Each stage forks two children here and
+    opens two pipes per child, so fork 4 and pipes 7 and 8 are those of the
+    fit stage's second child."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 3)
     sources = [_random_image(s, (_TALL, 20)) for s in range(5)]
     want = _result_fields(fuse(sources))
@@ -1135,11 +1041,19 @@ def test_failed_fork_in_the_streamed_stage_runs_the_share_here(monkeypatch, fail
             raise OSError(errno.EMFILE if failing == "pipe" else errno.EAGAIN, "failed")
         return real()
 
+    real_waitpid, reaped = os.waitpid, []
+
+    def waitpid(pid, options):
+        reaped.append(pid)
+        return real_waitpid(pid, options)
+
     open_fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
     monkeypatch.setattr(os, failing, failing_call)
+    monkeypatch.setattr(os, "waitpid", waitpid)
     log = _fit_log(monkeypatch, sources)
     got = _result_fields(fuse(sources))
     assert len(calls) == call
+    assert len(set(reaped)) == len(reaped) == 3 and reaped[-1] == log[0, 0, 0]
     if open_fds is not None:
         assert len(os.listdir("/proc/self/fd")) == open_fds
     for name, images in want.items():
@@ -1199,23 +1113,6 @@ def test_streamed_stage_runs_here_while_a_thread_runs(monkeypatch):
     for name, images in want.items():
         for a, b in zip(got[name], images):
             assert _same_bits(a.data, b.data), name
-
-
-@pytest.mark.parametrize("cpus", [1, 64])
-def test_private_outs_rejected(monkeypatch, cpus):
-    """A forked job writing a private array would write its own copy, so
-    outputs that are not views of shared planes are refused before any
-    job runs, whether or not the jobs would fork."""
-    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
-    ran = []
-    outs = lepfuse.fusion._shared_planes(2, (4, 3, 1))
-    outs.append(np.zeros((4, 3)))
-    with pytest.raises(ValueError, match="shared plane"):
-        _each(3, ran.append, outs)
-    assert ran == []
-    planes = [out[:, :, 0] for out in outs[:2]]
-    _each(2, lambda n: planes[n].fill(n), planes)
-    assert [float(out.max()) for out in outs[:2]] == [0.0, 1.0]
 
 
 def test_import_starts_no_thread():

@@ -56,10 +56,6 @@ from lepfuse.cli import _check_scratch, main
 SHAPES = [(1, 9), (20, 3), (37, 41)]
 
 
-# Every test here may fork; a forked stage that hangs fails the test instead.
-pytestmark = pytest.mark.usefixtures("hang_guard")
-
-
 def _bits(value):
     # A comparable form of a result: every array and float by its bytes.
     if isinstance(value, Image):
