@@ -37,7 +37,7 @@ from lepfuse import (
     write_image,
 )
 from lepfuse.cli import main
-from lepfuse.filters import _STRIP_ROWS, _fill, _fit
+from lepfuse.filters import _STRIP_ROWS, _fill, _fit, _strips
 from lepfuse.image import _luma
 from lepfuse.synthetic import multifocus_pair
 
@@ -914,6 +914,114 @@ def test_luma_rows_match_the_luma_plane(monkeypatch, keep):
         assert sum(built) == h
     else:
         assert sum(built) > h
+
+
+def _stage_pids(count, fail=None):
+    # The pid of the process that ran each job of a _streamed stage of
+    # ``count`` jobs, read back row by row through the stage's rings.  A
+    # forked child's jobs raise ``fail`` before their first strip.
+    h, parent = 3 * _STRIP_ROWS + 5, os.getpid()
+    pids = np.zeros((count, h))
+
+    def job(n, strip):
+        if fail is not None and os.getpid() != parent:
+            raise fail
+        for rows in _strips(h, strip):
+            yield rows, np.full((rows.stop - rows.start, 2), float(os.getpid()))
+
+    def consume(strips):
+        for rows in _strips(h, 7):
+            pids[:, rows] = strips(rows)[:, :, 0]
+
+    lepfuse.fusion._streamed(count, (h, 2), job, consume, 0.0, 1.0)
+    assert np.all(pids == pids[:, :1])
+    return [int(pid) for pid in pids[:, 0]]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+def test_jobs_split_over_processes(monkeypatch, cpus):
+    """Of W = min(jobs, CPUs) processes, this one runs the last 5 / W
+    jobs, rounded, when its consumer costs nothing, and forked child j the
+    jobs n = j, j + W - 1, ... before them; every forked child has exited
+    afterwards."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
+    pids = _stage_pids(5)
+    workers = min(5, cpus)
+    others = 5 - int(5 / workers + 0.5)
+    assert pids[others:] == [os.getpid()] * (5 - others)
+    assert len(set(pids)) == workers
+    assert all(pids[n] == pids[n % (workers - 1)] for n in range(others))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_jobs_stay_in_process_while_a_thread_runs(monkeypatch):
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert _stage_pids(3) == [os.getpid()] * 3
+    finally:
+        release.set()
+        other.join()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_failed_worker_process_raises(monkeypatch, capfd):
+    """Children that fail before their first strip print their traceback,
+    and this process raises RuntimeError once both have exited."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    with pytest.raises(RuntimeError, match="2 of 2 worker processes failed"):
+        _stage_pids(3, ZeroDivisionError("worker failed"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert "ZeroDivisionError: worker failed" in capfd.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_worker_out_of_memory_raises_memory_error(monkeypatch, capfd):
+    """A forked child that runs out of memory prints no traceback, and the
+    caller raises MemoryError rather than RuntimeError."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    with pytest.raises(MemoryError, match="2 of 2 worker processes ran out of memory"):
+        _stage_pids(3, MemoryError("worker out of memory"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_failed_fork_runs_the_share_here(monkeypatch):
+    """When os.fork fails, the jobs of the children not started run in
+    this process: every job runs once, the one child started is reaped,
+    and the pipes made for the fork that failed are closed."""
+    monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
+    real_fork, real_waitpid, forks, reaped = os.fork, os.waitpid, [], []
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    def waitpid(pid, options):
+        reaped.append(pid)
+        return real_waitpid(pid, options)
+
+    open_fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    pids = _stage_pids(3)
+    monkeypatch.undo()
+    assert len(forks) == 2
+    assert pids[1] == pids[2] == os.getpid() != pids[0]
+    assert reaped == [pids[0]]
+    if open_fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _fails_in_children(monkeypatch, error):
