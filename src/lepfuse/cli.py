@@ -24,7 +24,7 @@ from .config import FUSE_FLAGS, CliConfig, _PARSERS, apply_values, parse_config_
 from .fusion import _layers_bytes, _scratch_bytes, decompose, fuse
 from .image import _check_inside
 from .metrics import MetricsReport, psnr, report
-from .netpbm import NetpbmError, _encode, _header, _write_raster, read_image, write_image
+from .netpbm import NetpbmError, _check_target, _encode, _header, _write_raster, read_image, write_image
 from .zoom import _zoomed_size, zoom_region
 
 EXIT_OK = 0
@@ -104,19 +104,6 @@ def _resolve_output(args, cfg: CliConfig) -> Path:
     return path
 
 
-def _check_encodable(path: Path, channels: int) -> None:
-    # Catches suffix/channel mismatches before the pipeline runs, so failed
-    # runs never leave files behind.
-    suffix = path.suffix.lower()
-    if suffix not in (".pgm", ".ppm"):
-        raise ValueError(f"output suffix must be .pgm or .ppm, got {path.name!r}")
-    expected = ".pgm" if channels == 1 else ".ppm"
-    if suffix != expected:
-        raise ValueError(
-            f"{path.name!r} cannot hold a {channels}-channel image; use {expected}"
-        )
-
-
 def _encoding(kind: str, data, max_val: float):
     # The (op, operand) that maps a dumped plane of ``kind`` onto [0,
     # max_val] for _encode.  Detail layers are signed, so they are
@@ -139,11 +126,11 @@ def _dump_writer(write, out_path: Path, shape: tuple, max_val: float):
     # its peak, so its strips are held until its last one.
     maxval = int(max_val)
     stem = out_path.with_suffix("")
-    layer_ext = ".pgm" if shape[2] == 1 else ".ppm"
+    layer_ext = out_path.suffix.lower()  # the layers have the fused image's channels, which _check_target matched
     saliencies = collections.defaultdict(lambda: np.empty(shape[:2] + (1,)))
 
     def dump(kind: str, n: int, rows: slice, data) -> None:
-        if kind in ("binary", "refined_base", "refined_detail"):  # stages that have no file
+        if kind in ("refined_base", "refined_detail"):  # stages that have no file
             return
         if kind == "sal":
             saliencies[n][rows] = data
@@ -224,7 +211,7 @@ def _cmd_fuse(args, cfg: CliConfig) -> int:
             )
     fusion_config = cfg.fusion_config()
     out_path = _resolve_output(args, cfg)
-    _check_encodable(out_path, sources[0].channels)
+    _check_target(out_path, sources[0].channels)
     _check_scratch(_scratch_bytes(first_shape, fusion_config), sources)
 
     # With a hook fuse keeps no intermediates; the dumped ones are written
@@ -244,7 +231,7 @@ def _cmd_zoom(args, cfg: CliConfig) -> int:
     img = read_image(args.input)
     spec = cfg.zoom_spec()
     out_path = _resolve_output(args, cfg)
-    _check_encodable(out_path, img.channels)
+    _check_target(out_path, img.channels)
     _check_inside(img, spec.region)  # before the estimate, which an absurd rect would fail first
     out_w, out_h = _zoomed_size(spec)
     _check_scratch(8.0 * out_w * out_h * img.channels, [img])
@@ -269,7 +256,7 @@ def _cmd_zoom(args, cfg: CliConfig) -> int:
 def _cmd_decompose(args, cfg: CliConfig) -> int:
     img = read_image(args.input)
     out_path = _resolve_output(args, cfg)
-    _check_encodable(out_path, img.channels)
+    _check_target(out_path, img.channels)
     _check_scratch(_layers_bytes(img.data.shape, cfg.avg_filter_size), [img])
     pair = decompose(img, cfg.avg_filter_size)
     stem = out_path.with_suffix("")
@@ -298,9 +285,15 @@ def _cmd_metrics(args, cfg: CliConfig) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    for i in range(len(argv) - 1, 0, -1):  # argparse would take the "-5,0,1,1" of "--rect -5,0,1,1" for an option
-        if argv[i - 1] == "--rect" and re.match(r"-\d", argv[i]):
-            argv[i - 1:i + 1] = [f"--rect={argv[i]}"]
+    # argparse would take a negative value given after its flag, such as the
+    # "-1e3" of "--scale -1e3" or the "-5,0,1,1" of "--rect -5,0,1,1", for an
+    # option, so "--flag value" becomes "--flag=value" for any value that
+    # starts with "-" and a digit, "-." and a digit, "-inf" or "-nan".
+    negative = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+    for i in range(len(argv) - 1, 0, -1):
+        flag = argv[i - 1]
+        if flag.startswith("--") and flag != "--" and "=" not in flag and negative.match(argv[i]):
+            argv[i - 1:i + 1] = [f"{flag}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -62,13 +62,13 @@ def _anchored(body: np.ndarray, block: np.ndarray, anchor: np.ndarray, radius: i
     body[:, :, radius + w:] = body[:, :, radius + w - 1:radius + w]
 
 
-def _box_means(blocks, radius: int, out: np.ndarray = None, strip: int = None):
+def _box_means(blocks, radius: int, strip: int = None):
     # Mean over (2r+1)^2 replicate-padded windows of a stream of row blocks,
     # as a generator.  Each block is an (n, channels, w) array of the next
     # input rows; the generator yields (rows, means) for consecutive output
     # rows, each as soon as the input rows within ``radius`` below it have
     # arrived, n <= ``strip`` (_STRIP_ROWS by default) rows of (channels,
-    # w) at a time, written into ``out[rows]`` when ``out`` is given.
+    # w) at a time, in scratch that the next strip overwrites.
     #
     # The integral image is that of the whole replicate-padded plane,
     # anchored on the first sample of each channel, so constant regions
@@ -114,7 +114,7 @@ def _box_means(blocks, radius: int, out: np.ndarray = None, strip: int = None):
         e = summed - emitted - k
         if e <= 0:
             return
-        o = means[:e] if out is None else out[emitted:emitted + e]
+        o = means[:e]
         i = 0
         while i < e:  # in pieces whose integral rows do not wrap
             top, bottom = (emitted + i - 1) % size, (emitted + i + k - 1) % size
@@ -163,12 +163,6 @@ def _row_blocks(arr: np.ndarray):
         yield arr[rows].transpose(0, 2, 1)
 
 
-def _drain(strips) -> None:
-    # Runs a strip generator to the end.
-    for _ in strips:
-        pass
-
-
 def _fill(out: np.ndarray, strips) -> None:
     # Writes each (rows, values) strip of a generator into out[rows].
     for rows, values in strips:
@@ -185,13 +179,14 @@ def box_mean(img: Image, radius: int) -> Image:
     """Arithmetic mean over (2r+1)^2 replicate-padded windows, per channel.
 
     Runtime is independent of the radius (running sums, not a window loop).
-    The image is streamed in strips of rows, so beyond the returned image
-    it holds O(strip) scratch: a ring of 2r + 1 + 16 integral-image rows.
+    The image is streamed in strips of rows, each copied into the returned
+    image as it completes, so beyond that image it holds O(strip) scratch:
+    a ring of 2r + 1 + 16 integral-image rows and a strip of means.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     out = np.empty(img.data.shape)
-    _drain(_box_means(_row_blocks(img.data), radius, out=out.transpose(0, 2, 1)))
+    _fill(out.transpose(0, 2, 1), _box_means(_row_blocks(img.data), radius))
     return Image._adopt(out, img.max_val)
 
 
@@ -289,12 +284,6 @@ def _gradient_magnitude(plane: np.ndarray, out: np.ndarray = None, tmp: np.ndarr
     dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx)
-
-
-def gradient_magnitude(img: Image) -> Image:
-    """Per-pixel sqrt(dx^2 + dy^2) with central differences, replicated borders."""
-    plane = _single_plane(img, "gradient_magnitude")
-    return Image(_gradient_magnitude(np.pad(plane, 1, mode="edge")), img.max_val)
 
 
 def _fit(pp, gg, params: FilterParams, coeffs=None, strip: int = _STRIP_ROWS):

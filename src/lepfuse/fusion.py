@@ -236,27 +236,30 @@ def saliency(src_luma: Image, config: FusionConfig = FusionConfig()) -> Image:
     return Image._adopt(out, src_luma.max_val)
 
 
-def _winner_rows(saliencies, win: np.ndarray, best: np.ndarray, greater: np.ndarray) -> None:
-    # win = the index of the first strict maximum of the strips
-    # ``saliencies`` at each pixel, as argmax picks; best and greater are
-    # scratch of win's shape.
-    np.copyto(best, saliencies[0])
-    win.fill(0)
-    for index, sal in enumerate(saliencies[1:], start=1):
-        np.greater(sal, best, out=greater)
-        np.copyto(best, sal, where=greater)
-        np.copyto(win, index, where=greater)
-
-
-def _winner_plane(saliencies) -> np.ndarray:
-    # The winner (see _winner_rows) of the saliency planes, a strip at a time.
-    h, w = saliencies[0].shape
-    out = np.empty((h, w), dtype=np.min_scalar_type(len(saliencies) - 1))
+def _winner_plane(h: int, w: int, count: int, strips) -> np.ndarray:
+    # The index of the first strict maximum of ``count`` saliency planes at
+    # each pixel, as argmax picks, by a running maximum a strip at a time:
+    # strips(rows), for slices of rows in order, returns those rows of each
+    # plane.
+    out = np.empty((h, w), dtype=np.min_scalar_type(count - 1))
     best, greater = np.empty((min(h, _STRIP_ROWS), w)), np.empty((min(h, _STRIP_ROWS), w), dtype=bool)
     for rows in _strips(h):
-        n = rows.stop - rows.start
-        _winner_rows([sal[rows] for sal in saliencies], out[rows], best[:n], greater[:n])
+        n, win, saliencies = rows.stop - rows.start, out[rows], strips(rows)
+        np.copyto(best[:n], saliencies[0])
+        win.fill(0)
+        for index, sal in enumerate(saliencies[1:], start=1):
+            np.greater(sal, best[:n], out=greater[:n])
+            np.copyto(best[:n], sal, where=greater[:n])
+            np.copyto(win, index, where=greater[:n])
     return out
+
+
+def _indicators(winner: np.ndarray, count: int) -> WeightStack:
+    # The binary weight maps of a winner plane: map n is 1 where n won.
+    outs = [np.empty(winner.shape + (1,)) for _ in range(count)]
+    for n, out in enumerate(outs):
+        np.equal(winner, n, out=out[:, :, 0])
+    return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="binary")
 
 
 def binary_weight_maps(saliencies) -> WeightStack:
@@ -275,11 +278,8 @@ def binary_weight_maps(saliencies) -> WeightStack:
             raise ValueError("saliency maps must be single-channel")
         if s.data.shape != shape:
             raise ValueError(f"saliency map dimensions differ: {s.data.shape} vs {shape}")
-    winner = _winner_plane([s.plane() for s in saliencies])
-    outs = [np.empty(shape) for _ in saliencies]
-    for n, out in enumerate(outs):
-        np.equal(winner, n, out=out[:, :, 0])
-    return WeightStack(maps=tuple(Image._adopt(out, 1.0) for out in outs), kind="binary")
+    planes = [s.plane() for s in saliencies]
+    return _indicators(_winner_plane(*shape[:2], len(planes), lambda rows: [p[rows] for p in planes]), len(planes))
 
 
 def _usable_cpus() -> int:
@@ -630,12 +630,13 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
     This process hands each stage's strips to the private hook ``_dump``
     as ``_dump(kind, n, rows, data)``: ``data`` is rows ``rows`` of
     source n's plane of ``kind``, each kind in order of rows.  First, for
-    each strip, comes "sal"; then, for each strip of the blend, "binary",
+    each strip, comes "sal"; then, for each strip of the blend,
     "refined_base", "wb", "refined_detail" and "wd" of each source, then
     "base" and "detail" of each source.  The hook must not keep ``data``.
     With a hook, fuse returns only ``fused``; without one, it copies every
-    strip into its result.  Beyond the sources, fuse holds the fused image,
-    the winner plane and O(strip) scratch per process.
+    strip into its result and builds the binary maps from the winner plane
+    at the end, as binary_weight_maps does.  Beyond the sources, fuse holds
+    the fused image, the winner plane and O(strip) scratch per process.
     """
     sources = list(sources)
     if not sources:
@@ -661,19 +662,20 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
     h, w, c = shape
     count = len(sources)
     kernel = _gaussian_kernel_1d(config.saliency_radius, config.saliency_sigma)
-    winner = np.empty((h, w), dtype=np.min_scalar_type(count - 1))
-    best, greater = np.empty((min(h, _STRIP_ROWS), w)), np.empty((min(h, _STRIP_ROWS), w), dtype=bool)
 
-    def pick(strips):
-        for rows in _strips(h):
-            n, saliencies = rows.stop - rows.start, strips(rows)
-            for index, sal in enumerate(saliencies):
-                _dump("sal", index, rows, sal[:, :, np.newaxis])
-            _winner_rows(saliencies, winner[rows], best[:n], greater[:n])
+    def saliencies(strips, rows):  # the saliencies of ``rows``, handed to _dump
+        out = strips(rows)
+        for index, sal in enumerate(out):
+            _dump("sal", index, rows, sal[:, :, np.newaxis])
+        return out
 
     # The winner costs 0.3 of a saliency map per source (19 against 16 ms
     # at 512^2); a saliency job's scratch is a fraction of a fit's.
-    _streamed(count, (h, w), lambda n, strip: _saliency_rows(sources[n], kernel, strip), pick, 0.3 * count, count)
+    stage = []  # the winner plane, once the stage has run
+    _streamed(count, (h, w), lambda n, strip: _saliency_rows(sources[n], kernel, strip),
+              lambda strips: stage.append(_winner_plane(h, w, count, lambda rows: saliencies(strips, rows))),
+              0.3 * count, count)
+    [winner] = stage
     maps = [_Winner(winner, n) for n in range(count)]
     # In one process, N base fits in lockstep with the detail fits hold
     # more than N planes on small images, so there the base weights are
@@ -687,17 +689,12 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
         for n, plane in enumerate(base_planes):
             _fill(plane, _weights(maps[n], _guide(sources[n], fits[0].radius, _STRIP_ROWS), fits[0]))
         fits = fits[1:]
-    binary = best[:, :, np.newaxis]
 
     def fit(j, strip):  # job j fits source j % N, the base weights first
         n, params = j % count, fits[j // count]
         return _weights(maps[n], _guide(sources[n], params.radius, strip), params, strip)
 
     def weights(strips, rows):  # the normalized base and detail weights of ``rows``, handed to _dump
-        n = rows.stop - rows.start
-        for index in range(count):
-            np.equal(winner[rows], index, out=binary[:n, :, 0])
-            _dump("binary", index, rows, binary[:n])
         both = [plane[rows, :, np.newaxis] for plane in base_planes or []] + [s[:, :, np.newaxis] for s in strips(rows)]
         for refined, kind, stack in (("refined_base", "wb", both[:count]), ("refined_detail", "wd", both[count:])):
             for index, weight in enumerate(stack):
@@ -728,6 +725,6 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
 
     return FusionResult(
         fused=fused, layers=tuple(map(LayerPair, images("base", max_val), images("detail", max_val))),
-        saliencies=images("sal", max_val), binary_maps=stack("binary", "binary"),
+        saliencies=images("sal", max_val), binary_maps=_indicators(winner, count),
         refined_base=stack("refined_base", "refined"), refined_detail=stack("refined_detail", "refined"),
         base_weights=stack("wb", "normalized"), detail_weights=stack("wd", "normalized"))

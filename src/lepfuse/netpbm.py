@@ -15,8 +15,6 @@ _GRAY_MAGICS = (b"P2", b"P5")
 _COLOR_MAGICS = (b"P3", b"P6")
 _PLAIN_MAGICS = (b"P2", b"P3")
 
-FORMATS = ("pgm-binary", "ppm-binary")
-
 
 class NetpbmError(Exception):
     """Base class for netpbm decoding problems."""
@@ -185,13 +183,6 @@ def _encode(data: np.ndarray, maxval: int, out: np.ndarray, op=None, operand=Non
         out[start:start + _STRIP_ROWS] = tmp
 
 
-def quantize(img: Image) -> np.ndarray:
-    """Clamp to [0, max_val] and round half-up to uint8."""
-    out = np.empty(img.data.shape, dtype=np.uint8)
-    _encode(img.data, int(round(img.max_val)), out)
-    return out
-
-
 def _header(shape: tuple, maxval: int) -> bytes:
     # The header of a binary PGM (c = 1) or PPM (c = 3) of an (h, w, c) raster.
     h, w, c = shape
@@ -206,32 +197,33 @@ def _write_raster(f, header: bytes, rows: np.ndarray) -> None:
     f.write(rows)
 
 
-def write_image(img: Image, path, format: str = None) -> None:
-    """Encode as binary PGM or PPM; quantizes via clamp + round half-up.
-
-    ``format`` is "pgm-binary" or "ppm-binary"; omitted, it follows the
-    path suffix (.pgm or .ppm).  The channel count must match the format.
-    """
+def _check_target(path, channels: int) -> None:
+    # The one rule for the file an image of ``channels`` channels is
+    # written to: a .pgm suffix for one channel, .ppm for three, in upper
+    # or lower case.  Each command checks it before any work.
     path = Path(path)
-    if format is None:
-        by_suffix = {".pgm": "pgm-binary", ".ppm": "ppm-binary"}
-        format = by_suffix.get(path.suffix.lower())
-        if format is None:
-            raise ValueError(
-                f"cannot infer format from suffix {path.suffix!r}; pass format explicitly"
-            )
-    if format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    expected_channels = 1 if format == "pgm-binary" else 3
-    if img.channels != expected_channels:
-        raise ValueError(
-            f"{format} requires {expected_channels} channel(s), image has {img.channels}"
-        )
+    suffix = path.suffix.lower()
+    if suffix not in (".pgm", ".ppm"):
+        raise ValueError(f"output suffix must be .pgm or .ppm, got {path.name!r}")
+    expected = ".pgm" if channels == 1 else ".ppm"
+    if suffix != expected:
+        raise ValueError(f"{path.name!r} cannot hold a {channels}-channel image; use {expected}")
+
+
+def write_image(img: Image, path) -> None:
+    """Encode as binary PGM or PPM, as the path's suffix says (.pgm for a
+    single-channel image, .ppm for a colour one).
+
+    Samples are clamped to [0, max_val] and rounded half-up to uint8;
+    max_val must be an integer in [1, 255].
+    """
+    _check_target(path, img.channels)
     maxval = int(round(img.max_val))
     if not (1 <= maxval <= 255) or img.max_val != maxval:
         raise ValueError(
             f"netpbm encoding requires an integer max_val in [1, 255], got {img.max_val}"
         )
-    raster = quantize(img)
+    raster = np.empty(img.data.shape, dtype=np.uint8)
+    _encode(img.data, maxval, raster)
     with open(path, "wb") as f:
         _write_raster(f, _header(raster.shape, maxval), raster)

@@ -719,6 +719,49 @@ def test_negative_rect_gets_the_rect_message(tmp_path, monkeypatch, capsys, rect
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
 
 
+_ZOOM = ["zoom", "a.pgm", "--rect", "0,0,4,4", "-o", "out.pgm"]
+_FUSE = ["fuse", "a.pgm", "b.pgm", "-o", "out.pgm"]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    (_ZOOM, "--scale", "-1", "scale must be positive, got -1.0"),
+    (_ZOOM, "--scale", "-1e3", "scale must be positive, got -1000.0"),
+    (_ZOOM, "--scale", "-.5", "scale must be positive, got -0.5"),
+    (_ZOOM, "--scale", "-inf", "scale must be positive, got -inf"),
+    (_ZOOM, "--scale", "-NaN", "scale must be positive, got nan"),
+    (_FUSE, "--detail-alpha", "-1e-4", "alpha must be non-negative, got -0.0001"),
+    (_FUSE, "--saliency-sigma", "-Infinity", "saliency_sigma must be positive, got -inf"),
+    (["decompose", "a.pgm", "-o", "out.pgm"], "--avg-filter-size", "-3", "avg_filter_size must be odd and >= 3, got -3"),
+])
+def test_negative_value_after_its_flag_gets_the_value_check(tmp_path, monkeypatch, capsys, command, flag, value,
+                                                             message):
+    """A negative number given as the argument after its flag exits 2 with
+    the value's own one-line message, as it does after "=", though
+    argparse alone would take "-1e3", "-.5" or "-inf" for an option.
+    Nothing is written."""
+    _write_20x20_pair(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for argv in ([*command, flag, value], [*command, f"{flag}={value}"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
+
+
+def test_gray_image_to_a_ppm_gets_one_message(tmp_path, monkeypatch, capsys):
+    """write_image and every command refuse a gray image for a .ppm path
+    with the same message, and the command writes nothing."""
+    _write_20x20_pair(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    message = "'x.ppm' cannot hold a 1-channel image; use .pgm"
+    with pytest.raises(ValueError) as err:
+        write_image(read_image("a.pgm"), tmp_path / "x.ppm")
+    assert str(err.value) == message
+    for command in (["fuse", "a.pgm", "b.pgm"], ["zoom", "a.pgm", "--rect", "0,0,4,4"], ["decompose", "a.pgm"]):
+        assert main([*command, "-o", "x.ppm"]) == 2, command
+        assert capsys.readouterr().err == f"error: {message}\n", command
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
+
+
 def test_zoom_missing_input_exit_1(workdir):
     assert main(["zoom", str(workdir / "ghost.pgm"), "--rect", "0,0,4,4", "--scale", "1", "-o", str(workdir / "z3.pgm")]) == 1
 

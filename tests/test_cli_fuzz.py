@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import lepfuse.cli
@@ -152,17 +152,28 @@ def _cases(draw):
     return files, argv
 
 
+# Two 3x3 gray sources, for the command lines pinned below: negative values
+# given as the argument after their flag.
+_PAIR = {"a.pgm": b"P5 3 3\n255\n" + bytes(range(0, 90, 10)), "b.pgm": b"P5 3 3\n255\n" + bytes(range(90, 0, -10))}
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(case=_cases())
+@example(case=(_PAIR, ["zoom", "a.pgm", "--rect", "0,0,2,2", "--scale", "-1e3", "-o", "out.pgm"]))
+@example(case=(_PAIR, ["zoom", "a.pgm", "--rect", "0,0,2,2", "--scale", "-inf", "-o", "out.pgm"]))
+@example(case=(_PAIR, ["fuse", "a.pgm", "b.pgm", "--detail-alpha", "-1e-4", "-o", "out.pgm"]))
 def test_any_command_line_exits_cleanly(run_cli, case):
     """Whatever the command line, config file or input files, lepfuse exits
     0, 1 or 2, prints no traceback, and after a non-zero exit leaves no
-    output and no temporary file: only the files it was given."""
+    output and no temporary file: only the files it was given.  Every
+    flag is given a value, so argparse never finds one missing, negative
+    values too."""
     files, argv = case
     status, err, names = run_cli(files, argv)
     assert status in (0, 1, 2), (status, err)
     assert "Traceback" not in err, err
+    assert "expected one argument" not in err, err
     if status != 0:
         assert names == sorted(files), (status, err)
     assert not any(".tmp" in name for name in names)

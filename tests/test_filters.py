@@ -8,11 +8,10 @@ from lepfuse import (
     Image,
     box_mean,
     gaussian_filter,
-    gradient_magnitude,
     laplacian_filter,
 )
 
-from lepfuse.filters import _STRIP_ROWS, _gaussian_kernel_1d, _valid_correlate_sep
+from lepfuse.filters import _STRIP_ROWS, _gaussian_kernel_1d, _gradient_magnitude, _valid_correlate_sep
 from oracles import (
     constant_image,
     naive_box_mean,
@@ -137,14 +136,14 @@ def test_gradient_magnitude_on_ramp():
     columns drop to 0.5 because replicate padding halves the one-sided
     difference."""
     y, x = np.mgrid[0:10, 0:12].astype(float)
-    grad = gradient_magnitude(Image(x)).plane()
+    grad = _gradient_magnitude(np.pad(x, 1, mode="edge"))
     assert np.allclose(grad[:, 1:-1], 1.0, atol=1e-12)
     assert np.allclose(grad[:, 0], 0.5, atol=1e-12)
     assert np.allclose(grad[:, -1], 0.5, atol=1e-12)
 
 
 def test_gradient_magnitude_zero_on_constant():
-    grad = gradient_magnitude(constant_image(9, 9, 1, 44.0)).plane()
+    grad = _gradient_magnitude(np.pad(constant_image(9, 9, 1, 44.0).plane(), 1, mode="edge"))
     assert np.array_equal(grad, np.zeros((9, 9)))
 
 

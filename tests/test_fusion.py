@@ -254,8 +254,12 @@ def test_binary_weights_past_256_sources():
     rng = np.random.default_rng(300)
     planes = [rng.uniform(0, 1, (3, 4)) for _ in range(300)]
     planes[299][1, 2] = 2.0
-    assert lepfuse.fusion._winner_plane(planes[:256]).dtype == np.uint8
-    assert lepfuse.fusion._winner_plane(planes)[1, 2] == 299
+
+    def winner(planes):
+        return lepfuse.fusion._winner_plane(3, 4, len(planes), lambda rows: [p[rows] for p in planes])
+
+    assert winner(planes[:256]).dtype == np.uint8
+    assert winner(planes)[1, 2] == 299
     got = binary_weight_maps([Image(p) for p in planes])
     for m, want in zip(got.maps, reference_binary_weight_maps(planes)):
         assert _same_bits(m.plane(), want)
@@ -802,12 +806,13 @@ def _strip_calls(calls, per_strip, h):
 def test_fuse_hook_sees_each_stage_in_order(monkeypatch, cpus):
     """A caller's _dump hook gets every kind as strips of rows in order.
     First come the saliency maps, for each strip of the first stage each
-    source's.  Then come the blend's strips: for each, the binary maps,
-    the refined and the normalized base weights, the refined and the
-    normalized detail weights of each source, then its base and detail
-    layers.  Each strip is the rows of the result's plane, bit for bit.
-    fuse then keeps no intermediates.  Without a hook, the result holds a
-    private copy of every plane."""
+    source's.  Then come the blend's strips: for each, the refined and the
+    normalized base weights, the refined and the normalized detail weights
+    of each source, then its base and detail layers.  Each strip is the
+    rows of the result's plane, bit for bit.  fuse then keeps no
+    intermediates.  Without a hook, the result holds a private copy of
+    every plane, and its binary maps are binary_weight_maps of its
+    saliencies, bit for bit."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
     h, w, count = 2 * _STRIP_ROWS + 5, 20, 4
     sources = [Image(np.random.default_rng(s).uniform(0, 255, (h, w, 3))) for s in range(count)]
@@ -823,15 +828,18 @@ def test_fuse_hook_sees_each_stage_in_order(monkeypatch, cpus):
     first = [call for call in calls if call[0] == "sal"]
     assert calls[:len(first)] == first
     _strip_calls(first, [("sal", n) for n in range(count)], h)
-    weights = ["binary", "refined_base", "wb", "refined_detail", "wd"]
+    weights = ["refined_base", "wb", "refined_detail", "wd"]
     _strip_calls(calls[len(first):], [(kind, n) for kind in weights for n in range(count)]
                  + [(kind, n) for n in range(count) for kind in ("base", "detail")], h)
-    stacks = {"sal": result.saliencies, "binary": result.binary_maps.maps,
+    stacks = {"sal": result.saliencies,
               "refined_base": result.refined_base.maps, "wb": result.base_weights.maps,
               "refined_detail": result.refined_detail.maps, "wd": result.detail_weights.maps,
               "base": [pair.base for pair in result.layers], "detail": [pair.detail for pair in result.layers]}
     for kind, n, rows, data in calls:
         assert _same_bits(data, stacks[kind][n].data[rows]), (kind, n, rows)
+    assert result.binary_maps.kind == "binary"
+    for got, want in zip(result.binary_maps.maps, binary_weight_maps(result.saliencies).maps, strict=True):
+        assert _same_bits(got.data, want.data)
 
     private = [*result.saliencies, *result.binary_maps.maps, *result.refined_base.maps, *result.base_weights.maps,
                *result.refined_detail.maps, *result.detail_weights.maps,

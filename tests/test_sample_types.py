@@ -31,7 +31,6 @@ from lepfuse import (
     decompose,
     fuse,
     gaussian_filter,
-    gradient_magnitude,
     guided_filter,
     laplacian_filter,
     lep_filter,
@@ -39,7 +38,6 @@ from lepfuse import (
     naturalness,
     normalize_weights,
     psnr,
-    quantize,
     read_image,
     refine_weights,
     report,
@@ -121,7 +119,6 @@ CASES = {
     "fuse": lambda a, b, tmp: fuse([a, b], FusionConfig(avg_filter_size=5)),
     "fuse_guided": lambda a, b, tmp: fuse([a, b, a], FusionConfig(refine_filter="guided")),
     "gaussian_filter": lambda a, b, tmp: gaussian_filter(a, 2, 1.0),
-    "gradient_magnitude": lambda a, b, tmp: gradient_magnitude(a),
     "guided_filter": lambda a, b, tmp: guided_filter(b, a, 2, 0.3),
     "laplacian_filter": lambda a, b, tmp: laplacian_filter(a),
     "lep_filter": lambda a, b, tmp: lep_filter(a, FilterParams(2, 0.1)),
@@ -129,7 +126,6 @@ CASES = {
     "naturalness": lambda a, b, tmp: naturalness(a),
     "normalize_weights": lambda a, b, tmp: normalize_weights(_refined_stack(a, b)),
     "psnr": lambda a, b, tmp: psnr(a, b),
-    "quantize": lambda a, b, tmp: quantize(a),
     "refine_weights": lambda a, b, tmp: refine_weights(_binary(a), [a, b], FilterParams(2, 0.1)),
     "report": lambda a, b, tmp: report(a, b),
     "resize_bilinear": lambda a, b, tmp: resize_bilinear(a, 7, 5),
@@ -142,7 +138,7 @@ CASES = {
 }
 
 
-GRAY_ONLY = {"binary_weight_maps", "gradient_magnitude", "guided_filter", "laplacian_filter", "lep_filter",
+GRAY_ONLY = {"binary_weight_maps", "guided_filter", "laplacian_filter", "lep_filter",
              "lep_filter_guided", "naturalness", "refine_weights", "saliency", "sharpness", "ssim"}
 
 
