@@ -16,6 +16,7 @@ import pytest
 
 import lepfuse
 import lepfuse.cli
+import lepfuse.filters
 import lepfuse.fusion
 import lepfuse.netpbm
 from lepfuse import (
@@ -105,6 +106,20 @@ def _binary(img):
     return binary_weight_maps([Image(rng.uniform(0, 1, (img.height, img.width))) for _ in range(2)])
 
 
+def _gradient(img):
+    # The gradient stage of sharpness and of the LEP regularizer, on img's
+    # edge-padded plane.
+    plane = lepfuse.filters._single_plane(img, "gradient")
+    return lepfuse.filters._gradient_magnitude(np.pad(plane, 1, mode="edge"))
+
+
+def _quantize(img):
+    # The samples write_image would encode, before any header.
+    out = np.empty(img.data.shape, dtype=np.uint8)
+    lepfuse.netpbm._encode(img.data, int(round(img.max_val)), out)
+    return out
+
+
 def _write(img, tmp_path):
     path = tmp_path / ("w.pgm" if img.channels == 1 else "w.ppm")
     write_image(img, path)
@@ -119,6 +134,7 @@ CASES = {
     "fuse": lambda a, b, tmp: fuse([a, b], FusionConfig(avg_filter_size=5)),
     "fuse_guided": lambda a, b, tmp: fuse([a, b, a], FusionConfig(refine_filter="guided")),
     "gaussian_filter": lambda a, b, tmp: gaussian_filter(a, 2, 1.0),
+    "gradient_magnitude": lambda a, b, tmp: _gradient(a),
     "guided_filter": lambda a, b, tmp: guided_filter(b, a, 2, 0.3),
     "laplacian_filter": lambda a, b, tmp: laplacian_filter(a),
     "lep_filter": lambda a, b, tmp: lep_filter(a, FilterParams(2, 0.1)),
@@ -126,6 +142,7 @@ CASES = {
     "naturalness": lambda a, b, tmp: naturalness(a),
     "normalize_weights": lambda a, b, tmp: normalize_weights(_refined_stack(a, b)),
     "psnr": lambda a, b, tmp: psnr(a, b),
+    "quantize": lambda a, b, tmp: _quantize(a),
     "refine_weights": lambda a, b, tmp: refine_weights(_binary(a), [a, b], FilterParams(2, 0.1)),
     "report": lambda a, b, tmp: report(a, b),
     "resize_bilinear": lambda a, b, tmp: resize_bilinear(a, 7, 5),
@@ -138,7 +155,7 @@ CASES = {
 }
 
 
-GRAY_ONLY = {"binary_weight_maps", "guided_filter", "laplacian_filter", "lep_filter",
+GRAY_ONLY = {"binary_weight_maps", "gradient_magnitude", "guided_filter", "laplacian_filter", "lep_filter",
              "lep_filter_guided", "naturalness", "refine_weights", "saliency", "sharpness", "ssim"}
 
 
