@@ -11,8 +11,11 @@ parameters on a seeded two-source stack, of fuse on five seeded colour
 sources with every intermediate kept (as a FusionResult caller gets it),
 of ``lepfuse fuse --dump-intermediates`` on the same five sources (read,
 fuse from the lean pipeline, and the 26 writes), of ``lepfuse fuse`` on
-two gray sources, of read_image on a plain P2 file, and of the box filter
-per radius, all on fixed random images, with the numpy version, the CPU
+two gray sources, of read_image on a plain P2 file, of one weight fit at
+the base and at the detail radius and of box_mean at radius 15, each on a
+uint8 guide (with the winner-plane map that fuse fits, and as read_image
+keeps samples) and on its float64 copy, and of the box filter per radius,
+all on fixed random images, with the numpy version, the CPU
 count and the line and code-line counts of the lepfuse package in the
 header; a code line is neither blank, a comment nor part of a docstring.
 Every timed row follows one untimed call of the same work.  The
@@ -42,6 +45,7 @@ import numpy as np
 import lepfuse
 import lepfuse.cli
 import lepfuse.fusion
+from lepfuse.filters import _fill, _fit
 from lepfuse import (
     FusionConfig,
     Image,
@@ -127,6 +131,23 @@ def source_lines(package: Path) -> tuple:
     return lines, code
 
 
+def integer_rows(side: int, repeats: int) -> None:
+    # One weight fit at the base and at the detail radius, and box_mean, on
+    # a seeded uint8 guide, as read_image keeps samples (the fit with the
+    # winner-plane map that fuse fits), and on its float64 copy.
+    rng = np.random.default_rng(1)
+    guide = rng.integers(0, 256, (side, side), dtype=np.uint8)
+    winner = rng.integers(0, 2, (side, side), dtype=np.uint8)
+    as_read, widened = Image._adopt(guide, 255.0), Image(guide)
+    for params in (FusionConfig().base_params, FusionConfig().detail_params):
+        pairs = ((lepfuse.fusion._Winner(winner, 1), guide), ((winner == 1).astype(np.float64), widened.plane()))
+        ms = [median_ms(lambda: _fill(np.empty(guide.shape), _fit(pp, gg, params)), repeats) for pp, gg in pairs]
+        print(f"fit radius {params.radius} alpha {params.alpha}: uint8 guide and winner map {ms[0]:.2f} ms, "
+              f"float64 {ms[1]:.2f} ms")
+    ms = [median_ms(lambda: box_mean(img, 15), repeats) for img in (as_read, widened)]
+    print(f"box_mean radius 15: uint8 {ms[0]:.2f} ms, float64 {ms[1]:.2f} ms")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--side", type=int, default=1024)
@@ -183,6 +204,7 @@ def main(argv=None) -> int:
         path.write_bytes(b"P2\n%d %d\n255\n" % (args.side, args.side) + b"\n".join(b"%d" % v for v in samples))
         ms = median_ms(lambda: read_image(path), args.repeats)
     print(f"read_image plain P2 {args.side}x{args.side}: {ms:.2f} ms")
+    integer_rows(args.side, args.repeats)
     print(f"{'radius':>6} {'ms':>8}")
     baseline = None
     for radius in args.radii:

@@ -1,7 +1,8 @@
 """Windowed filter kernels.
 
-Box-window sums run through an integral image, so they cost O(n) in the
-pixel count regardless of the window radius.  Borders are replicate-padded;
+Box-window sums run through an integral image, or for integer samples
+through exact int32 running sums, so they cost O(n) in the pixel count
+regardless of the window radius.  Borders are replicate-padded;
 the valid-mode kernels shared with the metrics leave padding to callers.
 """
 
@@ -68,7 +69,10 @@ def _box_means(blocks, radius: int, strip: int = None):
     # input rows; the generator yields (rows, means) for consecutive output
     # rows, each as soon as the input rows within ``radius`` below it have
     # arrived, n <= ``strip`` (_STRIP_ROWS by default) rows of (channels,
-    # w) at a time, in scratch that the next strip overwrites.
+    # w) at a time, in scratch that the next strip overwrites.  The slices
+    # of rows depend only on h, r and the strip: their bounds are those of
+    # strips of the plane padded by 2r rows, less 2r.  _exact_box_means
+    # gives the same strips for integer channels, for less work.
     #
     # The integral image is that of the whole replicate-padded plane,
     # anchored on the first sample of each channel, so constant regions
@@ -149,6 +153,95 @@ def _box_means(blocks, radius: int, strip: int = None):
         yield from sum_rows(written - summed)
 
 
+# The largest radius whose window sums of values up to 255^2 fit in int32:
+# (2r + 1)^2 * 255^2 < 2^31.
+_EXACT_RADIUS = 90
+
+
+def _exact(radius: int, *arrays) -> bool:
+    # Whether _exact_box_means may take windows of ``radius`` over arrays
+    # of these dtypes: bool or uint8 samples, whose squares and products
+    # are at most 255^2.  An array without a dtype is taken as float.
+    return radius <= _EXACT_RADIUS and all(getattr(a, "dtype", None) in (np.bool_, np.uint8) for a in arrays)
+
+
+def _exact_box_means(fill, shape: tuple, radius: int, out: np.ndarray, strip: int = None):
+    # _box_means of an (h, c, w) plane of integers in [0, 255^2], the same
+    # (rows, means) bit for bit, with the means in ``out``, a float64 (n,
+    # c, w) array of at least the strip's n rows.  fill(block, rows) writes
+    # rows ``rows`` of the plane into the int32 array ``block``, for slices
+    # of rows in any order.
+    #
+    # Every partial sum of _box_means' anchored integral image is then an
+    # integer below 2^53 (on any padded plane of fewer than 2^37 samples),
+    # so each of its means is fl(fl(S / k^2) + a), where S is the exact
+    # anchored window sum and a the channel's first sample, whichever way S
+    # is summed.  Here it is summed in int32 (see _EXACT_RADIUS), with no
+    # integral image: a running sum down the rows, which adds the row that
+    # enters the window and subtracts the row that leaves it, starting from
+    # the window of row -r, 2r + 1 anchored copies of row 0; then windows
+    # across the replicate-padded rows by doubling, about 2 log2(k)
+    # additions of shifted views with no dependent chain, where the float
+    # path runs a cumsum.  The scratch is two int32 strips of width w + 2r
+    # and one of width w.
+    h, c, w = shape
+    k, m = 2 * radius + 1, strip or _STRIP_ROWS
+    padded, doubled = np.empty((2, min(h, m), c, w + 2 * radius), dtype=np.int32)
+    sums, carry = np.empty((min(h, m), c, w), dtype=np.int32), np.empty((c, w), dtype=np.int32)
+
+    def read(block, start):
+        # Rows start, start + 1, ... of the plane, replicate-clamped, into block.
+        n = len(block)
+        lo = min(max(start, 0), h - 1)
+        hi = max(min(start + n, h), lo + 1)
+        at = min(max(lo - start, 0), n - 1)
+        fill(block[at:at + hi - lo], slice(lo, hi))
+        block[:at] = block[at]
+        block[at + hi - lo:] = block[at + hi - lo - 1]
+
+    def down(start, n):
+        # The running sums of window rows start to start + n - 1 into the
+        # middle of ``padded``, from those of the row above in ``carry``.
+        vertical = padded[:n, :, radius:radius + w]
+        enter, leave = doubled[:n, :, :w], sums[:n]
+        read(enter, start + radius)
+        read(leave, start - radius - 1)
+        np.subtract(enter, leave, out=vertical)
+        vertical[0] += carry
+        for i in range(1, n):
+            vertical[i] += vertical[i - 1]
+        np.copyto(carry, vertical[-1])
+        return vertical
+
+    read(carry[np.newaxis], 0)
+    anchor = carry[:, :1].astype(np.float64)
+    carry -= carry[:, :1]
+    carry *= k  # the window of row -r holds 2r + 1 copies of row 0, anchored
+    for start in range(1 - radius, 0, len(sums)):
+        down(start, min(len(sums), -start))
+    for rows in _strips(h + 2 * radius, m):
+        start, stop = max(rows.start - 2 * radius, 0), rows.stop - 2 * radius
+        if stop <= 0:
+            continue
+        n = stop - start
+        column = down(start, n)
+        src, dst = padded[:n], doubled[:n]
+        src[:, :, :radius] = column[:, :, :1]
+        src[:, :, radius + w:] = column[:, :, -1:]
+        total, width, span, at = sums[:n], w + 2 * radius, 1, 1
+        np.copyto(total, src[:, :, :w])  # k is odd, so its windows start with one column
+        while 2 * span <= k:  # src[x] sums span columns from x; total[x], ``at`` of them
+            width -= span
+            np.add(src[:, :, :width], src[:, :, span:span + width], out=dst[:, :, :width])
+            src, dst, span = dst, src, 2 * span
+            if k & span:
+                total += src[:, :, at:at + w]
+                at += span
+        o = np.divide(total, k * k, out=out[:n])
+        o += anchor
+        yield slice(start, stop), o
+
+
 def _ring_shape(radius: int, channels: int, width: int, strip: int = None) -> tuple:
     # The shape of _box_means' ring of integral-image rows: at least
     # strip + 2r + 1 rows, a multiple of ``strip`` (_STRIP_ROWS by
@@ -157,10 +250,14 @@ def _ring_shape(radius: int, channels: int, width: int, strip: int = None) -> tu
     return (-(-(m + k) // m) * m, channels, width + k)
 
 
-def _row_blocks(arr: np.ndarray):
-    # The rows of an (h, w, c) array in strips, as (n, c, w) views.
-    for rows in _strips(len(arr)):
-        yield arr[rows].transpose(0, 2, 1)
+def _plane_means(data: np.ndarray, radius: int):
+    # _box_means of an (h, w, c) array, as (rows, (n, c, w) means): by
+    # _exact_box_means if its samples are uint8 or bool.
+    h, w, c = data.shape
+    if not _exact(radius, data):
+        return _box_means((data[rows].transpose(0, 2, 1) for rows in _strips(h)), radius)
+    return _exact_box_means(lambda out, rows: np.copyto(out, data[rows].transpose(0, 2, 1)), (h, c, w), radius,
+                            np.empty((min(h, _STRIP_ROWS), c, w)))
 
 
 def _fill(out: np.ndarray, strips) -> None:
@@ -181,12 +278,14 @@ def box_mean(img: Image, radius: int) -> Image:
     Runtime is independent of the radius (running sums, not a window loop).
     The image is streamed in strips of rows, each copied into the returned
     image as it completes, so beyond that image it holds O(strip) scratch:
-    a ring of 2r + 1 + 16 integral-image rows and a strip of means.
+    a ring of 2r + 1 + 16 integral-image rows and a strip of means.  The
+    uint8 samples of a read image are summed exactly in int32 instead, for
+    radii up to 90, with the same bits.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     out = np.empty(img.data.shape)
-    _fill(out.transpose(0, 2, 1), _box_means(_row_blocks(img.data), radius))
+    _fill(out.transpose(0, 2, 1), _plane_means(img.data, radius))
     return Image._adopt(out, img.max_val)
 
 
@@ -308,15 +407,30 @@ def _fit(pp, gg, params: FilterParams, coeffs=None, strip: int = _STRIP_ROWS):
     # ``shape`` gives (h, w), so either may build the rows asked for.  Two
     # window-mean streams run as a pipeline: the first takes |grad gg|^(2 -
     # beta), gg, gg^2 (and pp, gg * pp) of each input strip as channels,
-    # the second a and b of each strip the first completes.  The scratch is
-    # their rings (2r + 1 + strip rows of 5 and 2 channels) and strips.
+    # the second a and b of each strip the first completes.  Where gg and
+    # pp hold uint8 or bool samples (a ``dtype`` attribute says so), the
+    # first stream's integer channels take _exact_box_means instead, which
+    # gives the same means for less work.  The scratch is the rings (2r + 1
+    # + strip rows of 5, or 1, and 2 channels), _exact_box_means' strips
+    # and a few more strips.
     h, w = gg.shape
     same = pp is gg
+    exact = _exact(params.radius, gg, pp)
+    channels = 3 if same else 5
     # The edge-padded guide band, a scratch strip, the first stream's input
-    # strip and a mask strip.
+    # strip, a mask strip and, if exact, a strip of its means.
     m = min(h, strip)
-    band, tmp, block = np.empty((m + 2, w + 2)), np.empty((m, w)), np.empty((m, 3 if same else 5, w))
+    band, tmp, block = np.empty((m + 2, w + 2)), np.empty((m, w)), np.empty((m, 1 if exact else channels, w))
     mask_buf = np.empty((m, w), dtype=bool)
+    both = np.empty((m, channels, w)) if exact else None
+
+    def products(out, rows, g):
+        # g, g^2 (and pp, g * pp) of ``rows`` as the channels of ``out``.
+        np.copyto(out[:, 0], g)
+        np.multiply(out[:, 0], out[:, 0], out=out[:, 1])
+        if not same:
+            np.copyto(out[:, 2], pp[rows])
+            np.multiply(out[:, 0], out[:, 2], out=out[:, 3])
 
     def sums():
         for rows in _strips(h, strip):
@@ -332,17 +446,26 @@ def _fit(pp, gg, params: FilterParams, coeffs=None, strip: int = _STRIP_ROWS):
             blk = block[:n]
             grad = _gradient_magnitude(padded, out=blk[:, 0], tmp=tmp[:n])
             grad **= 2.0 - params.beta  # numpy's scalar-power fast path, as grad ** (2 - beta)
-            g = blk[:, 1]
-            np.copyto(g, padded[1:-1, 1:-1])
-            np.multiply(g, g, out=blk[:, 2])
-            if not same:
-                np.copyto(blk[:, 3], pp[rows])
-                np.multiply(g, blk[:, 3], out=blk[:, 4])
+            if not exact:
+                products(blk[:, 1:], rows, padded[1:-1, 1:-1])
             yield blk
+
+    def first():
+        # (rows, means) of the first stream's channels.
+        grads = _box_means(sums(), params.radius, strip=strip)
+        if not exact:
+            yield from grads
+            return
+        ints = _exact_box_means(lambda out, rows: products(out, rows, gg[rows]), (h, channels - 1, w),
+                                params.radius, both[:, 1:], strip)
+        for (rows, grad), _ in zip(grads, ints):
+            means = both[:rows.stop - rows.start]
+            np.copyto(means[:, 0], grad[:, 0])
+            yield rows, means
 
     def coefficients():
         # a and b of each strip, written over the strip's first two means.
-        for rows, means in _box_means(sums(), params.radius, strip=strip):
+        for rows, means in first():
             n = rows.stop - rows.start
             mean_g, var_g = means[:, 1], means[:, 2]
             with np.errstate(over="ignore"):  # inf is the alpha -> inf limit: slope 0

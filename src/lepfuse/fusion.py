@@ -22,15 +22,14 @@ import numpy as np
 from .filters import (
     _STRIP_ROWS,
     FilterParams,
-    _box_means,
     _fill,
     _fit,
     _gaussian_kernel_1d,
     _guided_params,
     _guided_planes,
     _laplacian_rows,
+    _plane_means,
     _ring_shape,
-    _row_blocks,
     _strips,
     _valid_correlate_sep,
 )
@@ -147,9 +146,12 @@ def _layers(data: np.ndarray, radius: int, scratch: np.ndarray = None):
     # The base layer (box mean) and detail residual (data - base) of an
     # (h, w, c) array, as a generator of (rows, base, detail) strips in
     # scratch that the next strip overwrites, the details in ``scratch``.
+    # The strips are the same rows for uint8 data, whose box means are
+    # exact integer sums (see _plane_means), as for float64 data, so the
+    # layers of sources of either type run in lockstep.
     if scratch is None:
         scratch = np.empty((min(len(data), _STRIP_ROWS),) + data.shape[1:])
-    for rows, base in _box_means(_row_blocks(data), radius):
+    for rows, base in _plane_means(data, radius):
         base = base.transpose(0, 2, 1)
         yield rows, base, np.subtract(data[rows], base, out=scratch[:len(base)])
 
@@ -312,7 +314,10 @@ def _guide(img: Image, radius: int, strip: int):
 
 class _Winner:
     # The binary weight map of source n, built from the winner plane for
-    # the rows asked for: ``map[rows]`` is ``winner[rows] == n``.
+    # the rows asked for: ``map[rows]`` is ``winner[rows] == n``, of
+    # ``dtype`` bool.
+    dtype = np.dtype(bool)
+
     def __init__(self, winner: np.ndarray, n: int):
         self.winner, self.n, self.shape = winner, n, winner.shape
 
@@ -706,9 +711,10 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
 
     out = np.empty(shape) if base_planes is None else host.reshape(shape)
     radius = (config.avg_filter_size - 1) // 2
-    # A source channel's layers, weights and blend cost about a quarter of a
-    # fit: 146 ms (198 dumped) for five 512^2 colour sources, whose fits
-    # took 44-49 ms, and 235 ms for two 2048^2 gray ones (fits 540-566 ms).
+    # A source channel's layers, weights and blend cost a fifth to a quarter
+    # of a fit: 90-98 ms for five 512^2 colour sources, whose fits took
+    # 33-37 ms, and 157-170 ms for two 2048^2 gray ones, whose fits took
+    # 341-400 ms (2-vCPU Xeon VM, numpy 2.4.6).
     # This process's fits may hold the planes the fused image does not take.
     _streamed(len(fits) * count, (h, w), fit,
               lambda strips: _blend(sources, lambda rows: weights(strips, rows), radius, max_val, _dump, out),

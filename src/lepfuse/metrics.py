@@ -146,16 +146,13 @@ def _pairwise_sum(chunks, count: int) -> float:
     # of at most _LEAF do within the one np.add.reduce that sums each.
     chunks, rest, buf = iter(chunks), np.empty(0), np.empty(min(count, _LEAF))
 
-    def total(n):
+    def leaf(n):
         nonlocal rest
-        if n > _LEAF:
-            half = n // 2 - n // 2 % 8
-            return total(half) + total(n - half)
         if not len(rest):
             rest = next(chunks)
         if len(rest) >= n:
-            leaf, rest = rest[:n], rest[n:]
-            return np.add.reduce(leaf)
+            head, rest = rest[:n], rest[n:]
+            return np.add.reduce(head)
         held = 0
         while held < n:
             if not len(rest):
@@ -165,7 +162,18 @@ def _pairwise_sum(chunks, count: int) -> float:
             rest, held = rest[k:], held + k
         return np.add.reduce(buf[:n])
 
-    return float(total(count))
+    return float(_pairwise(count, leaf))
+
+
+def _pairwise(n: int, leaf):
+    # The pairwise sum of the next ``n`` values, leaf(n) summing n <= _LEAF
+    # of them.  Module-level, so no closure refers to itself and the
+    # chunks, with the planes their generators hold, are freed on return
+    # rather than by the cyclic collector.
+    if n > _LEAF:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(half, leaf) + _pairwise(n - half, leaf)
+    return leaf(n)
 
 
 def _sharpness(plane, h: int, w: int) -> float:

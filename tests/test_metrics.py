@@ -1,5 +1,6 @@
 """Quality metrics: closed forms, symmetry, and the independent SSIM oracle."""
 
+import gc
 import math
 import tracemalloc
 
@@ -238,6 +239,25 @@ def test_report_streams_the_luminance_bit_for_bit(shape):
     mean, spread = np.mean(luma.data), np.std(luma.data)
     assert rep.naturalness == math.exp(-((mean - 115.0) ** 2) / (2.0 * 40.0 ** 2)) * math.exp(
         -((spread - 28.0) ** 2) / (2.0 * 15.0 ** 2))
+
+
+def test_report_leaves_no_array_to_the_cyclic_collector():
+    """report's strip sums hold no reference cycle, so the strips and the
+    planes their generators hold are freed when it returns, not when the
+    cyclic collector next runs.  Arrays are not tracked by the collector,
+    so the check looks at what the collected objects refer to."""
+    img = Image(np.random.default_rng(4).uniform(0, 255, (64, 64)))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        report(img, img)
+        gc.collect()
+        kept = [type(obj).__name__ for obj in gc.garbage + gc.get_referents(*gc.garbage)
+                if isinstance(obj, np.ndarray)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert kept == []
 
 
 def test_report_identical_pair():

@@ -53,4 +53,10 @@ def test_box_filter_timing_runs(capsys):
         assert float(peak.split()[1]) >= channels  # the floor: the c planes of the fused image
     assert lines[8].startswith("read_image plain P2 64x64: ")
     assert lines[8].endswith(" ms")
-    assert [line.split()[0] for line in lines[10:]] == ["1", "2"]
+    for line, label in ((lines[9], "fit radius 15 alpha 0.3: "), (lines[10], "fit radius 3 alpha 0.0001: "),
+                        (lines[11], "box_mean radius 15: ")):
+        assert line.startswith(label)
+        exact, widened = line[len(label):].split(", ")
+        assert re.fullmatch(r"uint8( guide and winner map)? \d+\.\d\d ms", exact)
+        assert re.fullmatch(r"float64 \d+\.\d\d ms", widened)
+    assert [line.split()[0] for line in lines[13:]] == ["1", "2"]
