@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_zoom = sub.add_parser("zoom", parents=[common], help="crop and magnify a region")
     p_zoom.add_argument("input", help="source image")
-    p_zoom.add_argument("--rect", type=parse_rect, help="crop region as x,y,w,h")
+    p_zoom.add_argument("--rect", help="crop region as x,y,w,h")
     p_zoom.add_argument("--scale", type=float, help="magnification factor (> 0)")
     p_zoom.add_argument("--psnr-against", help="ground-truth image to score the zoomed result against")
     p_zoom.set_defaults(handler=_cmd_zoom)
@@ -88,19 +88,26 @@ def _effective_config(args) -> CliConfig:
     if getattr(args, "config", None):
         apply_values(cfg, parse_config_text(Path(args.config).read_text()))
     # Flags that were given override the file; absent flags parse as None.
+    # --rect is parsed here, not by argparse, so that a bad one gets
+    # parse_rect's message, as it does in the file.
     for key in _PARSERS:
         value = getattr(args, key, None)
         if value is not None:
-            setattr(cfg, key, value)
+            setattr(cfg, key, parse_rect(value) if key == "rect" else value)
     return cfg
 
 
-def _resolve_output(args, cfg: CliConfig) -> Path:
+def _resolve_output(args, cfg: CliConfig, channels: int) -> Path:
+    # The output path of an image of ``channels`` channels, checked before
+    # any work: every file a command writes goes beside it.
     if not args.output:
         raise ValueError("output path required (-o/--output)")
     path = Path(args.output)
     if cfg.output_dir and not path.is_absolute():
         path = Path(cfg.output_dir) / path
+    _check_target(path, channels)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"cannot write {path}: no directory {path.parent}")
     return path
 
 
@@ -210,8 +217,7 @@ def _cmd_fuse(args, cfg: CliConfig) -> int:
                 f"but {path} is {src.width}x{src.height}x{src.channels}"
             )
     fusion_config = cfg.fusion_config()
-    out_path = _resolve_output(args, cfg)
-    _check_target(out_path, sources[0].channels)
+    out_path = _resolve_output(args, cfg, sources[0].channels)
     _check_scratch(_scratch_bytes(first_shape, fusion_config), sources)
 
     # With a hook fuse keeps no intermediates; the dumped ones are written
@@ -230,8 +236,7 @@ def _cmd_fuse(args, cfg: CliConfig) -> int:
 def _cmd_zoom(args, cfg: CliConfig) -> int:
     img = read_image(args.input)
     spec = cfg.zoom_spec()
-    out_path = _resolve_output(args, cfg)
-    _check_target(out_path, img.channels)
+    out_path = _resolve_output(args, cfg, img.channels)
     _check_inside(img, spec.region)  # before the estimate, which an absurd rect would fail first
     out_w, out_h = _zoomed_size(spec)
     _check_scratch(8.0 * out_w * out_h * img.channels, [img])
@@ -255,8 +260,7 @@ def _cmd_zoom(args, cfg: CliConfig) -> int:
 
 def _cmd_decompose(args, cfg: CliConfig) -> int:
     img = read_image(args.input)
-    out_path = _resolve_output(args, cfg)
-    _check_target(out_path, img.channels)
+    out_path = _resolve_output(args, cfg, img.channels)
     _check_scratch(_layers_bytes(img.data.shape, cfg.avg_filter_size), [img])
     pair = decompose(img, cfg.avg_filter_size)
     stem = out_path.with_suffix("")

@@ -5,6 +5,7 @@ is what the tests and the CLI rely on.  Parse failures report the byte
 offset where decoding stopped.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,13 @@ class NetpbmUnsupportedError(NetpbmError):
     """Recognizable netpbm data outside the supported P2/P3/P5/P6 8-bit subset."""
 
 
+# Filler is runs of the whitespace of bytes.isspace and comments, each a
+# "#" up to a line end; a token is a run of anything else.  Each run is
+# matched whole, not byte by byte, which keeps long runs fast.
+_FILLER = re.compile(rb"[ \t\n\r\x0b\x0c]*(?:#[^\n\r]*[ \t\n\r\x0b\x0c]*)*")
+_TOKEN = re.compile(rb"[^ \t\n\r\x0b\x0c#]*")
+
+
 class _Tokenizer:
     """Whitespace/comment-aware header scanner over raw file bytes."""
 
@@ -40,33 +48,25 @@ class _Tokenizer:
         self.pos = 0
 
     def _skip_filler(self) -> None:
-        while self.pos < len(self.blob):
-            c = self.blob[self.pos:self.pos + 1]
-            if c.isspace():
-                self.pos += 1
-            elif c == b"#":
-                while self.pos < len(self.blob) and self.blob[self.pos:self.pos + 1] not in (b"\n", b"\r"):
-                    self.pos += 1
-            else:
-                return
+        self.pos = _FILLER.match(self.blob, self.pos).end()
 
     def next_token(self, what: str) -> tuple[bytes, int]:
         self._skip_filler()
-        if self.pos >= len(self.blob):
-            raise NetpbmParseError(f"unexpected end of file, expected {what}", self.pos)
         start = self.pos
-        while self.pos < len(self.blob):
-            c = self.blob[self.pos:self.pos + 1]
-            if c.isspace() or c == b"#":
-                break
-            self.pos += 1
+        if start >= len(self.blob):
+            raise NetpbmParseError(f"unexpected end of file, expected {what}", start)
+        self.pos = _TOKEN.match(self.blob, start).end()
         return self.blob[start:self.pos], start
 
     def next_int(self, what: str, low: int, high: int) -> int:
         token, start = self.next_token(what)
         if not token.isdigit():  # ASCII digits only: no sign, no underscore
             raise NetpbmParseError(f"expected integer {what}, got {token!r}", start)
-        value = int(token)
+        digits = token.lstrip(b"0") or b"0"  # zero padding is allowed at any length
+        try:
+            value = int(digits)
+        except ValueError:  # past int()'s digit limit, so far past ``high``
+            raise NetpbmParseError(f"{what} of {len(digits)} digits outside [{low}, {high}]", start) from None
         if not (low <= value <= high):
             raise NetpbmParseError(f"{what} {value} outside [{low}, {high}]", start)
         return value

@@ -71,6 +71,15 @@ def test_config_rejects_unknown_keys_and_bad_lines():
         parse_config_text("rect = 1,2,3")
 
 
+def test_config_booleans_and_unknown_keys_by_message():
+    for word in ("0", "false", "No", "OFF"):
+        assert parse_config_text(f"dump_intermediates = {word}") == {"dump_intermediates": False}
+    with pytest.raises(ValueError, match=r"^config line 1: expected a boolean, got 'maybe'$"):
+        parse_config_text("dump_intermediates = maybe")
+    with pytest.raises(ValueError, match=r"^unknown config key 'no_such_key'$"):
+        apply_values(CliConfig(), {"no_such_key": 1})
+
+
 def test_config_materializers_validate():
     cfg = CliConfig(avg_filter_size=30)
     with pytest.raises(ValueError):
@@ -681,6 +690,16 @@ def test_zoom_psnr_against_prints_line(workdir, capsys):
     assert "psnr=inf" in capsys.readouterr().out
 
 
+def test_zoom_psnr_against_another_size_exits_2(workdir, capsys):
+    out = workdir / "z4.pgm"
+    truth = workdir / "b.pgm"
+    code = main(["zoom", str(workdir / "a.pgm"), "--rect", "0,0,8,8", "--scale", "1", "-o", str(out),
+                 "--psnr-against", str(truth)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: ground truth {truth} is 48x48x1 but the zoomed result is 8x8x1\n"
+    assert not out.exists()
+
+
 def test_zoom_validation_paths(workdir):
     # Scale zero.
     assert main(["zoom", str(workdir / "a.pgm"), "--rect", "0,0,4,4", "--scale", "0", "-o", str(workdir / "n1.pgm")]) == 2
@@ -760,6 +779,57 @@ def test_gray_image_to_a_ppm_gets_one_message(tmp_path, monkeypatch, capsys):
         assert main([*command, "-o", "x.ppm"]) == 2, command
         assert capsys.readouterr().err == f"error: {message}\n", command
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm"]
+
+
+@pytest.mark.parametrize("rect, message", [
+    ("1,2,a,4", "rect components must be integers, got '1,2,a,4'"),
+    ("1,2,3", "rect needs four comma-separated integers x,y,w,h, got '1,2,3'"),
+])
+def test_malformed_rect_gets_the_rect_message(tmp_path, monkeypatch, capsys, rect, message):
+    """A rect that does not parse exits 2 with parse_rect's own message,
+    given as the flag or in a config file.  Nothing is written."""
+    _write_20x20_pair(tmp_path)
+    (tmp_path / "cfg.txt").write_text(f"rect = {rect}\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["zoom", "a.pgm", "--rect", rect, "-o", "out.pgm"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["zoom", "a.pgm", "--config", "cfg.txt", "-o", "out.pgm"]) == 2
+    assert capsys.readouterr().err == f"error: config line 1: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm", "cfg.txt"]
+
+
+@pytest.mark.parametrize("command", [
+    ["fuse", "a.pgm", "b.pgm"],
+    ["fuse", "a.pgm", "b.pgm", "--dump-intermediates"],
+    ["zoom", "a.pgm", "--rect", "0,0,4,4"],
+    ["decompose", "a.pgm"],
+])
+@pytest.mark.parametrize("target", [["-o", "nowhere/f.pgm"], ["-o", "f.pgm", "--config", "cfg.txt"]],
+                         ids=["output", "output_dir"])
+def test_missing_output_directory_exits_1_before_any_work(tmp_path, monkeypatch, capsys, command, target):
+    """An output in a directory that does not exist, named by -o or by
+    output_dir, exits 1 with a message that names the output, before any
+    work is forked.  Nothing is written."""
+    _write_20x20_pair(tmp_path)
+    (tmp_path / "cfg.txt").write_text("output_dir = nowhere\n")
+    monkeypatch.chdir(tmp_path)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main([*command, *target]) == 1
+    assert capsys.readouterr().err == "error: cannot write nowhere/f.pgm: no directory nowhere\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm", "cfg.txt"]
+
+
+def test_output_dir_holds_a_relative_output(tmp_path, monkeypatch):
+    _write_20x20_pair(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "cfg.txt").write_text("output_dir = out\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["zoom", "a.pgm", "--rect", "0,0,4,4", "-o", "z.pgm", "--config", "cfg.txt"]) == 0
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["z.pgm"]
 
 
 def test_zoom_missing_input_exit_1(workdir):

@@ -279,6 +279,22 @@ def test_weight_stack_kind_validation():
         WeightStack(maps=(), kind="binary")
     with pytest.raises(ValueError):
         WeightStack(maps=(constant_image(2, 2, 3, 1.0),), kind="binary")
+    with pytest.raises(ValueError, match=r"^weight map dimensions differ: \(2, 3, 1\) vs \(2, 2, 1\)$"):
+        WeightStack(maps=(constant_image(2, 2, 1, 1.0), constant_image(2, 3, 1, 1.0)), kind="binary")
+
+
+def test_refine_rejects_an_unknown_filter_kind():
+    sources = [_random_image(s, (8, 8)) for s in (1, 2)]
+    binary = binary_weight_maps([saliency(src) for src in sources])
+    with pytest.raises(ValueError, match=r"^filter_kind must be one of \('lep', 'guided'\), got 'box'$"):
+        refine_weights(binary, sources, FilterParams(radius=2, alpha=0.05), filter_kind="box")
+
+
+@pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+def test_usable_cpus_without_affinity_counts_the_machine(monkeypatch, count, cpus):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert lepfuse.fusion._usable_cpus() == cpus
 
 
 # --- refine ------------------------------------------------------------------
@@ -572,6 +588,8 @@ def test_fusion_config_validation():
         FusionConfig(weight_floor=0.0)
     with pytest.raises(ValueError):
         FusionConfig(refine_filter="median")
+    with pytest.raises(ValueError, match=r"^saliency_radius must be >= 1, got 0$"):
+        FusionConfig(saliency_radius=0)
 
 # --- threaded stages ---------------------------------------------------------
 

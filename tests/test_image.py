@@ -32,6 +32,15 @@ def test_image_rejects_bad_shapes_and_values():
         Image(np.array([[np.nan]]))
     with pytest.raises(ValueError):
         Image(np.zeros((2, 2)), max_val=0.0)
+    with pytest.raises(ValueError, match=r"^image data must be 2-D or 3-D, got ndim=4$"):
+        Image(np.zeros((1, 2, 2, 1)))
+
+
+@pytest.mark.parametrize("arr", [np.zeros((2, 2), dtype=np.int64), np.zeros((2, 4))[:, ::2]],
+                         ids=["int64", "strided"])
+def test_adopt_refuses_what_it_cannot_wrap(arr):
+    with pytest.raises(ValueError, match=r"^only float64 or uint8, C-contiguous arrays can be adopted$"):
+        Image._adopt(arr, 255.0)
 
 
 def test_constant_image():

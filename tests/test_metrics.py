@@ -64,6 +64,20 @@ def test_psnr_symmetric_and_monotone_in_noise():
         previous = forward
 
 
+@pytest.mark.parametrize("score", [psnr, ssim])
+@pytest.mark.parametrize("max_val", [0.0, -1.0])
+def test_scores_reject_a_non_positive_max_val(score, max_val):
+    a = constant_image(16, 16, 1, 0.0)
+    with pytest.raises(ValueError, match=f"^max_val must be positive, got {max_val}$"):
+        score(a, a, max_val)
+
+
+@pytest.mark.parametrize("field", ["mean_tol", "std_tol"])
+def test_naturalness_priors_reject_a_non_positive_tolerance(field):
+    with pytest.raises(ValueError, match=f"^{field} must be positive, got 0.0$"):
+        NaturalnessPriors(**{field: 0.0})
+
+
 def test_psnr_dimension_mismatch():
     with pytest.raises(ValueError):
         psnr(constant_image(4, 4, 1, 0.0), constant_image(4, 5, 1, 0.0))

@@ -287,3 +287,43 @@ def test_clean_plain_raster_has_no_per_sample_tokens(tmp_path, monkeypatch, magi
     monkeypatch.setattr(lepfuse.netpbm._Tokenizer, "next_int", counted)
     assert np.array_equal(read_image(path).data, data)
     assert calls == ["width", "height", "maxval"]
+
+
+@pytest.mark.parametrize("head, token, tail, message", [
+    (b"P5 ", b"9" * 5000, b" 1 255\n\x00", "width of 5000 digits outside [1, 1000000000]"),
+    (b"P2 1 1 255 ", b"1" * 5000, b"", "sample of 5000 digits outside [0, 255]"),
+    (b"P2 1 1 255 # a comment sends it to the tokenizer\n", b"1" * 5000, b"", "sample of 5000 digits outside [0, 255]"),
+    (b"P5 ", b"9" * 4300, b" 1 255\n\x00", "width " + "9" * 4300 + " outside [1, 1000000000]"),
+], ids=["width", "sample", "sample-after-comment", "width-of-4300-digits"])
+def test_over_long_integers_are_parse_errors(tmp_path, capsys, head, token, tail, message):
+    """An integer past the digits that int() converts is a parse error at
+    its token, as a shorter one above its bound is, and `lepfuse metrics`
+    exits 1 with that message."""
+    from lepfuse.cli import main
+
+    path = tmp_path / "long.pgm"
+    path.write_bytes(head + token + tail)
+    offset = len(head)
+    with pytest.raises(NetpbmParseError) as info:
+        read_image(path)
+    assert str(info.value) == f"{message} (byte offset {offset})"
+    assert info.value.offset == offset
+    assert main(["metrics", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+@pytest.mark.parametrize("header", [b"P2 2 1 255 ", b"P2 2 1 255 # a comment sends it to the tokenizer\n"],
+                         ids=["numpy", "tokenizer"])
+def test_zero_padded_samples_decode_at_any_length(tmp_path, header):
+    path = tmp_path / "zeros.pgm"
+    path.write_bytes(header + b" 7 " + b"0" * 5000 + b"5")
+    assert read_image(path).data.ravel().tolist() == [7, 5]
+
+
+@pytest.mark.parametrize("filler", [b"#" + b"c" * (4 << 20) + b"\n", b" " * (4 << 20)], ids=["comment", "whitespace"])
+def test_hostile_header_filler_decodes(tmp_path, filler):
+    """A header with a 4 MiB comment or whitespace run decodes to the
+    samples after it."""
+    path = tmp_path / "hostile.pgm"
+    path.write_bytes(b"P5\n" + filler + b"4 4\n255\n" + bytes(range(16)))
+    assert read_image(path).data.ravel().tolist() == list(range(16))
