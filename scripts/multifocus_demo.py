@@ -7,6 +7,7 @@ original.  Writes all frames as PGM files for inspection.
 """
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 import time
@@ -23,8 +24,11 @@ def run(out_dir: pathlib.Path, size: int, blur_sigma: float) -> None:
     write_image(right_sharp, out_dir / "source_right_sharp.pgm")
 
     print(f"{'variant':<10} {'sharpness':>10} {'psnr_db':>9} {'ssim':>7} {'time_s':>7}")
-    for name in ("lep", "guided"):
-        config = FusionConfig(refine_filter=name)
+    # beta = 2 makes each refinement the guided filter, with alpha as epsilon.
+    default = FusionConfig()
+    for name, beta in (("lep", default.base_params.beta), ("guided", 2.0)):
+        config = FusionConfig(base_params=dataclasses.replace(default.base_params, beta=beta),
+                              detail_params=dataclasses.replace(default.detail_params, beta=beta))
         t0 = time.perf_counter()
         result = fuse([left_sharp, right_sharp], config)
         elapsed = time.perf_counter() - t0

@@ -59,8 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write per-source base/detail/saliency/weight images",
     )
-    for key, options in FUSE_FLAGS.items():
-        p_fuse.add_argument("--" + key.replace("_", "-"), type=_PARSERS[key], **options)
+    for key in FUSE_FLAGS:
+        p_fuse.add_argument("--" + key.replace("_", "-"), type=_PARSERS[key])
     p_fuse.set_defaults(handler=_cmd_fuse)
 
     p_zoom = sub.add_parser("zoom", parents=[common], help="crop and magnify a region")
@@ -240,17 +240,18 @@ def _cmd_zoom(args, cfg: CliConfig) -> int:
     _check_inside(img, spec.region)  # before the estimate, which an absurd rect would fail first
     out_w, out_h = _zoomed_size(spec)
     _check_scratch(8.0 * out_w * out_h * img.channels, [img])
+    # The truth is checked against the zoomed size, finite once the
+    # estimate passed, before any work.
+    truth = read_image(args.psnr_against) if args.psnr_against else None
+    out_w, out_h = int(out_w), int(out_h)
+    if truth is not None and truth.data.shape != (out_h, out_w, img.channels):
+        raise ValueError(
+            f"ground truth {args.psnr_against} is "
+            f"{truth.width}x{truth.height}x{truth.channels} but the zoomed "
+            f"result is {out_w}x{out_h}x{img.channels}"
+        )
     zoomed = zoom_region(img, spec)
-    psnr_line = None
-    if args.psnr_against:
-        truth = read_image(args.psnr_against)
-        if truth.data.shape != zoomed.data.shape:
-            raise ValueError(
-                f"ground truth {args.psnr_against} is "
-                f"{truth.width}x{truth.height}x{truth.channels} but the zoomed "
-                f"result is {zoomed.width}x{zoomed.height}x{zoomed.channels}"
-            )
-        psnr_line = f"psnr={MetricsReport._fmt(psnr(zoomed, truth, zoomed.max_val))}"
+    psnr_line = None if truth is None else f"psnr={MetricsReport._fmt(psnr(zoomed, truth, zoomed.max_val))}"
     with _atomic_outputs() as write:
         write(zoomed, out_path)
     if psnr_line is not None:

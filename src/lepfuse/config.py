@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .filters import FilterParams
-from .fusion import REFINE_FILTERS, FusionConfig
+from .fusion import FusionConfig
 from .metrics import NaturalnessPriors
 from .image import Rect
 from .zoom import ZoomSpec
@@ -46,9 +46,9 @@ _FUSION = FusionConfig()
 _PRIORS = NaturalnessPriors()
 
 
-def _fuse_flag(default, **argparse_options):
+def _fuse_flag(default):
     """A CliConfig field that ``lepfuse fuse`` also accepts as a --flag."""
-    return field(default=default, metadata={"fuse_flag": argparse_options})
+    return field(default=default, metadata={"fuse_flag": True})
 
 
 @dataclass
@@ -65,7 +65,6 @@ class CliConfig:
     detail_alpha: float = _fuse_flag(_FUSION.detail_params.alpha)
     detail_beta: float = _fuse_flag(_FUSION.detail_params.beta)
     weight_floor: float = _fuse_flag(_FUSION.weight_floor)
-    refine_filter: str = _fuse_flag(_FUSION.refine_filter, choices=REFINE_FILTERS)
     rect: Optional[RectTuple] = None
     scale: float = 1.0
     output_dir: Optional[str] = None
@@ -103,11 +102,11 @@ class CliConfig:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
-# int, float and str fields parse with their own type.
+# int and float fields parse with their own type.
 _PARSE_AS = {bool: _parse_bool, Optional[str]: str, Optional[RectTuple]: parse_rect}
 _PARSERS = {f.name: _PARSE_AS.get(f.type, f.type) for f in fields(CliConfig)}
-# Field name -> extra argparse options, for every field that is a fuse flag.
-FUSE_FLAGS = {f.name: f.metadata["fuse_flag"] for f in fields(CliConfig) if "fuse_flag" in f.metadata}
+# The names of the fields that are fuse flags.
+FUSE_FLAGS = tuple(f.name for f in fields(CliConfig) if "fuse_flag" in f.metadata)
 
 
 def parse_config_text(text: str) -> dict:

@@ -540,15 +540,6 @@ def _guided_planes(p: Image, guide: Image) -> tuple[np.ndarray, np.ndarray]:
     return pp, gg
 
 
-def _guided_params(radius: int, epsilon: float) -> FilterParams:
-    # The classic guided filter as the beta = 2 fit, arguments checked.
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return FilterParams(radius, epsilon, beta=2.0)
-
-
 def lep_filter_guided(p: Image, guide: Image, params: FilterParams) -> Image:
     """Edge-preserving filtering of ``p`` steered by a guidance image.
 
@@ -570,4 +561,6 @@ def guided_filter(p: Image, guide: Image, radius: int, epsilon: float) -> Image:
     is the constant alpha = epsilon.  Kept as the constant-regularizer
     baseline; it smooths edges that the gradient-adaptive variant preserves.
     """
-    return lep_filter_guided(p, guide, _guided_params(radius, epsilon))
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    return lep_filter_guided(p, guide, FilterParams(radius, epsilon, beta=2.0))

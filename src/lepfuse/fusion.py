@@ -25,7 +25,6 @@ from .filters import (
     _fill,
     _fit,
     _gaussian_kernel_1d,
-    _guided_params,
     _guided_planes,
     _laplacian_rows,
     _plane_means,
@@ -34,8 +33,6 @@ from .filters import (
     _valid_correlate_sep,
 )
 from .image import Image, _luma_rows
-
-REFINE_FILTERS = ("lep", "guided")
 
 
 @dataclass(frozen=True)
@@ -46,8 +43,8 @@ class FusionConfig:
     focus regions merge without halos; the detail-layer weights want a small
     window and nearly no smoothing so that fine structure switches sharply
     between sources.  The invariants below enforce that ordering.
-    ``refine_filter`` is ``"lep"`` (the gradient-adaptive filter) or
-    ``"guided"`` (the same fit at beta = 2, alpha being epsilon).
+    Each ``FilterParams.beta`` selects its refiner: beta = 2 is the guided
+    filter, with ``alpha`` as its epsilon.
     """
 
     avg_filter_size: int = 31
@@ -56,7 +53,6 @@ class FusionConfig:
     base_params: FilterParams = field(default_factory=lambda: FilterParams(radius=15, alpha=0.3))
     detail_params: FilterParams = field(default_factory=lambda: FilterParams(radius=3, alpha=1e-4))
     weight_floor: float = 1e-12
-    refine_filter: str = "lep"
 
     def __post_init__(self):
         if self.avg_filter_size < 3 or self.avg_filter_size % 2 == 0:
@@ -79,10 +75,6 @@ class FusionConfig:
             )
         if not (np.isfinite(self.weight_floor) and self.weight_floor > 0.0):
             raise ValueError(f"weight_floor must be positive, got {self.weight_floor}")
-        if self.refine_filter not in REFINE_FILTERS:
-            raise ValueError(
-                f"refine_filter must be one of {REFINE_FILTERS}, got {self.refine_filter!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -325,11 +317,6 @@ class _Winner:
         return self.winner[rows] == self.n
 
 
-def _fit_params(params: FilterParams, filter_kind: str) -> FilterParams:
-    # The parameters of the weight fit of ``filter_kind``, checked.
-    return _guided_params(params.radius, params.alpha) if filter_kind == "guided" else params
-
-
 def _weights(pp, gg, params: FilterParams, strip: int = _STRIP_ROWS):
     # The weight fit of pp on the guide gg (see _fit), clamped to [0, 1],
     # as a generator of (rows, values) strips of at most ``strip`` rows.
@@ -337,18 +324,13 @@ def _weights(pp, gg, params: FilterParams, strip: int = _STRIP_ROWS):
         yield rows, np.clip(values, 0.0, 1.0, out=values)
 
 
-def refine_weights(
-    binary: WeightStack,
-    guides,
-    params: FilterParams,
-    filter_kind: str = "lep",
-) -> WeightStack:
+def refine_weights(binary: WeightStack, guides, params: FilterParams) -> WeightStack:
     """Filter each weight map with its source luminance as guidance.
 
     The cross-guided linear fit relocates weight transitions onto the
     guide's edges; it can overshoot [0, 1] slightly, so the result is
-    clamped.  ``filter_kind`` "lep" applies lep_filter_guided with
-    ``params``, "guided" guided_filter with epsilon ``params.alpha``.
+    clamped.  Each map is lep_filter_guided with ``params``: at
+    ``params.beta`` = 2, guided_filter with epsilon ``params.alpha``.
 
     The maps are refined one after another in the calling process, each
     into a private plane, once every map and guide is checked.  Each fit
@@ -360,10 +342,7 @@ def refine_weights(
         raise ValueError(
             f"got {len(binary.maps)} weight maps but {len(guides)} guides"
         )
-    if filter_kind not in REFINE_FILTERS:
-        raise ValueError(f"filter_kind must be one of {REFINE_FILTERS}, got {filter_kind!r}")
     pairs = [_guided_planes(m, g) for m, g in zip(binary.maps, guides)]
-    params = _fit_params(params, filter_kind)
     outs = [np.empty(binary.maps[0].data.shape) for _ in pairs]
     for (pp, gg), out in zip(pairs, outs):
         _fill(out[:, :, 0], _weights(pp, gg, params))
@@ -653,8 +632,7 @@ def fuse(sources, config: FusionConfig = FusionConfig(), *, _dump=None) -> Fusio
             raise ValueError(f"source dimensions differ: {src.data.shape} vs {shape}")
         if src.max_val != max_val:
             raise ValueError(f"source max_val differs: {src.max_val:g} vs {max_val:g}")
-    # epsilon > 0 for the guided filter, checked before any stage runs
-    fits = tuple(_fit_params(p, config.refine_filter) for p in (config.base_params, config.detail_params))
+    fits = (config.base_params, config.detail_params)
     _check_weight_floor(config.weight_floor, len(sources))
 
     kept = {} if _dump is None else None

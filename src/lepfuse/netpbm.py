@@ -38,6 +38,7 @@ class NetpbmUnsupportedError(NetpbmError):
 # matched whole, not byte by byte, which keeps long runs fast.
 _FILLER = re.compile(rb"[ \t\n\r\x0b\x0c]*(?:#[^\n\r]*[ \t\n\r\x0b\x0c]*)*")
 _TOKEN = re.compile(rb"[^ \t\n\r\x0b\x0c#]*")
+_COMMENT = re.compile(rb"#[^\n\r]*")
 
 
 class _Tokenizer:
@@ -98,11 +99,11 @@ def _plain_samples(raster: bytes, count: int, maxval: int):
 def read_image(path) -> Image:
     """Decode a PGM or PPM file into an image of read-only uint8 samples.
 
-    A plain (P2/P3) raster of ASCII digits and whitespace alone is parsed
-    in one numpy call.  One with anything else in it (a comment, a sign, a
-    sample above maxval) or too few samples is read token by token, which
-    gives the same samples for every file that decodes and the same error
-    for every file that does not.
+    A plain (P2/P3) raster of ASCII digits, whitespace and comments alone
+    is parsed in one numpy call, each comment blanked to spaces first.  One
+    with anything else in it (a sign, a sample above maxval) or too few
+    samples is read token by token, which gives the same samples for every
+    file that decodes and the same error for every file that does not.
 
     Raises OSError for unreadable paths, NetpbmUnsupportedError for magic
     numbers or maxval outside the 8-bit P2/P3/P5/P6 subset, and
@@ -129,7 +130,10 @@ def read_image(path) -> Image:
     count = width * height * channels
 
     if magic in _PLAIN_MAGICS:
-        samples = _plain_samples(blob[tok.pos:], count, maxval)
+        # A comment is filler wherever it starts, so blanking it keeps the
+        # tokens and their offsets.
+        raster = _COMMENT.sub(lambda comment: b" " * len(comment[0]), blob[tok.pos:])
+        samples = _plain_samples(raster, count, maxval)
         if samples is None:
             # A sample takes at least one byte, so never allocate more samples
             # than bytes remain; the loop reports where a too-short raster ends.

@@ -10,12 +10,15 @@ bit, since both perform the same floating-point operations; so do the
 whole-plane saliency, binary weight maps and weight normalization, which
 pin their strip-wise library forms.  The
 image helpers at the end (constant images, replicate padding, single-point
-bilinear sampling) serve only the tests.
+bilinear sampling) and the fusion settings at a chosen beta serve only
+the tests.
 """
+
+import dataclasses
 
 import numpy as np
 
-from lepfuse import Image
+from lepfuse import FusionConfig, Image
 
 
 def naive_box_mean(plane: np.ndarray, radius: int) -> np.ndarray:
@@ -358,3 +361,10 @@ def sample_bilinear(img: Image, x: float, y: float) -> np.ndarray:
     top = (1.0 - fx) * img.data[y0, x0] + fx * img.data[y0, x1]
     bottom = (1.0 - fx) * img.data[y1, x0] + fx * img.data[y1, x1]
     return (1.0 - fy) * top + fy * bottom
+
+
+def config_at_beta(beta: float, config: FusionConfig = FusionConfig()) -> FusionConfig:
+    """``config`` with both weight fits at ``beta``; at beta = 2 each is the
+    guided filter, with alpha as its epsilon."""
+    return dataclasses.replace(config, base_params=dataclasses.replace(config.base_params, beta=beta),
+                               detail_params=dataclasses.replace(config.detail_params, beta=beta))

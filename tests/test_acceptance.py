@@ -35,6 +35,7 @@ from lepfuse.image import Rect, rgb_to_luma
 from lepfuse.synthetic import multifocus_pair, smooth_field
 from lepfuse.zoom import ZoomSpec
 from oracles import (
+    config_at_beta,
     direct_ssim,
     guide_gradient_power,
     lep_oracle,
@@ -247,10 +248,8 @@ def test_criterion_09_multifocus_functional():
 
 def test_criterion_10_refiner_comparison():
     _, left_sharp, right_sharp = multifocus_pair(512, 512, 3.0)
-    sh_lep = sharpness(fuse([left_sharp, right_sharp],
-                            FusionConfig(refine_filter="lep")).fused)
-    sh_guided = sharpness(fuse([left_sharp, right_sharp],
-                               FusionConfig(refine_filter="guided")).fused)
+    sh_lep = sharpness(fuse([left_sharp, right_sharp], config_at_beta(1.0)).fused)
+    sh_guided = sharpness(fuse([left_sharp, right_sharp], config_at_beta(2.0)).fused)
     delta = sh_lep - sh_guided
     # Soft check: the edge-preserving refiner must not be materially worse.
     # The measured delta is logged either way.

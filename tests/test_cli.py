@@ -28,6 +28,8 @@ from lepfuse.config import CliConfig, apply_values, parse_config_text
 from lepfuse.fusion import fuse
 from lepfuse.synthetic import multifocus_pair
 
+from oracles import config_at_beta
+
 
 @pytest.fixture()
 def workdir(tmp_path):
@@ -44,7 +46,7 @@ def test_config_text_round_trip():
     # fusion settings
     avg_filter_size = 11
     base_alpha = 0.5
-    refine_filter = guided
+    output_dir = out
     dump_intermediates = yes
     rect = 1,2,3,4
 
@@ -54,7 +56,7 @@ def test_config_text_round_trip():
     cfg = apply_values(CliConfig(), values)
     assert cfg.avg_filter_size == 11
     assert cfg.base_alpha == 0.5
-    assert cfg.refine_filter == "guided"
+    assert cfg.output_dir == "out"
     assert cfg.dump_intermediates is True
     assert cfg.rect == (1, 2, 3, 4)
     assert cfg.scale == 2.5
@@ -121,7 +123,7 @@ def test_every_fusion_field_is_a_fuse_flag(workdir, capsys):
             expected[f.name] = value
     # Valid non-default values: odd ints stay odd, betas stay within [0, 2].
     changed = {
-        key: "guided" if isinstance(value, str) else value + 2 if isinstance(value, int) else value * 2
+        key: value + 2 if isinstance(value, int) else value * 2
         for key, value in expected.items()
     }
     argv = ["fuse", str(workdir / "a.pgm"), str(workdir / "b.pgm"), "-o", str(workdir / "flags.pgm"), "--verbose"]
@@ -169,11 +171,10 @@ def test_fuse_dump_intermediates_file_count(workdir):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 64])
-@pytest.mark.parametrize("refine_filter", ["lep", "guided"])
+@pytest.mark.parametrize("beta", ["1", "2"])
 @pytest.mark.parametrize("count", [1, 2, 5])
 @pytest.mark.parametrize("ext", [".pgm", ".ppm"])
-def test_fuse_output_same_with_and_without_intermediates(tmp_path, monkeypatch, capsys, cpus, refine_filter, count,
-                                                        ext):
+def test_fuse_output_same_with_and_without_intermediates(tmp_path, monkeypatch, capsys, cpus, beta, count, ext):
     """Without --dump-intermediates fuse keeps no intermediates, yet writes
     the same bytes and prints the same report as with it."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
@@ -189,7 +190,7 @@ def test_fuse_output_same_with_and_without_intermediates(tmp_path, monkeypatch, 
         out = tmp_path / mode / f"fused{ext}"
         out.parent.mkdir()
         before = threading.active_count()
-        assert main(["fuse", *inputs, "-o", str(out), "--refine-filter", refine_filter, *extra]) == 0
+        assert main(["fuse", *inputs, "-o", str(out), "--base-beta", beta, "--detail-beta", beta, *extra]) == 0
         assert threading.active_count() == before
         outputs[mode] = out.read_bytes(), capsys.readouterr().out
     assert outputs["lean"] == outputs["dump"]
@@ -242,10 +243,10 @@ def _write_kept_result(result, out_path):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 64])
-@pytest.mark.parametrize("refine_filter", ["lep", "guided"])
+@pytest.mark.parametrize("beta", ["1", "2"])
 @pytest.mark.parametrize("count", [1, 2, 5])
 @pytest.mark.parametrize("ext", [".pgm", ".ppm"])
-def test_dump_matches_kept_result(tmp_path, monkeypatch, cpus, refine_filter, count, ext):
+def test_dump_matches_kept_result(tmp_path, monkeypatch, cpus, beta, count, ext):
     """--dump-intermediates writes each file from the lean pipeline as its
     stage ends, byte for byte as the kept FusionResult encodes, and runs
     fuse with a hook, so that it keeps no intermediates."""
@@ -257,7 +258,7 @@ def test_dump_matches_kept_result(tmp_path, monkeypatch, cpus, refine_filter, co
         write_image(Image(rng.integers(0, 256, (37, 29, 1 if ext == ".pgm" else 3)).astype(float)), path)
         inputs.append(path)
     (tmp_path / "kept").mkdir()
-    _write_kept_result(fuse([read_image(p) for p in inputs], FusionConfig(refine_filter=refine_filter)),
+    _write_kept_result(fuse([read_image(p) for p in inputs], config_at_beta(float(beta))),
                        tmp_path / "kept" / f"fused{ext}")
     real_fuse, results = lepfuse.cli.fuse, []
 
@@ -269,7 +270,7 @@ def test_dump_matches_kept_result(tmp_path, monkeypatch, cpus, refine_filter, co
     monkeypatch.setattr(lepfuse.cli, "fuse", recorded_fuse)
     out = tmp_path / "dump" / f"fused{ext}"
     out.parent.mkdir()
-    assert main(["fuse", *map(str, inputs), "-o", str(out), "--refine-filter", refine_filter,
+    assert main(["fuse", *map(str, inputs), "-o", str(out), "--base-beta", beta, "--detail-beta", beta,
                  "--dump-intermediates"]) == 0
     assert len(results) == 1 and results[0].layers is results[0].base_weights is None
     kept = {p.name: p.read_bytes() for p in sorted((tmp_path / "kept").iterdir())}
@@ -278,18 +279,28 @@ def test_dump_matches_kept_result(tmp_path, monkeypatch, cpus, refine_filter, co
     assert dumped == kept
 
 
-def test_fuse_bad_guided_epsilon_exits_2_before_any_work(workdir, monkeypatch, capsys):
-    """A guided-filter epsilon of 0 is refused before fuse forks or
-    writes anything."""
+@pytest.mark.parametrize("extra, config, message", [
+    (["--base-beta", "3"], None, "error: beta must lie in [0, 2], got 3.0"),
+    (["--refine-filter", "guided"], None, "unrecognized arguments: --refine-filter guided"),
+    ([], "refine_filter = guided\n", "error: unknown config key 'refine_filter' on line 1"),
+], ids=["beta-3", "refine-filter-flag", "refine-filter-config"])
+def test_fuse_bad_beta_or_refiner_exits_2_before_any_work(workdir, monkeypatch, capsys, extra, config, message):
+    """A beta outside [0, 2] is refused before fuse forks or writes
+    anything.  Beta alone chooses the refiner, 2 being the guided filter,
+    so --refine-filter and a config line refine_filter = guided are
+    unknown, and refused as early."""
     forks, writes = [], []
     monkeypatch.setattr(os, "fork", lambda: forks.append(None))
     monkeypatch.setattr(lepfuse.netpbm, "_write_raster", lambda *args: writes.append(args))
     monkeypatch.setattr(lepfuse.cli, "_write_raster", lambda *args: writes.append(args))
+    if config is not None:
+        (workdir / "cfg.txt").write_text(config)
+        extra = ["--config", str(workdir / "cfg.txt")]
     before = sorted(p.name for p in workdir.iterdir())
     assert main(["fuse", str(workdir / "a.pgm"), str(workdir / "b.pgm"), "-o", str(workdir / "never.pgm"),
-                 "--refine-filter", "guided", "--detail-alpha", "0", "--dump-intermediates"]) == 2
+                 *extra, "--dump-intermediates"]) == 2
     assert forks == [] and writes == []
-    assert "epsilon" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert sorted(p.name for p in workdir.iterdir()) == before
 
 
@@ -697,6 +708,24 @@ def test_zoom_psnr_against_another_size_exits_2(workdir, capsys):
                  "--psnr-against", str(truth)])
     assert code == 2
     assert capsys.readouterr().err == f"error: ground truth {truth} is 48x48x1 but the zoomed result is 8x8x1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("truth, code, message", [
+    ("missing.pgm", 1, "error: [Errno 2] No such file or directory: '{}'\n"),
+    ("b.pgm", 2, "error: ground truth {} is 48x48x1 but the zoomed result is 10x10x1\n"),
+], ids=["missing", "another-size"])
+def test_zoom_checks_the_truth_before_zooming(workdir, monkeypatch, capsys, truth, code, message):
+    """A missing ground truth, or one of another size than the zoomed
+    result, is refused before zoom_region runs."""
+    def no_zoom(*args):
+        raise AssertionError("zoom_region ran")
+
+    monkeypatch.setattr(lepfuse.cli, "zoom_region", no_zoom)
+    out, truth = workdir / "z5.pgm", workdir / truth
+    assert main(["zoom", str(workdir / "a.pgm"), "--rect", "0,0,4,4", "--scale", "2.5", "-o", str(out),
+                 "--psnr-against", str(truth)]) == code
+    assert capsys.readouterr().err == message.format(truth)
     assert not out.exists()
 
 

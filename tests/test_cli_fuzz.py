@@ -83,8 +83,7 @@ _NUMBERS = ["0", "-0", "-1", "1", "2", "3", "15", "31", "1e308", "-1e308", "1e-3
             "nan", "inf", "-inf", "0.3", "1e-4", "2.0", "1000000000", "x", ""]
 _RECTS = ["0,0,2,2", "1,1,3,2", "-1,0,1,1", "0,0,0,0", "0,0,99999,99999", "0,0,1", "a,b,c,d"]
 _FIELDS = {f.name: f.type for f in fields(CliConfig)}
-_WORDS = {"rect": _RECTS, "dump_intermediates": ["1", "no", "yes", "maybe"],
-          "refine_filter": ["lep", "guided", "box", ""], "output_dir": [".", "missing", "cfg.txt"]}
+_WORDS = {"rect": _RECTS, "dump_intermediates": ["1", "no", "yes", "maybe"], "output_dir": [".", "missing", "cfg.txt"]}
 
 
 def _values(name: str):

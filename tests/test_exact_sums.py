@@ -14,7 +14,7 @@ import lepfuse.filters
 import lepfuse.fusion
 from lepfuse import FilterParams, Image, box_mean, write_image
 from lepfuse.filters import _EXACT_RADIUS, _STRIP_ROWS, _box_means, _exact_box_means, _fill, _fit
-from lepfuse.fusion import _fit_params, _layers, _Winner
+from lepfuse.fusion import _layers, _Winner
 
 TALLER = 5 * _STRIP_ROWS + 3
 
@@ -80,7 +80,7 @@ def test_exact_sums_give_the_integral_image_bits(shape, radius, strip, kind):
 
 
 PARAMS = [FilterParams(radius, alpha, beta) for radius, alpha in ((15, 0.3), (3, 1e-4)) for beta in (0.5, 1.0, 2.0)]
-PARAMS += [_fit_params(FilterParams(radius, alpha), "guided") for radius, alpha in ((15, 0.3), (3, 1e-4))]
+PARAMS += [FilterParams(radius, alpha, 2.0) for radius, alpha in ((15, 0.3), (3, 1e-4))]
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (300, 1), (20, 31), (TALLER, 13)])

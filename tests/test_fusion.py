@@ -42,6 +42,7 @@ from lepfuse.image import _luma
 from lepfuse.synthetic import multifocus_pair
 
 from oracles import (
+    config_at_beta,
     constant_image,
     naive_box_mean,
     naive_gaussian,
@@ -283,13 +284,6 @@ def test_weight_stack_kind_validation():
         WeightStack(maps=(constant_image(2, 2, 1, 1.0), constant_image(2, 3, 1, 1.0)), kind="binary")
 
 
-def test_refine_rejects_an_unknown_filter_kind():
-    sources = [_random_image(s, (8, 8)) for s in (1, 2)]
-    binary = binary_weight_maps([saliency(src) for src in sources])
-    with pytest.raises(ValueError, match=r"^filter_kind must be one of \('lep', 'guided'\), got 'box'$"):
-        refine_weights(binary, sources, FilterParams(radius=2, alpha=0.05), filter_kind="box")
-
-
 @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
 def test_usable_cpus_without_affinity_counts_the_machine(monkeypatch, count, cpus):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -371,11 +365,12 @@ def test_refine_holds_strip_scratch(monkeypatch, traced_peak, cpus, params):
     assert abs(_refine_scratch_bytes(2 * side, side, count, params, traced_peak) - scratch) <= 64 * 1024
 
 
-@pytest.mark.parametrize("filter_kind", ["lep", "guided"])
-def test_refine_runs_here_into_private_planes(monkeypatch, filter_kind):
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_refine_runs_here_into_private_planes(monkeypatch, beta):
     """However many CPUs there are, refine_weights forks nothing: it fits
     its maps one after another into private planes, not memory maps, each
-    the same, bit for bit, as the clamped filter of that map alone."""
+    the same, bit for bit, as the clamped filter of that map alone, which
+    at beta = 2 is guided_filter with epsilon alpha."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
 
     def no_fork():
@@ -384,13 +379,13 @@ def test_refine_runs_here_into_private_planes(monkeypatch, filter_kind):
     monkeypatch.setattr(os, "fork", no_fork)
     sources = [_random_image(s, (2 * _STRIP_ROWS + 5, 20)) for s in range(3)]
     binary = binary_weight_maps([saliency(src) for src in sources])
-    params = FilterParams(radius=4, alpha=0.05)
-    refined = refine_weights(binary, sources, params, filter_kind)
+    params = FilterParams(radius=4, alpha=0.05, beta=beta)
+    refined = refine_weights(binary, sources, params)
     for m, src, got in zip(binary.maps, sources, refined.maps):
-        if filter_kind == "lep":
-            want = lep_filter_guided(m, src, params)
-        else:
+        if beta == 2.0:
             want = guided_filter(m, src, params.radius, params.alpha)
+        else:
+            want = lep_filter_guided(m, src, params)
         assert _same_bits(got.data, np.clip(want.data, 0.0, 1.0))
         assert not _mapped(got.data)
 
@@ -586,8 +581,6 @@ def test_fusion_config_validation():
         )
     with pytest.raises(ValueError):
         FusionConfig(weight_floor=0.0)
-    with pytest.raises(ValueError):
-        FusionConfig(refine_filter="median")
     with pytest.raises(ValueError, match=r"^saliency_radius must be >= 1, got 0$"):
         FusionConfig(saliency_radius=0)
 
@@ -612,10 +605,10 @@ def _serial_fuse(sources, config):
     def refine(params):
         maps = []
         for weight_map, guide in zip(binary.maps, lumas):
-            if config.refine_filter == "lep":
-                filtered = lep_filter_guided(weight_map, guide, params)
-            else:
+            if params.beta == 2.0:
                 filtered = guided_filter(weight_map, guide, params.radius, params.alpha)
+            else:
+                filtered = lep_filter_guided(weight_map, guide, params)
             maps.append(Image(np.clip(filtered.data, 0.0, 1.0), 1.0))
         return WeightStack(maps=tuple(maps), kind="refined")
 
@@ -660,11 +653,11 @@ def _result_fields(result):
     }
 
 
-def _assert_fuse_matches_serial(monkeypatch, cpus, refine_filter, channels, count, height):
+def _assert_fuse_matches_serial(monkeypatch, cpus, beta, channels, count, height):
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: cpus)
     rng = np.random.default_rng(count * 10 + channels)
     sources = [Image(rng.uniform(0, 255, (height, 70, channels))) for _ in range(count)]
-    config = FusionConfig(refine_filter=refine_filter)
+    config = config_at_beta(beta)
     before = threading.active_count()
     got = _result_fields(fuse(sources, config))
     assert threading.active_count() == before
@@ -678,31 +671,38 @@ def _assert_fuse_matches_serial(monkeypatch, cpus, refine_filter, channels, coun
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 64])
-@pytest.mark.parametrize("refine_filter", ["lep", "guided"])
+@pytest.mark.parametrize("beta", [1.0, 2.0])
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("count", [1, 2, 3, 5])
-def test_fuse_bit_identical_for_any_thread_count(monkeypatch, cpus, refine_filter, channels, count):
+def test_fuse_bit_identical_for_any_thread_count(monkeypatch, cpus, beta, channels, count):
     """One process, two processes that each run several jobs (layers,
     saliency, base and detail fits of several sources), or more processes
     than cores (up to one per job) gives every FusionResult field bit for
     bit as the serial whole-plane composition of the stages, on sources
     several row strips tall, and leaves no thread behind."""
-    _assert_fuse_matches_serial(monkeypatch, cpus, refine_filter, channels, count, 3 * _STRIP_ROWS + 13)
+    _assert_fuse_matches_serial(monkeypatch, cpus, beta, channels, count, 3 * _STRIP_ROWS + 13)
 
 
 @pytest.mark.parametrize("cpus", [1, 64])
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("count", [1, 2, 5])
 def test_fuse_bit_identical_on_one_row(monkeypatch, cpus, channels, count):
-    _assert_fuse_matches_serial(monkeypatch, cpus, "lep", channels, count, 1)
+    _assert_fuse_matches_serial(monkeypatch, cpus, 1.0, channels, count, 1)
 
 
-def test_threaded_refine_rejects_bad_guided_config(monkeypatch):
+def test_threaded_fuse_rejects_an_overflowing_weight_floor(monkeypatch):
+    """A weight floor whose sum over the N sources overflows is refused
+    before any stage forks or starts a thread."""
     monkeypatch.setattr(lepfuse.fusion, "_usable_cpus", lambda: 64)
-    config = FusionConfig(refine_filter="guided", detail_params=FilterParams(radius=3, alpha=0.0))
+
+    def no_fork():
+        raise AssertionError("fuse forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    config = FusionConfig(weight_floor=1e308)
     sources = [_random_image(s, (16, 16)) for s in (1, 2, 3)]
     before = threading.active_count()
-    with pytest.raises(ValueError, match="epsilon"):
+    with pytest.raises(ValueError, match="keep the sum of 3 weights finite"):
         fuse(sources, config)
     assert threading.active_count() == before
 

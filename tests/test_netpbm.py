@@ -245,8 +245,8 @@ def _decode(path):
 def test_plain_fast_path_decodes_as_the_tokenizer(tmp_path, monkeypatch, magic):
     """Every plain file decodes to the same sample bits, or raises the same
     error type, message and byte offset, whether or not the numpy parse
-    is allowed.  The numpy parse takes every raster of digits and
-    whitespace with enough samples in range, extra samples after them
+    is allowed.  The numpy parse takes every raster of digits, whitespace
+    and comments with enough samples in range, extra samples after them
     included, and declines every other."""
     import lepfuse.netpbm
 
@@ -266,18 +266,25 @@ def test_plain_fast_path_decodes_as_the_tokenizer(tmp_path, monkeypatch, magic):
         fast = _decode(path)
         monkeypatch.setattr(lepfuse.netpbm, "_plain_samples", lambda *args: None)
         assert fast == _decode(path), (case, path.read_bytes())
-    assert {case for case, seen in taken.items() if seen == {True}} == {"clean", "zeros", "extra"}
+    assert {case for case, seen in taken.items() if seen == {True}} == {"clean", "zeros", "extra", "comment"}
     assert taken["long"] == {True, False}  # zero-padded small samples pass, big ones do not
 
 
 @pytest.mark.parametrize("magic, side", [(b"P2", 64), (b"P3", 16)])
 def test_clean_plain_raster_has_no_per_sample_tokens(tmp_path, monkeypatch, magic, side):
-    import lepfuse.netpbm
-
     channels = 3 if magic == b"P3" else 1
     data = np.random.default_rng(side).integers(0, 256, (side, side, channels))
     path = tmp_path / "clean.pnm"
     path.write_bytes(b"%s\n%d %d\n255\n" % (magic, side, side) + b"\n".join(b"%d" % v for v in data.ravel()))
+    calls = _count_next_int(monkeypatch)
+    assert np.array_equal(read_image(path).data, data)
+    assert calls == ["width", "height", "maxval"]
+
+
+def _count_next_int(monkeypatch):
+    # The ``what`` of every _Tokenizer.next_int call from here on.
+    import lepfuse.netpbm
+
     real_next_int, calls = lepfuse.netpbm._Tokenizer.next_int, []
 
     def counted(self, what, low, high):
@@ -285,8 +292,41 @@ def test_clean_plain_raster_has_no_per_sample_tokens(tmp_path, monkeypatch, magi
         return real_next_int(self, what, low, high)
 
     monkeypatch.setattr(lepfuse.netpbm._Tokenizer, "next_int", counted)
-    assert np.array_equal(read_image(path).data, data)
+    return calls
+
+
+def test_commented_plain_raster_has_no_per_sample_tokens(tmp_path, monkeypatch):
+    """Comments in a plain raster, after the header, inside a row, right
+    after a sample, with CR line ends, holding a vertical tab, and at the
+    end with no line end, are blanked, and the raster is still parsed in
+    one numpy call."""
+    data = np.random.default_rng(7).integers(0, 256, (16, 16))
+    rows = [b" ".join(b"%d" % v for v in row) for row in data]
+    rows[0] = b"# after the header\n" + rows[0]
+    rows[3] = rows[3].replace(b" ", b" # inside a row\n", 1)
+    rows[5] += b"#right after a sample\x0b#"
+    rows[9] += b" # CR line end\r"
+    path = tmp_path / "commented.pgm"
+    path.write_bytes(b"P2\n16 16\n255\n" + b"\n".join(rows) + b"\n# the end, no line end")
+    calls = _count_next_int(monkeypatch)
+    assert np.array_equal(read_image(path).data[:, :, 0], data)
     assert calls == ["width", "height", "maxval"]
+
+
+@pytest.mark.parametrize("blob, message, offset", [
+    (b"P2 2 1 255\n# c\n12 #x\n256\n", "sample 256 outside [0, 255]", 21),
+    (b"P2 2 1 255\n# c\n12 x3 # y\n", "expected integer sample, got b'x3'", 18),
+    (b"P2 3 1 255\n# c\n1 2 # end\n", "pixel data ended early: expected 3 samples, got 2", 25),
+], ids=["above-maxval", "non-digit", "too-few"])
+def test_commented_plain_raster_failures_keep_their_offsets(tmp_path, blob, message, offset):
+    """A commented plain raster that does not decode fails at the same
+    token with the same message as the tokenizer reports on its bytes."""
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(NetpbmParseError) as info:
+        read_image(path)
+    assert str(info.value) == f"{message} (byte offset {offset})"
+    assert info.value.offset == offset
 
 
 @pytest.mark.parametrize("head, token, tail, message", [

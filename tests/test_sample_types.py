@@ -52,6 +52,8 @@ from lepfuse import (
 )
 from lepfuse.cli import _check_scratch, main
 
+from oracles import config_at_beta
+
 SHAPES = [(1, 9), (20, 3), (37, 41)]
 
 
@@ -132,7 +134,7 @@ CASES = {
     "crop": lambda a, b, tmp: crop(a, Rect(0, 0, 1, 1)),
     "decompose": lambda a, b, tmp: decompose(a, 5),
     "fuse": lambda a, b, tmp: fuse([a, b], FusionConfig(avg_filter_size=5)),
-    "fuse_guided": lambda a, b, tmp: fuse([a, b, a], FusionConfig(refine_filter="guided")),
+    "fuse_guided": lambda a, b, tmp: fuse([a, b, a], config_at_beta(2.0)),
     "gaussian_filter": lambda a, b, tmp: gaussian_filter(a, 2, 1.0),
     "gradient_magnitude": lambda a, b, tmp: _gradient(a),
     "guided_filter": lambda a, b, tmp: guided_filter(b, a, 2, 0.3),
